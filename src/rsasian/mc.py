@@ -1,11 +1,16 @@
 """Monte Carlo oracle for the regime-switching model.
 
-Paths are exact in distribution: the modulating chain is simulated by
-exponential holding times, every switch time is merged into the time
-grid, and each resulting segment uses the exact lognormal update for
-the frozen-regime GBM. The only discretization is the trapezoidal
-approximation of the running integral of spot, controlled by
-``n_steps`` (steps per year).
+Given the chain's path, the log-return over an interval is exactly
+Gaussian with mean sum_i (r_i - q_i - sigma_i^2 / 2) l_i and variance
+sum_i sigma_i^2 l_i, where l_i is the time spent in regime i; the
+discount factor is exp(-sum_i r_i l_i). Each base step (at most
+``1 / n_steps`` years) therefore takes one normal draw per path, with
+mean and variance built from that step's occupation times. The chain itself is
+exact: every path carries the time of its next switch, an exponential
+holding time at the regime's exit rate, and only the paths whose clock
+falls inside a step draw a new regime and a new clock there. The only
+discretization is the trapezoidal approximation of the running integral
+of spot on the base grid, whose bias is O(1 / n_steps^2).
 
 Reproducibility contract: each fixed-size batch of paths draws from its
 own counter-based stream keyed by ``(seed, batch_index)``, and batch
@@ -69,89 +74,6 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_chain(
-    model: RegimeModel,
-    t0: float,
-    T: float,
-    rng: np.random.Generator,
-    regime0: int = 0,
-) -> list[tuple[int, float]]:
-    """One chain path as ``[(regime, entry_time), ...]`` up to ``horizon``.
-
-    Holding times are exponential with the regime's exit rate; the next
-    regime is drawn from the off-diagonal generator row normalized by
-    that rate. A regime with exit rate zero is absorbing.
-    """
-    gen = model.gen_array()
-    exit_rates = -np.diag(gen)
-    segs = [(regime0, t0)]
-    t, state = t0, regime0
-    horizon = T
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            return segs
-        t = t + rng.exponential(1.0 / rate)
-        if t >= horizon:
-            return segs
-        probs = np.maximum(gen[state], 0.0)
-        probs[state] = 0.0
-        probs /= probs.sum()
-        state = int(rng.choice(len(probs), p=probs))
-        segs.append((state, t))
-
-
-def _simulate_chains_vec(
-    rng: np.random.Generator,
-    gen: np.ndarray,
-    regime0: int,
-    t0: float,
-    horizon: float,
-    n: int,
-):
-    """Vectorized chains: per-path switch times (padded +inf) and states.
-
-    Returns ``(switch_times, next_states)`` with shape ``(n, k_max)``;
-    column blocks are drawn lazily, so the realized shape is a
-    deterministic function of the drawn values.
-    """
-    n_states = gen.shape[0]
-    exit_rates = -np.diag(gen)
-    # off-diagonal transition distribution per state (rows may be zero)
-    trans = np.maximum(gen, 0.0)
-    np.fill_diagonal(trans, 0.0)
-    row_sums = trans.sum(axis=1, keepdims=True)
-    trans = np.divide(trans, np.where(row_sums > 0, row_sums, 1.0))
-    cum = np.cumsum(trans, axis=1)
-
-    states = np.full(n, regime0, dtype=np.int64)
-    t = np.full(n, t0, dtype=float)
-    alive = exit_rates[states] > 0.0
-    times_cols: list[np.ndarray] = []
-    state_cols: list[np.ndarray] = []
-    while alive.any():
-        rates = exit_rates[states]
-        safe = np.where(rates > 0.0, rates, 1.0)
-        hold = rng.exponential(1.0, n) / safe
-        u = rng.random(n)
-        t_next = np.where(alive, t + hold, np.inf)
-        switched = t_next < horizon
-        nxt = np.empty(n, dtype=np.int64)
-        for s in range(n_states):  # small loop over regimes
-            mask = states == s
-            if mask.any():
-                nxt[mask] = np.searchsorted(cum[s], u[mask], side="right")
-        nxt = np.minimum(nxt, n_states - 1)
-        times_cols.append(np.where(switched, t_next, np.inf))
-        state_cols.append(np.where(switched, nxt, states))
-        t = np.where(switched, t_next, t)
-        states = np.where(switched, nxt, states)
-        alive = switched & (exit_rates[states] > 0.0)
-    if not times_cols:
-        return np.full((n, 1), np.inf), np.full((n, 1), regime0, dtype=np.int64)
-    return np.stack(times_cols, axis=1), np.stack(state_cols, axis=1)
-
-
 def _price_batch(
     model: RegimeModel,
     spec: AsianOptionSpec,
@@ -164,91 +86,104 @@ def _price_batch(
     then the sums and sums of squares split by terminal regime.
 
     A unit is a path, or an antithetic pair mean. The pair shares one
-    chain path, hence one terminal regime; only the Gaussian increments
-    are mirrored.
+    chain path, hence one terminal regime and the same occupation times;
+    only the Gaussian increments are mirrored.
     """
     rng = _batch_rng(cfg.seed, batch_index)
     gen = model.gen_array()
     r = model.r_array()
-    q = model.q_array()
     sig = model.sigma_array()
+    var = sig * sig
+    mu = r - model.q_array() - 0.5 * var
+    exit_rates = -np.diag(gen)
+    mean_hold = np.divide(1.0, exit_rates, out=np.full_like(exit_rates, np.inf),
+                          where=exit_rates > 0.0)
+    # next-regime CDF per row; dividing by the last entry makes it exactly 1
+    n_states = gen.shape[0]
+    cum = np.cumsum(np.maximum(gen, 0.0) * (1.0 - np.eye(n_states)), axis=1)
+    cum = np.divide(cum, cum[:, -1:], out=np.zeros_like(cum), where=cum[:, -1:] > 0.0)
     T = spec.T
     anti = cfg.antithetic
     n_units = batch_n // 2 if anti else batch_n
-
-    sw_times, sw_states = _simulate_chains_vec(rng, gen, state.regime, state.t, T, n_units)
-    k_max = sw_times.shape[1]
-
     need_avg = spec.style is not OptionStyle.EUROPEAN_PUT
     n_base = max(1, int(math.ceil((T - state.t) * cfg.n_steps - 1e-12)))
     grid = np.linspace(state.t, T, n_base + 1)
+    h = (T - state.t) / n_base
+    sqrt_h = math.sqrt(h)
+
+    # Chain state carried across steps: the regime and the time of its next
+    # switch. drift and vol (log-return mean and standard deviation of the
+    # step) are those of a whole step in the current regime, except during
+    # a step in which the path switches. The discount exponent, the
+    # integral of r, is booked to expiry at the start and corrected to
+    # expiry at each switch.
+    states = np.full(n_units, state.regime, dtype=np.int64)
+    clock = state.t + rng.standard_exponential(n_units) * mean_hold[state.regime]
+    drift = np.full(n_units, mu[state.regime] * h)
+    vol = np.full(n_units, sig[state.regime] * sqrt_h)
+    disc = np.full(n_units, r[state.regime] * (T - state.t))
 
     s_p = np.full(n_units, state.s)
     s_m = s_p.copy() if anti else None
-    a_p = np.full(n_units, state.a)
-    a_m = a_p.copy() if anti else None
-    disc = np.zeros(n_units)
-    states = np.full(n_units, state.regime, dtype=np.int64)
-    ptr = np.zeros(n_units, dtype=np.int64)
-    cur = np.full(n_units, state.t)
+    # trapezoid on the base grid: h * (s_0/2 + s_1 + ... + s_{N-1} + s_N/2)
+    sum_p = np.zeros(n_units)
+    sum_m = np.zeros(n_units) if anti else None
+    x = np.empty(n_units)  # log-returns of the step
 
-    def advance_subset(idx, dt):
-        z = rng.standard_normal(idx.size)
-        vol = sig[states[idx]]
-        drift = (r[states[idx]] - q[states[idx]] - 0.5 * vol * vol) * dt
-        dw = vol * np.sqrt(dt) * z
-        s_new = s_p[idx] * np.exp(drift + dw)
-        if need_avg:
-            a_p[idx] += 0.5 * (s_p[idx] + s_new) * dt
-        s_p[idx] = s_new
+    for t1 in grid[1:]:
+        hit = np.flatnonzero(clock < t1)
+        if hit.size:
+            # The paths that switch in this step get the log-return mean and
+            # variance of their occupation times: those of the regime held
+            # at the step's start, corrected at each switch by the change of
+            # rate over the rest of the step.
+            m = drift[hit]
+            v = vol[hit] ** 2
+            pos = np.arange(hit.size)
+            while pos.size:
+                j = hit[pos]
+                tau = clock[j]
+                frm = states[j]
+                u = rng.random(j.size)
+                to = np.zeros(j.size, dtype=np.int64)
+                for c in range(n_states - 1):  # to = #{c : cum[frm, c] <= u}
+                    to += cum[frm, c] <= u
+                left = t1 - tau
+                m[pos] += (mu[to] - mu[frm]) * left
+                v[pos] += (var[to] - var[frm]) * left
+                disc[j] += (r[to] - r[frm]) * (T - tau)
+                states[j] = to
+                tau += rng.standard_exponential(j.size) * mean_hold[to]
+                clock[j] = tau
+                pos = pos[tau < t1]
+            drift[hit] = m
+            vol[hit] = np.sqrt(v)
+        dw = rng.standard_normal(n_units)
+        dw *= vol
+        np.add(drift, dw, out=x)
+        s_p *= np.exp(x, out=x)
         if anti:
-            s_new_m = s_m[idx] * np.exp(drift - dw)
-            if need_avg:
-                a_m[idx] += 0.5 * (s_m[idx] + s_new_m) * dt
-            s_m[idx] = s_new_m
-        disc[idx] += r[states[idx]] * dt
+            np.subtract(drift, dw, out=x)
+            s_m *= np.exp(x, out=x)
+        if need_avg:
+            sum_p += s_p
+            if anti:
+                sum_m += s_m
+        if hit.size:
+            now = states[hit]
+            drift[hit] = mu[now] * h
+            vol[hit] = sig[now] * sqrt_h
 
-    all_idx = np.arange(n_units)
-    has_switches = np.isfinite(sw_times[:, 0]).any()
-    for k in range(n_base):
-        target = grid[k + 1]
-        while has_switches:
-            nxt = sw_times[all_idx, np.minimum(ptr, k_max - 1)]
-            nxt = np.where(ptr < k_max, nxt, np.inf)
-            inside = nxt < target
-            if not inside.any():
-                break
-            idx = np.flatnonzero(inside)
-            advance_subset(idx, nxt[idx] - cur[idx])
-            cur[idx] = nxt[idx]
-            states[idx] = sw_states[idx, np.minimum(ptr[idx], k_max - 1)]
-            ptr[idx] += 1
-        # remaining stretch of the base step, zero-length for untouched paths
-        dt = target - cur
-        z = rng.standard_normal(n_units)
-        vol = sig[states]
-        drift = (r[states] - q[states] - 0.5 * vol * vol) * dt
-        dw = vol * np.sqrt(dt) * z
-        s_new = s_p * np.exp(drift + dw)
-        if need_avg:
-            a_p += 0.5 * (s_p + s_new) * dt
-        s_p = s_new
-        if anti:
-            s_new_m = s_m * np.exp(drift - dw)
-            if need_avg:
-                a_m += 0.5 * (s_m + s_new_m) * dt
-            s_m = s_new_m
-        disc += r[states] * dt
-        cur[:] = target
+    def average(sums, s_last):
+        return (state.a + h * (0.5 * state.s + sums - 0.5 * s_last)) / T
 
     df = np.exp(-disc)
-    pay_p = payoff(spec, s_p, a_p / T) * df
+    pay_p = payoff(spec, s_p, average(sum_p, s_p)) * df
     if anti:
-        pay_m = payoff(spec, s_m, a_m / T) * df
+        pay_m = payoff(spec, s_m, average(sum_m, s_m)) * df
         units = 0.5 * (pay_p + pay_m)
     else:
         units = pay_p
-    n_states = gen.shape[0]
     term_sum = np.bincount(states, weights=units, minlength=n_states)
     term_sq = np.bincount(states, weights=units * units, minlength=n_states)
     return float(units.sum()), float(np.dot(units, units)), n_units, term_sum, term_sq

@@ -212,6 +212,9 @@ class MarketState:
     regime: int
 
     def __post_init__(self):
+        # integer inputs (a JSON "s": 100) would give engines integer arrays
+        for name in ("t", "s", "a"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.s > 0.0):
             raise ValidationError(f"spot not > 0 (got {self.s!r})")
         if self.t < 0.0:

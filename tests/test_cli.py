@@ -57,6 +57,17 @@ class TestPriceCommand:
         assert float(cells[1]) > 0.0
         assert cells[3] == "0", "timings default to a zero runtime column"
 
+    def test_integer_state_prices_like_its_float_form(self, tmp_path):
+        prices = []
+        for name, state in (("float", {"t": 0.0, "s": 100.0, "a": 0.0}),
+                            ("int", {"t": 0, "s": 100, "a": 0})):
+            cfg = base_config(tmp_path, TINY_MC, name=name)
+            cfg["state"].update(state)
+            code, report = run(tmp_path, "price", cfg, name=name)
+            assert code == 0
+            prices.append(open(report).read().splitlines()[1].split(",")[1])
+        assert prices[0] == prices[1]
+
     def test_csv_uses_lf_and_decimal_points(self, tmp_path):
         code, report = run(tmp_path, "price", base_config(tmp_path, TINY_MC))
         assert code == 0

@@ -1,25 +1,29 @@
 """Tests for the Monte Carlo oracle.
 
-Paths are simulated with event-driven regime switches (exponential clocks)
-and exact lognormal increments between events, so the only discretization
-is the trapezoid rule for the running average.
+Each path carries an exact chain (exponential clocks, next regime from
+the generator row) and takes one exact lognormal step per base step,
+built from that step's occupation times, so the only discretization is
+the trapezoid rule for the running average. The chain and occupation
+times are checked through ``mc_price`` itself, on near-zero-volatility
+models whose discount factor has a matrix-exponential law.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+import rsasian.mc
 from rsasian import (
     AsianOptionSpec,
     MarketState,
     McConfig,
     McEstimate,
+    RegimeModel,
     ValidationError,
     black_scholes_put,
     mc_price,
-    simulate_chain,
     two_state_model,
 )
 
@@ -67,19 +71,26 @@ class TestDeterminism:
         b = mc_price(FLOATING_PUT, INCEPTION, desk_model, cfg)
         assert a == b, "same configuration must reproduce bit-identical output"
 
-    def test_thread_count_does_not_change_results(self, desk_model):
-        cfg = McConfig(n_paths=20_000, n_steps=32, seed=5, antithetic=True)
-        saved = os.environ.get("PRICER_THREADS")
-        try:
-            os.environ["PRICER_THREADS"] = "1"
-            serial = mc_price(FLOATING_PUT, INCEPTION, desk_model, cfg)
-            os.environ["PRICER_THREADS"] = "3"
-            threaded = mc_price(FLOATING_PUT, INCEPTION, desk_model, cfg)
-        finally:
-            if saved is None:
-                os.environ.pop("PRICER_THREADS", None)
-            else:
-                os.environ["PRICER_THREADS"] = saved
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # three batches, so the pool runs; at 50 switches a year the carried
+        # clocks consume each batch's stream unevenly across paths
+        model = two_state_model(0.05, 0.03, 0.3, 0.2, 50.0, 50.0)
+        cfg = McConfig(
+            n_paths=2 * rsasian.mc._BATCH_SIZE + 2, n_steps=8, seed=5, antithetic=True
+        )
+        pools = []
+
+        class CountingPool(rsasian.mc.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rsasian.mc, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setenv("PRICER_THREADS", "1")
+        serial = mc_price(FLOATING_PUT, INCEPTION, model, cfg)
+        monkeypatch.setenv("PRICER_THREADS", "2")
+        threaded = mc_price(FLOATING_PUT, INCEPTION, model, cfg)
+        assert pools == [2], f"pool sizes used: {pools}"
         assert serial == threaded, (
             f"thread count changed the estimate: {serial} vs {threaded}"
         )
@@ -153,25 +164,39 @@ class TestStructure:
             f"{double.price} vs 2 * {base.price}"
         )
 
-    def test_chain_path_is_well_formed(self, desk_model):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            path = simulate_chain(desk_model, 0.0, 1.0, rng, regime0=0)
-            times = [t for _, t in path]
-            states = [i for i, _ in path]
-            assert path[0] == (0, 0.0)
-            assert all(t1 > t0 for t0, t1 in zip(times, times[1:]))
-            assert all(t < 1.0 for t in times)
-            assert all(a != b for a, b in zip(states, states[1:])), "no phantom jumps"
 
-    def test_chain_switch_rate(self, desk_model):
-        # regime 0 leaves at rate 1, so over [0, 1] the first holding time
-        # exceeds 1 with probability exp(-1)
-        rng = np.random.default_rng(99)
-        n = 4000
-        no_switch = sum(
-            1 for _ in range(n) if len(simulate_chain(desk_model, 0.0, 1.0, rng)) == 1
-        )
-        frac = no_switch / n
-        se = np.sqrt(np.exp(-1.0) * (1.0 - np.exp(-1.0)) / n)
-        assert abs(frac - np.exp(-1.0)) < 4.0 * se, f"no-switch fraction {frac:.4f}"
+# Near-zero volatility and q = 0 make D * S_T = S_0 on every path (to about
+# 1e-6 relative), where D = exp(-integral of r) is the path's discount
+# factor. A European put struck above every reachable spot then pays
+# K * D - S_0, so the estimate and its terminal split measure E[D] and
+# E[D * 1{X_T = j}], whose exact values are the row sum and the entries of
+# expm((G - diag r) * T).
+_TINY_VOL = 1e-6
+_CHAIN_MODELS = {
+    "rate_1": two_state_model(0.12, 0.01, _TINY_VOL, _TINY_VOL, 1.0, 1.0),
+    "rate_50": two_state_model(0.12, 0.01, _TINY_VOL, _TINY_VOL, 50.0, 50.0),
+    "three_regimes": RegimeModel(
+        r=(0.12, 0.01, 0.06),
+        sigma=(_TINY_VOL,) * 3,
+        gen=((-3.0, 1.0, 2.0), (4.0, -5.0, 1.0), (0.5, 2.5, -3.0)),
+        q=(0.0, 0.0, 0.0),
+    ),
+}
+
+
+class TestChainLaw:
+    @pytest.mark.parametrize("n_steps", [1, 252])
+    @pytest.mark.parametrize("name", sorted(_CHAIN_MODELS))
+    def test_discount_and_terminal_regime_law(self, name, n_steps):
+        model = _CHAIN_MODELS[name]
+        s0, strike = 100.0, 200.0
+        spec = AsianOptionSpec(style="european_put", T=1.0, K=strike)
+        est = mc_price(spec, INCEPTION, model, McConfig(40_000, n_steps, seed=41))
+        gen = model.gen_array()
+        disc_law = expm((gen - np.diag(model.r_array())) * spec.T)[0]
+        regime_law = expm(gen * spec.T)[0]
+        zs = [((est.price + s0) / strike - disc_law.sum()) / (est.std_error / strike)]
+        for j in range(model.n_states):
+            got = (est.terminal_price[j] + s0 * regime_law[j]) / strike
+            zs.append((got - disc_law[j]) / (est.terminal_se[j] / strike))
+        assert max(abs(z) for z in zs) < 4.0, f"z = {np.round(zs, 2)}"
