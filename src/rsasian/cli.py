@@ -36,7 +36,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import jsonschema
 
@@ -60,73 +61,38 @@ _SYMMETRY_STYLES = _FLOATING_STYLES + _FIXED_STYLES
 
 _NUM = {"type": "number"}
 _NUM_OR_NULL = {"type": ["number", "null"]}
-_INT = {"type": "integer"}
 _BOOL = {"type": "boolean"}
 
-_QUAD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "rho_max": _NUM,
-        "n_rho": _INT,
-        "rule": {"enum": ["gauss_legendre_panels", "adaptive"]},
-        "abs_tol": _NUM,
-        "rel_tol": _NUM,
-    },
-}
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", type(None): "null"}
 
-_HAM_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "m_trunc": _INT,
-        "n_z": _INT,
-        "n_u": _INT,
-        "z_min": _NUM_OR_NULL,
-        "z_max": _NUM_OR_NULL,
-        "terminal_mode": {"enum": ["payoff", "paper_zero"]},
-        "initial_guess_mode": {"enum": ["european_rs", "zero"]},
-        "greens_variant": {"enum": ["tau_scaled", "paper_printed"]},
-        "guess_quad": _QUAD_SCHEMA,
-        "robin_panel_x": _NUM,
-        "robin_cut_x": _NUM,
-        "source_tail_warn": _NUM,
-    },
-}
 
-_MC_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "n_paths": _INT,
-        "n_steps": _INT,
-        "seed": _INT,
-        "antithetic": _BOOL,
-    },
-}
+def _block_schema(cls) -> dict:
+    """Method-block schema for a config dataclass, one optional key per field.
 
-_FD_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "y_max": _NUM_OR_NULL,
-        "n_y": _INT,
-        "n_t": _INT,
-        "scheme": {"enum": ["crank_nicolson"]},
-        "boundary": {"enum": ["transport", "dirichlet_zero"]},
-        "coupling": {"enum": ["implicit", "strang"]},
-        "rannacher_steps": _INT,
-    },
-}
+    A field's ``enum`` metadata (the engine module's mode tuple) becomes a
+    JSON enum; a dataclass-typed field becomes a nested block.
+    """
+    hints = typing.get_type_hints(cls)
+    props = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if "enum" in f.metadata:
+            props[f.name] = {"enum": list(f.metadata["enum"])}
+        elif is_dataclass(hint):
+            props[f.name] = _block_schema(hint)
+        else:
+            types = [_JSON_TYPES[a] for a in (typing.get_args(hint) or (hint,))]
+            props[f.name] = {"type": types[0] if len(types) == 1 else types}
+    return {"type": "object", "additionalProperties": False, "properties": props}
 
+
+_HAM_SCHEMA = _block_schema(HamConfig)
+_MC_SCHEMA = _block_schema(McConfig)
+_FD_SCHEMA = _block_schema(FdConfig)
 _EURO_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "properties": {
-        "variant": {"enum": ["exact", "rho_printed", "rho_rescaled"]},
-        "grouping": {"enum": ["printed", "all_signed"]},
-        "quad": _QUAD_SCHEMA,
-    },
+    "properties": {"quad": _block_schema(QuadratureSpec)},
 }
 
 _CONFIG_SCHEMA = {
@@ -283,14 +249,10 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     return bad
 
 
-def _quad_from(block: dict) -> QuadratureSpec:
-    return QuadratureSpec(**block)
-
-
 def _ham_config(block: dict, T: float) -> HamConfig:
     kwargs = dict(block)
     if "guess_quad" in kwargs:
-        kwargs["guess_quad"] = _quad_from(kwargs["guess_quad"])
+        kwargs["guess_quad"] = QuadratureSpec(**kwargs["guess_quad"])
     hc = HamConfig(**kwargs)
     z_min = hc.z_min if hc.z_min is not None else -math.log(20.0 * T)
     z_max = hc.z_max if hc.z_max is not None else -math.log(1.0e-4)
@@ -330,9 +292,7 @@ def _materialize(command: str, cfg: dict) -> dict:
             return asdict(_mc_config(block))
         if name == "fd":
             return asdict(_fd_config(block, T, mstate))
-        euro = {"variant": "exact", "grouping": "printed", "quad": asdict(_quad_from(block.get("quad", {})))}
-        euro.update({k: v for k, v in block.items() if k != "quad"})
-        return euro
+        return {"quad": asdict(QuadratureSpec(**block.get("quad", {})))}
 
     method_name = next(iter(cfg["method"]))
     block = cfg["method"][method_name]
@@ -414,8 +374,6 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
                     "grid_prices": [float(p) for p in prices],
                     "finest_n_y": base.n_y * 4,
                     "finest_n_t": base.n_t * 4,
-                    "boundary": fc.boundary,
-                    "coupling": fc.coupling,
                 },
             }
         surf = fd_price(model, T, fc)
@@ -428,8 +386,6 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
                 "n_y": fc.n_y,
                 "n_t": fc.n_t,
                 "y_max": fc.y_max,
-                "boundary": fc.boundary,
-                "coupling": fc.coupling,
             },
         }
     if name == "ham":
@@ -453,18 +409,14 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
         t=state.t,
         T=T,
         regime=state.regime,
-        quad=_quad_from(block.get("quad", {})),
-        variant=block.get("variant", "exact"),
-        grouping=block.get("grouping", "printed"),
+        quad=QuadratureSpec(**block["quad"]),
     )
-    diag = {"variant": block.get("variant", "exact"), "grouping": block.get("grouping", "printed")}
-    diag.update(res.diagnostics)
     return {
         "method": "european_rs",
         "price": res.price,
         "error_estimate": res.error_estimate,
         "runtime_ms": done(),
-        "diagnostics": diag,
+        "diagnostics": res.diagnostics,
     }
 
 

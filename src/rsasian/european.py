@@ -1,32 +1,20 @@
 """European put pricing under two-state regime switching.
 
-Two evaluation routes are provided.
-
-``variant="exact"`` (the default) prices by Fourier inversion of the
-symmetrized coupled system. Writing ``x = ln(S/K)`` and subtracting the
-expected discounted strike ``D_i`` (a two-state ODE solution), the
-remainder ``e^{-x/2} (V_i - D_i) / K`` satisfies a constant-coefficient
-coupled heat system whose transform evolves by a 2x2 matrix exponential.
-The terminal transform is ``-1/(1/4 + omega^2)`` for both regimes, and
-the price is recovered from a single integral over real frequencies
-``omega`` with Gaussian-decaying integrand. This route is exact for
-unequal rates, unequal dividend yields, and any coupling strength.
-
-``variant="rho_printed"`` evaluates a published-style closed form: a
-one-dimensional integral over a rotated spectral parameter ``rho`` with
-polar data ``(M, theta)`` built from the combination scalars of
-:func:`closed_form_scalars`. That representation matches the exact
-price only when the two short rates coincide, and its coupling
-parameter must enter the radical as ``4 mu^2`` (``variant=
-"rho_rescaled"``); with the commonly printed ``mu^2`` weight it
-overprices under strong coupling. All three variants can be compared
-against the Monte Carlo oracle; the tests do exactly that.
+Prices by Fourier inversion of the symmetrized coupled system. Writing
+``x = ln(S/K)`` and subtracting the expected discounted strike ``D_i``
+(a two-state ODE solution), the remainder ``e^{-x/2} (V_i - D_i) / K``
+satisfies a constant-coefficient coupled heat system whose transform
+evolves by a 2x2 matrix exponential. The terminal transform is
+``-1/(1/4 + omega^2)`` for both regimes, and the price is recovered
+from a single integral over real frequencies ``omega`` with
+Gaussian-decaying integrand. This is exact for unequal rates, unequal
+dividend yields, and any coupling strength.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,9 +23,7 @@ from scipy.stats import norm
 from .errors import DegenerateVolatilities, QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
 
-_SQRT2 = math.sqrt(2.0)
-
-_VARIANTS = ("exact", "rho_printed", "rho_rescaled")
+_RULES = ("gauss_legendre_panels", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -46,81 +32,22 @@ class QuadratureSpec:
 
     ``rule`` is ``"gauss_legendre_panels"`` (fixed composite rule) or
     ``"adaptive"`` (node count and cutoff grow until the estimate
-    stabilizes within tolerance). For the rho variants ``rho_max`` and
-    ``n_rho`` are the truncation bound and node count directly; the
-    exact variant sizes its frequency grid from the model and treats
-    ``n_rho`` as a floor on the node count.
+    stabilizes within tolerance). The frequency grid is sized from the
+    model; ``n_rho`` is a floor on its node count.
     """
 
-    rho_max: float = 50.0
     n_rho: int = 2000
-    rule: str = "gauss_legendre_panels"
+    rule: str = field(default="gauss_legendre_panels", metadata={"enum": _RULES})
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if not (self.rho_max > 0.0):
-            raise ValidationError("rho_max not > 0")
         if self.n_rho < 16:
             raise ValidationError("n_rho not >= 16")
-        if self.rule not in ("gauss_legendre_panels", "adaptive"):
+        if self.rule not in _RULES:
             raise ValidationError(f"unknown quadrature rule {self.rule!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValidationError("quadrature tolerances must be > 0")
-
-
-@dataclass(frozen=True)
-class ClosedFormScalars:
-    """Regime-combination scalars of the rho-integral closed form."""
-
-    tau_bar: float  # (sigma1^2 - sigma2^2) (T - t) / 4
-    alpha: float    # 2 (a12 - a21) / (sigma1^2 - sigma2^2)
-    mu_sq: float    # 4 a12 a21 / (sigma1^2 - sigma2^2)^2
-
-
-def closed_form_scalars(model: RegimeModel, t: float, T: float) -> ClosedFormScalars:
-    """Combination scalars for remaining time ``T - t``.
-
-    Raises :class:`DegenerateVolatilities` when the regime variances
-    are numerically equal (``|sigma1**2 - sigma2**2| < 1e-10``): every
-    scalar divides by the variance gap.
-    """
-    require_two_states(model)
-    s1, s2 = model.sigma
-    dvar = s1 * s1 - s2 * s2
-    if abs(dvar) < 1e-10:
-        raise DegenerateVolatilities(
-            f"|sigma1^2 - sigma2^2| = {abs(dvar):.3e} < 1e-10; "
-            "use the MC or FD oracle (or Black-Scholes when rates also coincide)"
-        )
-    a12 = model.gen[0][1]
-    a21 = model.gen[1][0]
-    return ClosedFormScalars(
-        tau_bar=dvar * (T - t) / 4.0,
-        alpha=2.0 * (a12 - a21) / dvar,
-        mu_sq=4.0 * a12 * a21 / (dvar * dvar),
-    )
-
-
-def modulus_phase(rho, alpha: float, mu_sq: float):
-    """Modulus and half-angle of the complex root in the rho integrand.
-
-    For an increasing array ``rho`` the angle is unwrapped so that
-    ``theta`` is continuous and ``M e^{i theta}`` traces a continuous
-    square root; a scalar input gets the principal branch.
-    """
-    rho = np.asarray(rho, dtype=float)
-    a = 0.25 + alpha
-    re = a * a - rho**4 + mu_sq
-    im = 2.0 * rho * rho * a
-    m = (re * re + im * im) ** 0.25
-    ang = np.arctan2(im, re)
-    if ang.ndim > 0 and ang.size > 1:
-        ang = np.unwrap(ang)
-    theta = 0.5 * ang
-    if m.ndim == 0:
-        return float(m), float(theta)
-    return m, theta
 
 
 def black_scholes_put(
@@ -145,8 +72,6 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
     g = model.gen_array() - np.diag(model.r_array())
     return expm(g * ttm) @ np.full(model.n_states, float(k))
 
-
-# --- exact variant: real-frequency inversion ------------------------------
 
 def _gl_panels(upper: float, n_panels: int, nodes_per_panel: int = 20):
     x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
@@ -213,90 +138,6 @@ def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: flo
     return d_vec[:, None] + np.sqrt(s_values * k)[None, :] * w_vals
 
 
-# --- rho variants: rotated-contour closed form ----------------------------
-
-def _rho_integrand(
-    model: RegimeModel,
-    scal: ClosedFormScalars,
-    s_values: np.ndarray,
-    k: float,
-    ttm: float,
-    regime: int,
-    rho: np.ndarray,
-    grouping: str,
-) -> np.ndarray:
-    """Rho-integrand matrix of shape ``(n_rho, n_s)``."""
-    s1, s2 = model.sigma
-    a12 = model.gen[0][1]
-    a21 = model.gen[1][0]
-    sgn = 1.0 if regime == 0 else -1.0
-    r_i = model.r[regime]
-
-    m_arr, theta = modulus_phase(rho, scal.alpha, scal.mu_sq)
-    x_i = sgn * m_arr * scal.tau_bar * np.cos(theta)
-    y_i = sgn * m_arr * scal.tau_bar * np.sin(theta)
-
-    money = np.abs(np.log(s_values / k) + r_i * ttm)  # (n_s,)
-    f1 = np.exp(-np.outer(rho, money) / _SQRT2)
-    f2 = (
-        (rho * rho * (s1 * s1 + s2 * s2) * ttm / 4.0)[:, None]
-        - np.outer(rho, money) / _SQRT2
-    )
-
-    sin_m = 2.0 * rho * rho - 0.5
-    cos_m = 2.0 * rho * rho + 0.5
-    e_pos = np.exp(x_i)[:, None]
-    e_neg = np.exp(-x_i)[:, None]
-
-    ph_m = f2 + (theta - y_i)[:, None]
-    ph_p = f2 + (theta + y_i)[:, None]
-    g1 = e_pos * (sin_m[:, None] * np.sin(ph_m) - cos_m[:, None] * np.cos(ph_m)) - e_neg * (
-        sin_m[:, None] * np.sin(ph_p) - cos_m[:, None] * np.cos(ph_p)
-    )
-    g2 = e_pos * (np.sin(ph_m) + np.cos(ph_m)) - e_neg * (np.sin(ph_p) + np.cos(ph_p))
-    ph0_m = f2 - y_i[:, None]
-    ph0_p = f2 + y_i[:, None]
-    g3 = e_pos * (sin_m[:, None] * np.sin(ph0_m) - cos_m[:, None] * np.cos(ph0_m)) + e_neg * (
-        sin_m[:, None] * np.sin(ph0_p) - cos_m[:, None] * np.cos(ph0_p)
-    )
-
-    denom = rho**4 + 1.0 / 16.0
-    dvar = s1 * s1 - s2 * s2
-    c1 = sgn * 2.0 * (a21 + a12) / (m_arr * denom * dvar)
-    c2 = 2.0 / m_arr
-    c3 = 1.0 / denom
-    if grouping == "printed":
-        total = c1[:, None] * g1 + c2[:, None] * g2 + c3[:, None] * g3
-    elif grouping == "all_signed":
-        total = (c1 * sgn)[:, None] * g1 + (sgn * c2)[:, None] * g2 + (sgn * c3)[:, None] * g3
-    else:
-        raise ValidationError(f"unknown grouping {grouping!r}")
-    return f1 * total
-
-
-def _rho_prefactor(model: RegimeModel, s_values: np.ndarray, k: float, ttm: float, regime: int):
-    s1, s2 = model.sigma
-    a12 = model.gen[0][1]
-    a21 = model.gen[1][0]
-    r_i = model.r[regime]
-    decay = math.exp(-0.5 * (r_i + a21 + a12 + (s1 * s1 + s2 * s2) / 8.0) * ttm)
-    return np.sqrt(s_values * k) / (4.0 * math.pi * _SQRT2) * decay
-
-
-def _rho_put_values(model, s_values, k, ttm, regime, rho_max, n_rho, grouping, rescale):
-    scal = closed_form_scalars(model, 0.0, ttm)
-    if rescale:
-        scal = ClosedFormScalars(scal.tau_bar, scal.alpha, 4.0 * scal.mu_sq)
-    n_panels = max(1, int(math.ceil(n_rho / 20)))
-    nodes, weights = _gl_panels(rho_max, n_panels)
-    vals = _rho_integrand(model, scal, s_values, k, ttm, regime, nodes, grouping)
-    integral = weights @ vals
-    r_i = model.r[regime]
-    return k * math.exp(-r_i * ttm) + _rho_prefactor(model, s_values, k, ttm, regime) * integral
-
-
-# --- public evaluators -----------------------------------------------------
-
 def european_put_grid(
     model: RegimeModel,
     s_values,
@@ -327,22 +168,16 @@ def price_european_put_rs(
     T: float,
     regime: int,
     quad: QuadratureSpec = QuadratureSpec(),
-    variant: str = "exact",
-    grouping: str = "printed",
 ) -> PriceResult:
     """European put price for the starting regime, with an error estimate.
 
     The quadrature error estimate combines the change under node
     doubling with the last panel's contribution; the adaptive rule
     refines until it falls below tolerance and raises
-    :class:`QuadratureNotConverged` if it cannot. ``grouping`` only
-    affects the rho variants (it resolves a bracketing ambiguity in the
-    printed form; Monte Carlo comparison favors ``"printed"``).
+    :class:`QuadratureNotConverged` if it cannot.
     """
     validate_model(model)
     require_two_states(model)
-    if variant not in _VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
     if not (s > 0.0 and k > 0.0):
         raise ValidationError("spot and strike must be > 0")
     if not (0.0 <= t <= T):
@@ -359,53 +194,17 @@ def price_european_put_rs(
         raise DegenerateVolatilities(
             "regime variances coincide but rates differ; reroute to the MC or FD oracle"
         )
-    if variant != "exact" and any(abs(dy) > 1e-14 for dy in model.q):
-        raise ValidationError("rho variants assume zero dividend yields")
 
     s_arr = np.array([s])
-    x_abs = abs(math.log(s / k))
-
-    if variant == "exact":
-        omega_max, n_panels = _exact_grid_sizes(model, ttm, x_abs, quad.n_rho)
-
-        def evaluate(om, npan):
-            fine = float(_exact_put_grid(model, s_arr, k, ttm, om, npan)[regime, 0])
-            coarse = float(_exact_put_grid(model, s_arr, k, ttm, om, max(1, npan // 2))[regime, 0])
-            nodes, weights = _gl_panels(om, npan)
-            tail_vals = _spectral_terms(model, nodes[-20:], ttm)[regime]
-            tail = float(np.abs(weights[-20:] * tail_vals).sum()) * math.sqrt(s * k) / math.pi
-            return fine, abs(fine - coarse), tail
-
-        size_step = lambda om, npan: (om * 1.3, npan * 2)
-        cur = (omega_max, n_panels)
-    else:
-        rescale = variant == "rho_rescaled"
-        money = abs(math.log(s / k) + model.r[regime] * ttm)
-        # at the at-the-money-forward point the integrand loses its
-        # exponential decay; force the adaptive rule there
-        force_adaptive = money < 1e-10
-
-        def evaluate(rm, nr):
-            fine = float(_rho_put_values(model, s_arr, k, ttm, regime, rm, nr, grouping, rescale)[0])
-            coarse = float(_rho_put_values(model, s_arr, k, ttm, regime, rm, max(16, nr // 2), grouping, rescale)[0])
-            n_panels_loc = max(1, int(math.ceil(nr / 20)))
-            nodes, weights = _gl_panels(rm, n_panels_loc)
-            scal = closed_form_scalars(model, 0.0, ttm)
-            if rescale:
-                scal = ClosedFormScalars(scal.tau_bar, scal.alpha, 4.0 * scal.mu_sq)
-            last = _rho_integrand(model, scal, s_arr, k, ttm, regime, nodes[-20:], grouping)[:, 0]
-            tail = abs(float((weights[-20:] * last).sum())) * float(_rho_prefactor(model, s_arr, k, ttm, regime)[0])
-            return fine, abs(fine - coarse), tail
-
-        size_step = lambda rm, nr: (rm * 1.5, nr * 2)
-        cur = (quad.rho_max, quad.n_rho)
-        if force_adaptive and quad.rule != "adaptive":
-            quad = QuadratureSpec(quad.rho_max, quad.n_rho, "adaptive", quad.abs_tol, quad.rel_tol)
-
+    omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)), quad.n_rho)
     attempts = 0
     while True:
-        price, rule_err, tail = evaluate(*cur)
-        err = rule_err + tail
+        price = float(_exact_put_grid(model, s_arr, k, ttm, omega_max, n_panels)[regime, 0])
+        coarse = float(_exact_put_grid(model, s_arr, k, ttm, omega_max, max(1, n_panels // 2))[regime, 0])
+        nodes, weights = _gl_panels(omega_max, n_panels)
+        tail_vals = _spectral_terms(model, nodes[-20:], ttm)[regime]
+        tail = float(np.abs(weights[-20:] * tail_vals).sum()) * math.sqrt(s * k) / math.pi
+        err = abs(price - coarse) + tail
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
         if quad.rule != "adaptive" or err <= tol:
             break
@@ -414,9 +213,7 @@ def price_european_put_rs(
             raise QuadratureNotConverged(
                 f"error estimate {err:.3e} above tolerance {tol:.3e} after {attempts} refinements"
             )
-        cur = size_step(*cur)
+        omega_max, n_panels = omega_max * 1.3, n_panels * 2
 
-    diagnostics = {"variant": variant, "nodes": cur}
-    if variant != "exact":
-        diagnostics["grouping"] = grouping
-    return PriceResult(price=price, method="european_rs", error_estimate=err, diagnostics=diagnostics)
+    return PriceResult(price=price, method="european_rs", error_estimate=err,
+                       diagnostics={"nodes": (omega_max, n_panels)})

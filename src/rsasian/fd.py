@@ -12,34 +12,28 @@ ordinate ``y = T`` is snapped onto the grid for clean second-order
 convergence).
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
-degenerates to one-sided transport; the default boundary treatment
-solves that degenerate row (``boundary="transport"``), which is the
-treatment consistent with the Monte Carlo oracle. A literal
-``boundary="dirichlet_zero"`` mode that pins the column to zero is kept
-for comparison; it misprices whenever the true value at zero average is
-positive, so it is not the default.
+degenerates to one-sided transport; the solver keeps that degenerate
+row, since the characteristic there flows into the domain and the value
+at zero average is positive (pinning it to zero would misprice). The
+regime coupling is treated implicitly, inside the same sparse system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import expm
 
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
 from .model import MarketState, RegimeModel, validate_model
 
-_BOUNDARIES = ("transport", "dirichlet_zero")
-_COUPLINGS = ("implicit", "strang")
-
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Grid and scheme controls.
+    """Grid controls.
 
     ``n_y`` and ``n_t`` count intervals, so doubling them exactly
     refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time;
@@ -49,9 +43,6 @@ class FdConfig:
     y_max: float | None = None
     n_y: int = 800
     n_t: int = 800
-    scheme: str = "crank_nicolson"
-    boundary: str = "transport"
-    coupling: str = "implicit"
     rannacher_steps: int = 2
 
     def __post_init__(self):
@@ -59,12 +50,6 @@ class FdConfig:
             raise ValidationError("y_max not > 0")
         if self.n_y < 3 or self.n_t < 3:
             raise ValidationError("n_y and n_t must be >= 3")
-        if self.scheme != "crank_nicolson":
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if self.boundary not in _BOUNDARIES:
-            raise ValidationError(f"unknown boundary {self.boundary!r}")
-        if self.coupling not in _COUPLINGS:
-            raise ValidationError(f"unknown coupling {self.coupling!r}")
         if self.rannacher_steps < 0:
             raise ValidationError("rannacher_steps not >= 0")
 
@@ -116,7 +101,7 @@ class FdSurfaces:
         return bool((diffs >= -tol).all())
 
 
-def _spatial_operator(model: RegimeModel, y: np.ndarray, boundary: str):
+def _spatial_operator(model: RegimeModel, y: np.ndarray):
     """Sparse generator of the coupled semigroup, interleaved ordering.
 
     Unknown ``2 j + i`` is regime ``i`` at node ``j``; the interleaving
@@ -149,26 +134,19 @@ def _spatial_operator(model: RegimeModel, y: np.ndarray, boundary: str):
         base = n_states * j + i
         add(base, base - n_states, -adv[j] / h)
         add(base, base, adv[j] / h - q_i)
-        # y = 0 row
+        # y = 0 row, the degenerate equation V_t + adv(0) V_y - q V = 0,
+        # one-sided second order
         base = i
-        if boundary == "transport":
-            # degenerate equation: V_t + adv(0) V_y - q V = 0, one-sided 2nd order
-            a = adv[0]
-            add(base, base, -3 * a / (2 * h) - q_i)
-            add(base, base + n_states, 4 * a / (2 * h))
-            add(base, base + 2 * n_states, -a / (2 * h))
-        # dirichlet_zero: leave the row empty; the column stays at its
-        # terminal value, which is zero
+        a = adv[0]
+        add(base, base, -3 * a / (2 * h) - q_i)
+        add(base, base + n_states, 4 * a / (2 * h))
+        add(base, base + 2 * n_states, -a / (2 * h))
 
-    interior = np.ones(n, dtype=bool)
-    if boundary == "dirichlet_zero":
-        interior[0] = False
     for i in range(n_states):
         for k in range(n_states):
             if i == k:
                 continue
-            js = np.nonzero(interior)[0]
-            for j in js:
+            for j in range(n):
                 add(n_states * j + i, n_states * j + i, -gen[i, k])
                 add(n_states * j + i, n_states * j + k, gen[i, k])
 
@@ -199,20 +177,7 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     v = np.empty((n_states, y.size))
     v[:] = payoff_vec[None, :]
 
-    if cfg.coupling == "implicit":
-        a_full = _spatial_operator(model, y, cfg.boundary)
-        half_exp = None
-    else:
-        frozen = RegimeModel(
-            r=model.r, sigma=model.sigma,
-            gen=tuple(tuple(0.0 for _ in row) for row in model.gen), q=model.q,
-        )
-        a_full = _spatial_operator(frozen, y, cfg.boundary)
-        half_exp = expm(model.gen_array() * (dt / 2.0))
-        if cfg.boundary == "dirichlet_zero":
-            mask_exp = half_exp
-        else:
-            mask_exp = None
+    a_full = _spatial_operator(model, y)
 
     # one factorization serves both stages: (I - dt/2 A) is the implicit
     # matrix of the Crank-Nicolson step and of a backward-Euler half-step,
@@ -226,17 +191,8 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     surfaces = np.empty((cfg.n_t + 1, n_states, y.size))
     surfaces[cfg.n_t] = v
 
-    def couple_half(vec: np.ndarray) -> np.ndarray:
-        out = half_exp @ vec
-        if mask_exp is not None:
-            out[:, 0] = 0.0
-        return out
-
     for step in range(cfg.n_t):
         flat = v.T.reshape(-1)  # interleaved: node-major, regime-minor
-        if cfg.coupling == "strang":
-            v = couple_half(v)
-            flat = v.T.reshape(-1)
         if step < cfg.rannacher_steps:
             sol = solve_imp.solve(solve_imp.solve(flat))
         else:
@@ -244,8 +200,6 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
         if not np.all(np.isfinite(sol)):
             raise LinearSolveFailure("non-finite values in the implicit solve")
         v = sol.reshape(-1, n_states).T.copy()
-        if cfg.coupling == "strang":
-            v = couple_half(v)
         surfaces[cfg.n_t - 1 - step] = v
 
     surfaces.setflags(write=False)
@@ -268,15 +222,7 @@ def richardson_order(
         raise ValidationError("refinements must be >= 2")
     prices = []
     for level in range(refinements + 1):
-        scaled = FdConfig(
-            y_max=cfg.y_max,
-            n_y=cfg.n_y * 2**level,
-            n_t=cfg.n_t * 2**level,
-            scheme=cfg.scheme,
-            boundary=cfg.boundary,
-            coupling=cfg.coupling,
-            rannacher_steps=cfg.rannacher_steps,
-        )
+        scaled = replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level)
         prices.append(fd_price(model, T, scaled).dollar_price(state))
     d1 = prices[-2] - prices[-3]
     d2 = prices[-1] - prices[-2]

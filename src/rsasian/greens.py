@@ -14,7 +14,10 @@ are provided for the correction term:
   the finite-difference residual check can demonstrate which variant is
   the solving kernel.
 
-Evaluation is stabilized with ``erfcx``: the correction is written as
+The correction depends on ``z`` and ``xi`` only through ``z + xi``;
+:func:`robin_correction` evaluates it, and both :func:`greens_function`
+and the series engine's kernel tables call it. It is stabilized with
+``erfcx``: the correction is written as
 ``(1-gamma) sqrt(pi tau) erfcx(arg) exp[-(z+xi)^2 / 4 tau]`` so that no
 intermediate overflows for large ``z + xi``.
 """
@@ -36,42 +39,47 @@ def _require_variant(variant: str) -> None:
         raise ValidationError(f"unknown exponent variant {variant!r}; expected one of {_VARIANTS}")
 
 
-def greens_function(tau, z, xi, gamma: float, variant: str = "tau_scaled"):
+def robin_correction(v, tau: float, gamma: float, variant: str = "tau_scaled") -> np.ndarray:
+    """The erfc correction piece of the kernel at ``v = z + xi``.
+
+    Returns ``(1-g) sqrt(pi tau) e^{b^2 - 2 b s} erfc(s - b)`` with
+    ``s = v / (2 sqrt(tau))`` and ``b = (1-g) sqrt(tau) / 2``, before the
+    kernel's common ``1 / (2 sqrt(pi tau))`` normalization. ``tau`` is a
+    positive scalar; ``v`` may be any array.
+    """
+    one_mg = 1.0 - gamma
+    root = math.sqrt(tau)
+    s = np.asarray(v, dtype=float) / (2.0 * root)
+    b = 0.5 * one_mg * root
+    arg = s - b
+    out = np.empty_like(s)
+    low = arg < -25.0
+    # erfc saturates at 2 on the far left; fold the Gaussian in
+    # analytically there since erfcx(arg) would overflow.
+    out[low] = 2.0 * np.exp(b * b - 2.0 * b * s[low])
+    out[~low] = erfcx(arg[~low]) * np.exp(-s[~low] ** 2)
+    out *= one_mg * math.sqrt(math.pi) * root
+    if variant == "paper_printed":
+        out *= math.exp(one_mg * one_mg * (1.0 - tau) / 4.0)
+    return out
+
+
+def greens_function(tau: float, z, xi, gamma: float, variant: str = "tau_scaled"):
     """Kernel value ``G(tau, z, xi)`` for regime ratio ``gamma``.
 
-    ``tau`` is the (regime-scaled) kernel time and must be positive;
+    ``tau`` is the (regime-scaled) kernel time, a positive scalar;
     ``z`` and ``xi`` broadcast. ``xi`` is the source coordinate on the
     half-line, ``z`` the evaluation coordinate.
     """
     _require_variant(variant)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0.0):
+    if not tau > 0.0:
         raise ValidationError("tau not > 0 in greens_function")
     z = np.asarray(z, dtype=float)
     xi = np.asarray(xi, dtype=float)
-
-    root = np.sqrt(tau)
     direct = np.exp(-((z - xi) ** 2) / (4.0 * tau))
     image = np.exp(-((z + xi) ** 2) / (4.0 * tau))
-
-    # Correction term, exponent-combined so only the reflected Gaussian
-    # carries the growth: (1-g) sqrt(pi tau) e^{b^2 - 2 b s} erfc(s - b)
-    # with s = (z+xi)/(2 sqrt(tau)), b = (1-g) sqrt(tau)/2 equals
-    # (1-g) sqrt(pi tau) erfcx(s - b) e^{-s^2}.
-    one_mg = 1.0 - gamma
-    s = (z + xi) / (2.0 * root)
-    b = 0.5 * one_mg * root
-    arg = s - b
-    # Far left of the erfc transition (z + xi very negative) erfcx
-    # overflows; erfc saturates at 2 there, so fold the Gaussian in.
-    low = arg < -25.0
-    body = erfcx(np.where(low, 0.0, arg)) * image
-    body = np.where(low, 2.0 * np.exp(np.where(low, b * b - 2.0 * b * s, 0.0)), body)
-    robin = one_mg * math.sqrt(math.pi) * root * body
-    if variant == "paper_printed":
-        robin = robin * np.exp(one_mg * one_mg * (1.0 - tau) / 4.0)
-
-    out = (direct + image + robin) / (2.0 * np.sqrt(math.pi) * root)
+    robin = robin_correction(z + xi, tau, gamma, variant)
+    out = (direct + image + robin) / (2.0 * math.sqrt(math.pi * tau))
     return out if out.ndim else float(out)
 
 

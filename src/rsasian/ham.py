@@ -16,7 +16,9 @@ so no cross-regime time interpolation is ever needed. The ``xi``
 integral treats the gridded source as piecewise linear and integrates
 the hat functions against the kernel exactly (erf/Gaussian closed
 forms) for the two Gaussian pieces, and by short Gauss-Legendre panels
-scaled to ``sqrt(tau)`` for the erfc correction piece. Because spatial
+scaled to ``sqrt(tau)`` for the erfc correction piece, which is
+:func:`rsasian.greens.robin_correction`, the function
+:func:`rsasian.greens.greens_function` evaluates. Because spatial
 nodes sit on one lattice with a node exactly at ``z = 0``, the weights
 form one dense matrix per kernel time (a Toeplitz and a Hankel lookup
 into two weight vectors), applied to all pending source levels at once.
@@ -36,10 +38,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf, erfcx
+from scipy.special import erf
 
 from .errors import ExtrapolationRefused, InterpolationOutOfRange, ValidationError
 from .european import QuadratureSpec, european_put_grid
+from .greens import robin_correction
 from .model import (
     MarketState,
     PriceResult,
@@ -53,6 +56,11 @@ _TERMINAL_MODES = ("payoff", "paper_zero")
 _GUESS_MODES = ("european_rs", "zero")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+_ROBIN_PANEL_X = 0.5  # see _robin_lobes
+_ROBIN_CUT_X = 8.5
+_SOURCE_TAIL_WARN = 1e-10  # ham_step warns above this share of the source peak
+_SURFACES_CACHE_SIZE = 8  # assembled surfaces kept, oldest dropped first
 
 
 @dataclass(frozen=True)
@@ -73,13 +81,9 @@ class HamConfig:
     n_u: int = 101
     z_min: float | None = None
     z_max: float | None = None
-    terminal_mode: str = "payoff"
-    initial_guess_mode: str = "european_rs"
-    greens_variant: str = "tau_scaled"
+    terminal_mode: str = field(default="payoff", metadata={"enum": _TERMINAL_MODES})
+    initial_guess_mode: str = field(default="european_rs", metadata={"enum": _GUESS_MODES})
     guess_quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    robin_panel_x: float = 0.5
-    robin_cut_x: float = 8.5
-    source_tail_warn: float = 1e-10
 
     def __post_init__(self):
         if self.m_trunc < 1:
@@ -92,8 +96,6 @@ class HamConfig:
             raise ValidationError(f"unknown terminal_mode {self.terminal_mode!r}")
         if self.initial_guess_mode not in _GUESS_MODES:
             raise ValidationError(f"unknown initial_guess_mode {self.initial_guess_mode!r}")
-        if not (self.robin_panel_x > 0.0 and self.robin_cut_x > 0.0):
-            raise ValidationError("robin panel controls must be > 0")
 
 
 @dataclass(frozen=True)
@@ -248,34 +250,12 @@ def _gauss_lobes(d: np.ndarray, h: float, tau: float):
     return lobe_l, lobe_r
 
 
-def _robin_kernel(v: np.ndarray, tau: float, gamma: float, variant: str) -> np.ndarray:
-    """The erfc correction piece of the kernel, stable for all ``v``."""
-    one_mg = 1.0 - gamma
-    if one_mg == 0.0:
-        return np.zeros_like(np.asarray(v, dtype=float))
-    root = math.sqrt(tau)
-    s = np.asarray(v, dtype=float) / (2.0 * root)
-    b = 0.5 * one_mg * root
-    arg = s - b
-    out = np.empty_like(s)
-    low = arg < -25.0
-    # erfc saturates at 2 on the far left; fold the Gaussian in
-    # analytically there since erfcx(arg) would overflow.
-    out[low] = 2.0 * np.exp(b * b - 2.0 * b * s[low])
-    out[~low] = erfcx(arg[~low]) * np.exp(-s[~low] ** 2)
-    out *= one_mg * math.sqrt(math.pi) * root
-    if variant == "paper_printed":
-        out *= math.exp(one_mg * one_mg * (1.0 - tau) / 4.0)
-    return out
-
-
-def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float, variant: str,
-                 panel_x: float, cut_x: float):
+def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float):
     """Hat-lobe integrals of the correction piece by scaled GL panels.
 
-    Panels are at most ``panel_x`` wide in the similarity variable
-    ``v / (2 sqrt(tau))`` so short kernel times stay resolved; lobes
-    entirely beyond ``cut_x`` on the decaying side are zero.
+    Panels are at most ``_ROBIN_PANEL_X`` wide in the similarity
+    variable ``v / (2 sqrt(tau))`` so short kernel times stay resolved;
+    lobes entirely beyond ``_ROBIN_CUT_X`` on the decaying side are zero.
     """
     d = np.asarray(d, dtype=float)
     lobe_l = np.zeros_like(d)
@@ -283,8 +263,8 @@ def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float, variant: str
     if gamma == 1.0:
         return lobe_l, lobe_r
     root2 = 2.0 * math.sqrt(tau)
-    v_cut = cut_x * root2
-    width = min(h, panel_x * root2)
+    v_cut = _ROBIN_CUT_X * root2
+    width = min(h, _ROBIN_PANEL_X * root2)
     n_pan = max(1, int(math.ceil(h / width)))
     edges = np.linspace(0.0, h, n_pan + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -299,17 +279,16 @@ def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float, variant: str
     da = d[active]
     # left lobe spans [d-h, d] with weight (t - (d - h))/h
     t_l = (da[:, None, None] - h) + t_off[None, :, :]
-    vals_l = _robin_kernel(t_l, tau, gamma, variant) * (t_off[None, :, :] / h)
+    vals_l = robin_correction(t_l, tau, gamma) * (t_off[None, :, :] / h)
     lobe_l[active] = np.sum(vals_l * w_off[None, :, :], axis=(1, 2))
     # right lobe spans [d, d+h] with weight ((d + h) - t)/h
     t_r = da[:, None, None] + t_off[None, :, :]
-    vals_r = _robin_kernel(t_r, tau, gamma, variant) * (1.0 - t_off[None, :, :] / h)
+    vals_r = robin_correction(t_r, tau, gamma) * (1.0 - t_off[None, :, :] / h)
     lobe_r[active] = np.sum(vals_r * w_off[None, :, :], axis=(1, 2))
     return lobe_l, lobe_r
 
 
-def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float, variant: str,
-                  panel_x: float, cut_x: float) -> np.ndarray:
+def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float) -> np.ndarray:
     """Dense weight matrix for one regime and one kernel time.
 
     Entry ``(k, n)`` integrates hat ``n`` (on the ``xi`` lattice)
@@ -337,7 +316,7 @@ def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float, variant: str
     # reflected piece (image plus correction): offsets (k - j0 + n) h
     q = np.arange(-j0, n_z - 1 - j0 + n_xi) * h
     ll_g, rr_g = _gauss_lobes(q, h, tau)
-    ll_r, rr_r = _robin_lobes(q, h, tau, gamma, variant, panel_x, cut_x)
+    ll_r, rr_r = _robin_lobes(q, h, tau, gamma)
     w2 = (ll_g + rr_g + ll_r + rr_r) * norm
     mat = mat + w2[j0 + k_idx + n_idx]
 
@@ -345,9 +324,9 @@ def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float, variant: str
     _, r0 = _gauss_lobes(z - z[j0], h, tau)
     lN, _ = _gauss_lobes(z - z[-1], h, tau)
     l0g, _ = _gauss_lobes(z + z[j0], h, tau)
-    l0r, _ = _robin_lobes(z + z[j0], h, tau, gamma, variant, panel_x, cut_x)
+    l0r, _ = _robin_lobes(z + z[j0], h, tau, gamma)
     _, rNg = _gauss_lobes(z + z[-1], h, tau)
-    _, rNr = _robin_lobes(z + z[-1], h, tau, gamma, variant, panel_x, cut_x)
+    _, rNr = _robin_lobes(z + z[-1], h, tau, gamma)
     mat[:, 0] -= (r0 + l0g + l0r) * norm
     mat[:, -1] -= (lN + rNg + rNr) * norm
     return mat
@@ -369,7 +348,7 @@ def _source_fields(prev: TermGrid, model: RegimeModel) -> list[np.ndarray]:
     return out
 
 
-def ham_step(prev: TermGrid, model: RegimeModel, config: HamConfig) -> TermGrid:
+def ham_step(prev: TermGrid, model: RegimeModel) -> TermGrid:
     """Series term ``m`` from term ``m - 1``.
 
     Solves the transformed heat problem by the kernel double integral:
@@ -402,7 +381,7 @@ def ham_step(prev: TermGrid, model: RegimeModel, config: HamConfig) -> TermGrid:
         peak = float(np.max(np.abs(s_hat)))
         if peak > 0.0:
             tail = float(np.max(np.abs(s_hat[-1])))
-            if tail > config.source_tail_warn * peak:
+            if tail > _SOURCE_TAIL_WARN * peak:
                 warnings.warn(
                     f"xi-integrand tail at xi_max is {tail / peak:.2e} of its peak "
                     f"(regime {i}, term {prev.m + 1}); widen z_max",
@@ -412,8 +391,7 @@ def ham_step(prev: TermGrid, model: RegimeModel, config: HamConfig) -> TermGrid:
         accum = np.zeros((n_z, n_u))
         for j in range(1, n_u):
             tau = sig_half * j * du
-            mat = _build_tables(z, j0, tau, gamma, config.greens_variant,
-                                config.robin_panel_x, config.robin_cut_x)
+            mat = _build_tables(z, j0, tau, gamma)
             conv = mat @ s_hat[:, : n_u - j]
             accum[:, j] += 0.5 * conv[:, 0]
             if j + 1 < n_u:
@@ -554,7 +532,7 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGri
                            terminal_mode=config.terminal_mode,
                            quad=config.guess_quad)]
     for _ in range(config.m_trunc):
-        terms.append(ham_step(terms[-1], model, config))
+        terms.append(ham_step(terms[-1], model))
     return terms
 
 
@@ -567,6 +545,8 @@ def _surfaces_for(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurf
     if hit is None:
         hit = assemble_series(build_terms(model, T, config), model)
         _SURFACES_CACHE[key] = hit
+        if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
+            del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
     return hit
 
 

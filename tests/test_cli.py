@@ -7,10 +7,12 @@ caller's working directory.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
+from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec
 from rsasian.cli import main
 
 MODEL = {
@@ -179,6 +181,54 @@ class TestSymmetryCommand:
         assert sections == ["regime0", "regime1", "stationary"]
         assert doc["case"]["scale"] == pytest.approx(1.2)
         assert doc["case"]["lhs"][0] == doc["case"]["rhs"][0] == 100.0
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestMethodBlocks:
+    @pytest.mark.parametrize(
+        "name,method,style,k",
+        [
+            ("ham", TINY_HAM, "floating_put", None),
+            ("mc", TINY_MC, "floating_put", None),
+            ("fd", {"fd": {"n_y": 32, "n_t": 32}}, "floating_put", None),
+            ("european_rs", {"european_rs": {}}, "european_put", 100.0),
+        ],
+    )
+    def test_effective_keys_are_the_config_fields(self, tmp_path, name, method, style, k):
+        code, report = run(tmp_path, "price", base_config(tmp_path, method, style=style, K=k))
+        assert code == 0
+        block = json.loads(open(report + ".effective.json").read())["method"][name]
+        if name == "european_rs":
+            assert set(block) == {"quad"}
+            assert set(block["quad"]) == _field_names(QuadratureSpec)
+            return
+        cls = {"ham": HamConfig, "mc": McConfig, "fd": FdConfig}[name]
+        assert set(block) == _field_names(cls)
+        if name == "ham":
+            assert set(block["guess_quad"]) == _field_names(QuadratureSpec)
+
+    def test_unknown_mode_names_its_path(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, {"ham": {"terminal_mode": "nope"}})
+        code, _ = run(tmp_path, "price", cfg)
+        assert code == 2
+        assert "method.ham.terminal_mode:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,style,k,path",
+        [
+            ({"fd": {"coupling": "strang"}}, "floating_put", None, "method.fd"),
+            ({"european_rs": {"variant": "rho_printed"}}, "european_put", 100.0,
+             "method.european_rs"),
+        ],
+    )
+    def test_removed_knobs_are_rejected(self, tmp_path, capsys, method, style, k, path):
+        code, _ = run(tmp_path, "price", base_config(tmp_path, method, style=style, K=k))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config invalid: {path}: " in err and "was unexpected" in err
 
 
 class TestFailureModes:

@@ -2,8 +2,7 @@
 
 The floating put reduces to a single spatial variable y (running average
 over spot). The characteristic at y = 0 flows into the domain, so the
-correct treatment there is pure transport; a Dirichlet clamp at that edge
-is kept as a deliberately wrong variant to show the difference matters.
+treatment there is pure transport.
 """
 
 import numpy as np
@@ -81,21 +80,6 @@ class TestPriceQuality:
 
 
 class TestVariants:
-    def test_clamping_the_inflow_edge_destroys_the_price(self, desk_model, desk_surface):
-        clamped = fd_price(
-            desk_model, 1.0, FdConfig(n_y=200, n_t=200, boundary="dirichlet_zero")
-        )
-        assert clamped.dollar_price(INCEPTION) == 0.0
-        assert desk_surface.dollar_price(INCEPTION) > 4.5
-
-    def test_strang_split_agrees_with_implicit_coupling(self, desk_model, desk_surface):
-        strang = fd_price(
-            desk_model, 1.0, FdConfig(n_y=200, n_t=200, coupling="strang")
-        )
-        a = strang.dollar_price(INCEPTION)
-        b = desk_surface.dollar_price(INCEPTION)
-        assert np.isclose(a, b, rtol=5e-4), f"strang {a} vs implicit {b}"
-
     def test_startup_smoothing_is_a_small_correction(self, desk_model, desk_surface):
         raw = fd_price(desk_model, 1.0, FdConfig(n_y=200, n_t=200, rannacher_steps=0))
         a = raw.dollar_price(INCEPTION)

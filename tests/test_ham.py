@@ -20,6 +20,7 @@ from rsasian import (
     MarketState,
     assemble_series,
     build_terms,
+    greens_function,
     ham_grid,
     ham_step,
     ham_vs_fd_report,
@@ -27,6 +28,7 @@ from rsasian import (
     recursion_residual,
     series_dollar_price,
 )
+from rsasian import ham
 
 COARSE = HamConfig(m_trunc=2, n_z=101, n_u=21)
 
@@ -87,12 +89,26 @@ class TestStructure:
             values=tuple(2.0 * np.asarray(v) for v in base.values),
             d_dz=tuple(2.0 * np.asarray(v) for v in base.d_dz),
         )
-        one = ham_step(base, desk_model, COARSE)
-        two = ham_step(doubled, desk_model, COARSE)
+        one = ham_step(base, desk_model)
+        two = ham_step(doubled, desk_model)
         for i in range(2):
             assert np.array_equal(
                 2.0 * np.asarray(one.values[i]), np.asarray(two.values[i])
             ), f"regime {i}"
+
+    def test_tables_integrate_the_shared_kernel(self):
+        # column n of the table is the hat at xi_n integrated against the
+        # kernel that criterion 4 checks; gamma != 1 keeps the erfc piece live
+        z, _ = ham_grid(COARSE, 1.0)
+        j0 = int(np.argmin(np.abs(z)))
+        h = z[1] - z[0]
+        tau, gamma, n = 0.05, 1.5, 10
+        mat = ham._build_tables(z, j0, tau, gamma)
+        centre = z[j0 + n]
+        xi = np.linspace(centre - h, centre + h, 20001)
+        hat = 1.0 - np.abs(xi - centre) / h
+        want = np.trapezoid(greens_function(tau, z[:, None], xi[None, :], gamma) * hat, xi, axis=1)
+        assert np.max(np.abs(mat[:, n] - want)) < 1e-8
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_recursion_residual_smoke(self, desk_model, desk_terms, m):
@@ -141,6 +157,21 @@ class TestPricing:
                     "term_norms"):
             assert key in res.diagnostics, key
         assert res.price >= 0.0 and np.isfinite(res.price)
+
+    def test_surface_cache_is_bounded(self, desk_model):
+        cfg = HamConfig(m_trunc=1, n_z=41, n_u=5)
+        ham._SURFACES_CACHE.clear()
+        try:
+            expiries = [1.0 + 0.1 * k for k in range(ham._SURFACES_CACHE_SIZE + 3)]
+            for T in expiries:
+                ham._surfaces_for(desk_model, T, cfg)
+                assert len(ham._SURFACES_CACHE) <= ham._SURFACES_CACHE_SIZE
+            assert (desk_model, expiries[0], cfg) not in ham._SURFACES_CACHE
+            last = ham._surfaces_for(desk_model, expiries[-1], cfg)
+            assert ham._surfaces_for(desk_model, expiries[-1], cfg) is last
+            assert len(ham._SURFACES_CACHE) == ham._SURFACES_CACHE_SIZE
+        finally:
+            ham._SURFACES_CACHE.clear()
 
     def test_deep_in_the_money_refused(self, desk_model):
         state = MarketState(t=0.9, s=10.0, a=300.0, regime=0)

@@ -9,13 +9,12 @@ from rsasian import (
     OptionStyle,
     RegimeModel,
     ValidationError,
-    from_reduced_coords,
     payoff,
     rate_ratios,
-    to_reduced_coords,
     two_state_model,
     validate_model,
 )
+from rsasian.model import from_reduced_coords, to_reduced_coords
 
 
 class TestRegimeModel:
