@@ -9,8 +9,9 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
 
 * ``price``          one row from a single engine
 * ``compare``        one row per engine named in ``method.compare``
-* ``convergence``    assembled-price deltas per added series term,
-                     run for both initial-guess modes
+* ``convergence``    partial-sum prices and deltas per added series term,
+                     for both initial-guess modes, read off the cached
+                     series surface (:func:`rsasian.ham.series_surfaces`)
 * ``symmetry-check`` Monte Carlo on both sides of the fixed/floating
                      equivalence, per starting regime and combined with
                      the chain's stationary weights
@@ -20,7 +21,9 @@ contract violations (messages name field paths), 3 for numerical
 failures. CSV reports use ``.`` decimals, ``,`` separators, and LF line
 endings; JSON reports sort their keys. Repeated runs of one config are
 byte-identical: wall-clock timings go into ``runtime_ms`` only when
-``output.timings`` is true, otherwise the column reads 0.
+``output.timings`` is true, otherwise the column reads 0. Each
+``convergence`` row is timed on its own; row 0 of a guess mode carries
+the surface lookup or build.
 
 Every run first writes ``<report path>.effective.json``: the config with
 all defaults materialized, so each number in a report is reproducible
@@ -44,19 +47,23 @@ import jsonschema
 from .errors import NotApplicable, PricingError, ValidationError
 from .european import QuadratureSpec, price_european_put_rs
 from .fd import FdConfig, default_y_max, fd_price, richardson_order
+# build_terms and assemble_series are not called here; perfbench/spans.py wraps them on this module
 from .ham import (
     HamConfig,
     assemble_series,
     build_terms,
+    ham_window,
     price_floating_put_ham,
     series_dollar_price,
+    series_surfaces,
 )
 from .mc import McConfig, mc_price
-from .model import AsianOptionSpec, MarketState, RegimeModel, validate_model
+from .model import AsianOptionSpec, MarketState, OptionStyle, RegimeModel, validate_model
 from .symmetry import symmetry_mc_check
 
-_FLOATING_STYLES = ("floating_put", "floating_call")
-_FIXED_STYLES = ("fixed_put", "fixed_call")
+_STYLES = tuple(style.value for style in OptionStyle)
+_FLOATING_STYLES = tuple(s for s in _STYLES if s.startswith("floating_"))
+_FIXED_STYLES = tuple(s for s in _STYLES if s.startswith("fixed_"))
 _SYMMETRY_STYLES = _FLOATING_STYLES + _FIXED_STYLES
 
 _NUM = {"type": "number"}
@@ -121,15 +128,7 @@ _CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["style", "T"],
             "properties": {
-                "style": {
-                    "enum": [
-                        "floating_put",
-                        "floating_call",
-                        "fixed_put",
-                        "fixed_call",
-                        "european_put",
-                    ]
-                },
+                "style": {"enum": list(_STYLES)},
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "K": _NUM_OR_NULL,
                 "multiplier": {"type": "number", "exclusiveMinimum": 0},
@@ -249,32 +248,28 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     return bad
 
 
-def _ham_config(block: dict, T: float) -> HamConfig:
-    kwargs = dict(block)
-    if "guess_quad" in kwargs:
-        kwargs["guess_quad"] = QuadratureSpec(**kwargs["guess_quad"])
-    hc = HamConfig(**kwargs)
-    z_min = hc.z_min if hc.z_min is not None else -math.log(20.0 * T)
-    z_max = hc.z_max if hc.z_max is not None else -math.log(1.0e-4)
-    return replace(hc, z_min=z_min, z_max=z_max)
+def _engine_config(name: str, block: dict, T: float, state: MarketState):
+    """One engine's config object, every default resolved."""
+    if name == "ham":
+        kwargs = dict(block)
+        if "guess_quad" in kwargs:
+            kwargs["guess_quad"] = QuadratureSpec(**kwargs["guess_quad"])
+        hc = HamConfig(**kwargs)
+        z_min, z_max = ham_window(hc, T)
+        return replace(hc, z_min=z_min, z_max=z_max)
+    if name == "mc":
+        return McConfig(**{"n_paths": 100_000, **block})
+    if name == "fd":
+        fc = FdConfig(**block)
+        if fc.y_max is None:
+            y0 = state.a / state.s if state.t > 0.0 else 0.0
+            fc = replace(fc, y_max=default_y_max(T, y0))
+        return fc
+    return QuadratureSpec(**block.get("quad", {}))
 
 
-def _mc_config(block: dict) -> McConfig:
-    kwargs = {"n_paths": 100_000}
-    kwargs.update(block)
-    return McConfig(**kwargs)
-
-
-def _fd_config(block: dict, T: float, state: MarketState) -> FdConfig:
-    fc = FdConfig(**block)
-    if fc.y_max is None:
-        y0 = state.a / state.s if state.t > 0.0 else 0.0
-        fc = replace(fc, y_max=default_y_max(T, y0))
-    return fc
-
-
-def _materialize(command: str, cfg: dict) -> dict:
-    """Effective config: every default filled in, ready to re-run."""
+def _materialize(cfg: dict) -> tuple[dict, dict]:
+    """Effective config (every default filled in) and its engine config objects by name."""
     model = dict(cfg["model"])
     n = len(model["r"])
     model.setdefault("q", [0.0] * n)
@@ -285,21 +280,12 @@ def _materialize(command: str, cfg: dict) -> dict:
     T = option["T"]
     mstate = MarketState(t=state["t"], s=state["s"], a=state["a"], regime=state["regime"])
 
-    def engine_block(name: str, block: dict) -> dict:
-        if name == "ham":
-            return asdict(_ham_config(block, T))
-        if name == "mc":
-            return asdict(_mc_config(block))
-        if name == "fd":
-            return asdict(_fd_config(block, T, mstate))
-        return {"quad": asdict(QuadratureSpec(**block.get("quad", {})))}
-
-    method_name = next(iter(cfg["method"]))
-    block = cfg["method"][method_name]
-    if method_name == "compare":
-        method = {"compare": {k: engine_block(k, v) for k, v in sorted(block.items())}}
-    else:
-        method = {method_name: engine_block(method_name, block)}
+    method_name, block = next(iter(cfg["method"].items()))
+    blocks = dict(sorted(block.items())) if method_name == "compare" else {method_name: block}
+    engines = {k: _engine_config(k, v, T, mstate) for k, v in blocks.items()}
+    dumped = {k: {"quad": asdict(c)} if k == "european_rs" else asdict(c)
+              for k, c in engines.items()}
+    method = {"compare": dumped} if method_name == "compare" else dumped
     output = {"timings": False}
     output.update(cfg["output"])
     return {
@@ -309,7 +295,7 @@ def _materialize(command: str, cfg: dict) -> dict:
         "state": state,
         "method": method,
         "output": output,
-    }
+    }, engines
 
 
 def _build_model(model_block: dict) -> RegimeModel:
@@ -340,29 +326,22 @@ def _timer(enabled: bool):
     return done
 
 
-def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpec,
+def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
                 state: MarketState, timings: bool, in_compare: bool) -> dict:
     T = spec.T
     done = _timer(timings)
     if name == "mc":
-        est = mc_price(spec, state, model, _mc_config(block))
+        est = mc_price(spec, state, model, cfg)
         return {
             "method": "mc",
             "price": est.price,
             "error_estimate": est.std_error,
             "runtime_ms": done(),
-            "diagnostics": {
-                "std_error": est.std_error,
-                "n_paths": block["n_paths"],
-                "n_steps": block["n_steps"],
-                "seed": block["seed"],
-                "antithetic": block["antithetic"],
-            },
+            "diagnostics": {"std_error": est.std_error, **asdict(cfg)},
         }
     if name == "fd":
-        fc = _fd_config(block, T, state)
         if in_compare:
-            base = replace(fc, n_y=max(3, fc.n_y // 4), n_t=max(3, fc.n_t // 4))
+            base = replace(cfg, n_y=max(3, cfg.n_y // 4), n_t=max(3, cfg.n_t // 4))
             order, prices = richardson_order(model, T, base, state)
             return {
                 "method": "fd",
@@ -376,20 +355,20 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
                     "finest_n_t": base.n_t * 4,
                 },
             }
-        surf = fd_price(model, T, fc)
+        surf = fd_price(model, T, cfg)
         return {
             "method": "fd",
             "price": surf.dollar_price(state),
             "error_estimate": None,
             "runtime_ms": done(),
             "diagnostics": {
-                "n_y": fc.n_y,
-                "n_t": fc.n_t,
-                "y_max": fc.y_max,
+                "n_y": cfg.n_y,
+                "n_t": cfg.n_t,
+                "y_max": cfg.y_max,
             },
         }
     if name == "ham":
-        res = price_floating_put_ham(state, model, _ham_config(block, T), T)
+        res = price_floating_put_ham(state, model, cfg, T)
         diag = dict(res.diagnostics)
         diag["term_norms"] = [
             [float(x) for x in row] for row in diag.get("term_norms", [])
@@ -409,7 +388,7 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
         t=state.t,
         T=T,
         regime=state.regime,
-        quad=QuadratureSpec(**block["quad"]),
+        quad=cfg,
     )
     return {
         "method": "european_rs",
@@ -420,18 +399,16 @@ def _engine_row(name: str, block: dict, model: RegimeModel, spec: AsianOptionSpe
     }
 
 
-def _convergence_rows(block: dict, model: RegimeModel, spec: AsianOptionSpec,
+def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
                       state: MarketState, timings: bool) -> list[dict]:
     T = spec.T
     rows = []
     for guess in ("european_rs", "zero"):
         done = _timer(timings)
-        cfg = replace(_ham_config(block, T), initial_guess_mode=guess)
-        terms = build_terms(model, T, cfg)
+        surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess))
         previous = None
-        for m in range(len(terms)):
-            surf = assemble_series(terms[: m + 1], model)
-            price, _ = series_dollar_price(surf, state, T)
+        for m in range(len(surf.partials)):
+            price, _ = series_dollar_price(surf, state, T, m)
             rows.append(
                 {
                     "guess_mode": guess,
@@ -441,6 +418,7 @@ def _convergence_rows(block: dict, model: RegimeModel, spec: AsianOptionSpec,
                     "runtime_ms": done(),
                 }
             )
+            done = _timer(timings)
             previous = price
     return rows
 
@@ -521,7 +499,7 @@ def _run(command: str, config_path: str) -> int:
             print(f"config invalid: {v}", file=sys.stderr)
         return 2
 
-    effective = _materialize(command, raw)
+    effective, engines = _materialize(raw)
     model = _build_model(effective["model"])
     spec = _build_spec(effective["option"])
     st = effective["state"]
@@ -532,23 +510,22 @@ def _run(command: str, config_path: str) -> int:
     with open(output["path"] + ".effective.json", "w", encoding="utf-8") as f:
         f.write(json.dumps(effective, indent=2, sort_keys=True) + "\n")
 
-    method_name = next(iter(effective["method"]))
-    block = effective["method"][method_name]
     extra = None
     if command == "price":
-        rows = [_engine_row(method_name, block, model, spec, state, timings, False)]
+        (name, cfg), = engines.items()
+        rows = [_engine_row(name, cfg, model, spec, state, timings, False)]
         columns = ["method", "price", "error_estimate", "runtime_ms", "diagnostics"]
     elif command == "compare":
         rows = [
-            _engine_row(name, sub, model, spec, state, timings, True)
-            for name, sub in ((k, block[k]) for k in ("ham", "mc", "fd") if k in block)
+            _engine_row(name, engines[name], model, spec, state, timings, True)
+            for name in ("ham", "mc", "fd") if name in engines
         ]
         columns = ["method", "price", "error_estimate", "runtime_ms", "diagnostics"]
     elif command == "convergence":
-        rows = _convergence_rows(block, model, spec, state, timings)
+        rows = _convergence_rows(engines["ham"], model, spec, state, timings)
         columns = ["guess_mode", "m_terms", "price", "delta", "runtime_ms"]
     else:  # symmetry-check
-        check = symmetry_mc_check(spec, model, state, _mc_config(block))
+        check = symmetry_mc_check(spec, model, state, engines["mc"])
         rows = _symmetry_rows(check)
         columns = ["section", "lhs_price", "rhs_price_scaled", "gap", "se", "z"]
         extra = {

@@ -21,7 +21,7 @@ regime coupling is treated implicitly, inside the same sparse system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +66,6 @@ class FdSurfaces:
     t_nodes: np.ndarray
     y_nodes: np.ndarray
     values: np.ndarray  # shape (n_t + 1, n_states, n_y + 1)
-    model: RegimeModel = field(repr=False)
 
     def value(self, t: float, y: float, regime: int) -> float:
         """Bilinear interpolation; refuses points off the grid."""
@@ -203,7 +202,7 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
         surfaces[cfg.n_t - 1 - step] = v
 
     surfaces.setflags(write=False)
-    return FdSurfaces(t_nodes=t_nodes, y_nodes=y, values=surfaces, model=model)
+    return FdSurfaces(t_nodes=t_nodes, y_nodes=y, values=surfaces)
 
 
 def richardson_order(

@@ -29,6 +29,10 @@ Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
 there, so residual checks apply only to the ``z > 0`` interior and the
 grid oracles arbitrate the rest.
+
+:func:`series_surfaces` builds the terms once per ``(model, T, config)``
+and caches every partial sum; pricing, the CLI convergence table and
+:func:`ham_vs_fd_report` all read from it.
 """
 
 from __future__ import annotations
@@ -125,14 +129,20 @@ class TermGrid:
         return float(np.max(np.abs(self.values[i][:, -1]))) / peak
 
 
+def ham_window(config: HamConfig, T: float) -> tuple[float, float]:
+    """``(z_min, z_max)`` with the defaults ``-ln(20 T)`` and ``-ln(1e-4)`` filled in."""
+    z_lo = -math.log(20.0 * T) if config.z_min is None else config.z_min
+    z_hi = -math.log(1e-4) if config.z_max is None else config.z_max
+    return z_lo, z_hi
+
+
 def ham_grid(config: HamConfig, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Node arrays ``(z_nodes, u_nodes)`` for maturity ``T``.
 
     Requires the z-window to straddle the origin: the source integral
     runs over ``xi >= 0`` and is represented on the same lattice.
     """
-    z_lo = -math.log(20.0 * T) if config.z_min is None else config.z_min
-    z_hi = -math.log(1e-4) if config.z_max is None else config.z_max
+    z_lo, z_hi = ham_window(config, T)
     if not (z_lo <= 0.0 < z_hi):
         raise ValidationError(f"z window [{z_lo}, {z_hi}] must satisfy z_min <= 0 < z_max")
     h = (z_hi - z_lo) / (config.n_z - 1)
@@ -470,18 +480,23 @@ def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
 
 @dataclass(frozen=True)
 class SeriesSurfaces:
-    """Assembled reduced-value surfaces with per-term diagnostics."""
+    """Partial sums of the series with per-term diagnostics.
+
+    ``partials[m]`` is the factorial-weighted sum of terms ``0..m``, so
+    ``partials[-1]`` is the truncated series.
+    """
 
     z_nodes: np.ndarray
     u_nodes: np.ndarray
-    values: np.ndarray  # (2, n_u, n_z)
+    partials: np.ndarray  # (m_trunc + 1, 2, n_u, n_z)
     term_norms: tuple[tuple[float, float], ...]  # per term, per regime, /m!
 
     def __post_init__(self):
-        for arr in (self.z_nodes, self.u_nodes, self.values):
+        for arr in (self.z_nodes, self.u_nodes, self.partials):
             arr.setflags(write=False)
 
-    def value(self, u: float, z: float, regime: int) -> float:
+    def value(self, u: float, z: float, regime: int, m: int = -1) -> float:
+        """Bilinear read of partial sum ``m`` (default: all terms)."""
         uu, zz = self.u_nodes, self.z_nodes
         if not (uu[0] <= u <= uu[-1]) or not (zz[0] <= z <= zz[-1]):
             raise InterpolationOutOfRange(
@@ -491,7 +506,7 @@ class SeriesSurfaces:
         kz = min(int(np.searchsorted(zz, z, "right")) - 1, len(zz) - 2)
         fu = (u - uu[ku]) / (uu[ku + 1] - uu[ku])
         fz = (z - zz[kz]) / (zz[kz + 1] - zz[kz])
-        v = self.values[regime]
+        v = self.partials[m, regime]
         return float(
             v[ku, kz] * (1 - fu) * (1 - fz)
             + v[ku + 1, kz] * fu * (1 - fz)
@@ -500,8 +515,8 @@ class SeriesSurfaces:
         )
 
 
-def assemble_series(terms: list[TermGrid], model: RegimeModel) -> SeriesSurfaces:
-    """Factorial-weighted sum of the terms plus the norm diagnostic."""
+def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
+    """Running factorial-weighted sums of the terms plus the norm diagnostic."""
     if not terms:
         raise ValidationError("no terms to assemble")
     z, u = terms[0].z_nodes, terms[0].u_nodes
@@ -509,17 +524,19 @@ def assemble_series(terms: list[TermGrid], model: RegimeModel) -> SeriesSurfaces
         if t.z_nodes.shape != z.shape or not np.array_equal(t.z_nodes, z) \
                 or not np.array_equal(t.u_nodes, u):
             raise ValidationError("terms disagree on the grid")
+    partials = np.empty((len(terms), 2, len(u), len(z)))
     total = np.zeros((2, len(u), len(z)))
     norms = []
-    for t in terms:
+    for k, t in enumerate(terms):
         w = 1.0 / math.factorial(t.m)
         total[0] += w * t.values[0]
         total[1] += w * t.values[1]
+        partials[k] = total
         norms.append((
             w * float(np.max(np.abs(t.values[0]))),
             w * float(np.max(np.abs(t.values[1]))),
         ))
-    return SeriesSurfaces(z_nodes=z, u_nodes=u, values=total,
+    return SeriesSurfaces(z_nodes=z, u_nodes=u, partials=partials,
                           term_norms=tuple(norms))
 
 
@@ -539,11 +556,15 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGri
 _SURFACES_CACHE: dict = {}
 
 
-def _surfaces_for(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurfaces:
+def series_surfaces(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurfaces:
+    """The series surface for ``(model, T, config)``, built on first use.
+
+    The newest ``_SURFACES_CACHE_SIZE`` surfaces are kept.
+    """
     key = (model, T, config)
     hit = _SURFACES_CACHE.get(key)
     if hit is None:
-        hit = assemble_series(build_terms(model, T, config), model)
+        hit = assemble_series(build_terms(model, T, config))
         _SURFACES_CACHE[key] = hit
         if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
             del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
@@ -551,8 +572,8 @@ def _surfaces_for(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurf
 
 
 def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
-                        T: float) -> tuple[float, dict]:
-    """Dollar price ``s * V_regime(T - t, -ln(a/s))`` read off a surface.
+                        T: float, m: int = -1) -> tuple[float, dict]:
+    """Dollar price ``s * V_regime(T - t, -ln(a/s))`` of partial sum ``m``.
 
     ``a = 0`` maps to ``z = +infinity``; the far column ``z_max`` stands
     in for it (the construction's boundary value), flagged in the
@@ -578,14 +599,14 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
                 f"z={z:.4f} below grid minimum {float(surfaces.z_nodes[0]):.4f}; "
                 "rebuild with a wider window"
             )
-    reduced = surfaces.value(u, z, state.regime)
+    reduced = surfaces.value(u, z, state.regime, m)
     return state.s * reduced, {"z": z, "clamped": clamped}
 
 
 def price_floating_put_ham(state: MarketState, model: RegimeModel,
                            config: HamConfig, T: float) -> PriceResult:
     """Dollar price of the unit-multiplier floating put via the series."""
-    surfaces = _surfaces_for(model, T, config)
+    surfaces = series_surfaces(model, T, config)
     price, info = series_dollar_price(surfaces, state, T)
     return PriceResult(
         price=price,
@@ -608,8 +629,9 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
                      ) -> dict:
     """Series-vs-grid comparison across all mode combinations.
 
-    For each terminal mode crossed with each initial-guess mode, builds
-    the series to ``m_trunc`` and reports, per regime: the partial-sum
+    For each terminal mode crossed with each initial-guess mode, reads
+    the series surface to ``m_trunc`` (:func:`series_surfaces`, so a
+    repeated call builds nothing) and reports, per regime: the partial-sum
     dollar price at the fresh state (``t = 0``, ``a = 0``, evaluated at
     the far column, which the construction treats as the small-``y``
     boundary value) after 0..m_trunc terms, the successive price deltas,
@@ -647,11 +669,9 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
         for guess_mode in _GUESS_MODES:
             cfg = replace(base, terminal_mode=terminal_mode,
                           initial_guess_mode=guess_mode)
-            terms = build_terms(model, T, cfg)
-            partial = [assemble_series(terms[: k + 1], model)
-                       for k in range(len(terms))]
-            z_top = float(partial[0].z_nodes[-1])
-            prices = [[s * surf.value(T, z_top, i) for surf in partial]
+            surf = series_surfaces(model, T, cfg)
+            z_top = float(surf.z_nodes[-1])
+            prices = [[s * surf.value(T, z_top, i, m) for m in range(len(surf.partials))]
                       for i in (0, 1)]
             deltas = [[abs(p[k] - p[k - 1]) for k in range(1, len(p))]
                       for p in prices]
@@ -664,7 +684,7 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
                 u = T - t_probe
                 z = -math.log(y_probe)
                 for i in (0, 1):
-                    ham_val = s * partial[-1].value(u, z, i)
+                    ham_val = s * surf.value(u, z, i)
                     fd_val = s * fd_surf.value(t_probe, y_probe, i)
                     probe_rows.append({
                         "t": float(t_probe), "y": float(y_probe), "regime": i,
@@ -678,7 +698,7 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
                 "deltas": [[float(d) for d in row] for row in deltas],
                 "non_increasing_m2_on": bool(mono),
                 "term_norms": [list(map(float, pair))
-                               for pair in partial[-1].term_norms],
+                               for pair in surf.term_norms],
                 "desk_gap": [float(prices[i][-1] - fd_desk[i]) for i in (0, 1)],
                 "probes": probe_rows,
             })

@@ -1,4 +1,4 @@
-"""Core market model, option contracts, and coordinate transforms.
+"""Core market model, option contracts, and payoffs.
 
 The market is a geometric Brownian motion whose drift ``r_i`` and
 volatility ``sigma_i`` are modulated by a continuous-time Markov chain
@@ -248,35 +248,6 @@ def rate_ratios(model: RegimeModel, i: int) -> tuple[float, float]:
     """
     half_var = 0.5 * model.sigma[i] ** 2
     return model.gen[i][i] / half_var, model.r[i] / half_var
-
-
-# --- reduced coordinates ------------------------------------------------
-
-def to_reduced_coords(
-    t: float, y: float, model: RegimeModel, i: int, T: float
-) -> tuple[float, float]:
-    """Map ``(t, y)`` to ``(tau_i, z)``.
-
-    ``tau_i = (T - t) * sigma_i**2 / 2`` is the regime-``i`` diffusion
-    time remaining, ``z = -ln(y)``. Requires ``0 <= t <= T`` and
-    ``y > 0``.
-    """
-    if not (0.0 <= t <= T):
-        raise ValidationError(f"t={t!r} outside [0, {T!r}]")
-    if not (y > 0.0):
-        raise ValidationError(f"y not > 0 (got {y!r})")
-    tau = (T - t) * model.sigma[i] ** 2 / 2.0
-    return tau, -math.log(y)
-
-
-def from_reduced_coords(
-    tau: float, z: float, model: RegimeModel, i: int, T: float
-) -> tuple[float, float]:
-    """Inverse of :func:`to_reduced_coords`; returns ``(t, y)``."""
-    if tau < 0.0:
-        raise ValidationError(f"tau negative ({tau!r})")
-    t = T - 2.0 * tau / model.sigma[i] ** 2
-    return t, math.exp(-z)
 
 
 # --- payoffs ------------------------------------------------------------

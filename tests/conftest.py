@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from rsasian import MarketState, two_state_model
+from rsasian import MarketState, ham, two_state_model
 
 # Parallel MC batches are bit-identical to the serial path, so enabling
 # threads here only changes wall time, never results.
@@ -32,6 +32,17 @@ def flat_model():
 @pytest.fixture()
 def inception_state():
     return MarketState(t=0.0, s=100.0, a=0.0, regime=0)
+
+
+@pytest.fixture()
+def build_calls(monkeypatch):
+    """Arguments of each ``ham.build_terms`` call, made with the series cache emptied."""
+    calls = []
+    build = ham.build_terms
+    monkeypatch.setattr(ham, "build_terms", lambda *args: calls.append(args) or build(*args))
+    ham._SURFACES_CACHE.clear()
+    yield calls
+    ham._SURFACES_CACHE.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

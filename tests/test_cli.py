@@ -9,10 +9,11 @@ caller's working directory.
 import copy
 import dataclasses
 import json
+import types
 
 import pytest
 
-from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec
+from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli
 from rsasian.cli import main
 
 MODEL = {
@@ -169,6 +170,25 @@ class TestConvergenceCommand:
         assert body[0][3] == "", "no delta for the first partial sum"
         zero_first = body[3]
         assert float(zero_first[2]) == 0.0, "zero guess starts from nothing"
+
+    def test_each_row_is_timed_on_its_own(self, tmp_path, monkeypatch):
+        ticks = iter(range(1000))  # the clock moves one second per read
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        cfg = base_config(tmp_path, TINY_HAM, fmt="json")
+        cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+        cfg["output"]["timings"] = True
+        code, report = run(tmp_path, "convergence", cfg)
+        assert code == 0
+        rows = json.loads(open(report).read())["rows"]
+        assert [row["runtime_ms"] for row in rows] == [1000] * 6
+
+    def test_compare_reuses_the_convergence_surface(self, tmp_path, build_calls):
+        for command, method in (("convergence", TINY_HAM), ("compare", {"compare": TINY_HAM})):
+            cfg = base_config(tmp_path, method, name=command)
+            cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+            code, _ = run(tmp_path, command, cfg, name=command)
+            assert code == 0
+        assert [args[2].initial_guess_mode for args in build_calls] == ["european_rs", "zero"]
 
 
 class TestSymmetryCommand:

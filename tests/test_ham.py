@@ -123,7 +123,7 @@ class TestPricing:
         z_node = z[20]  # in the money: average above spot
         a = 100.0 * np.exp(-z_node) * 1.0
         state = MarketState(t=1.0, s=100.0, a=a, regime=0)
-        surfaces = assemble_series(desk_terms, desk_model)
+        surfaces = assemble_series(desk_terms)
         price, diag = series_dollar_price(surfaces, state, 1.0)
         want = max(a / 1.0 - 100.0, 0.0)
         assert price == pytest.approx(want, rel=1e-12), f"{price} vs {want}"
@@ -135,7 +135,7 @@ class TestPricing:
         assert res.price == pytest.approx(20.0, rel=2e-2)
 
     def test_price_is_homogeneous(self, desk_model, desk_terms):
-        surfaces = assemble_series(desk_terms, desk_model)
+        surfaces = assemble_series(desk_terms)
         base, _ = series_dollar_price(
             surfaces, MarketState(t=0.5, s=100.0, a=50.0, regime=0), 1.0
         )
@@ -158,17 +158,25 @@ class TestPricing:
             assert key in res.diagnostics, key
         assert res.price >= 0.0 and np.isfinite(res.price)
 
+    def test_partials_are_the_running_sums(self, desk_terms):
+        surfaces = assemble_series(desk_terms)
+        assert surfaces.partials.shape == (3, 2, 21, 101)
+        for k in range(len(desk_terms)):
+            alone = assemble_series(desk_terms[: k + 1])
+            assert np.array_equal(surfaces.partials[k], alone.partials[-1]), f"m = {k}"
+        assert np.array_equal(surfaces.partials[0][0], desk_terms[0].values[0])
+
     def test_surface_cache_is_bounded(self, desk_model):
         cfg = HamConfig(m_trunc=1, n_z=41, n_u=5)
         ham._SURFACES_CACHE.clear()
         try:
             expiries = [1.0 + 0.1 * k for k in range(ham._SURFACES_CACHE_SIZE + 3)]
             for T in expiries:
-                ham._surfaces_for(desk_model, T, cfg)
+                ham.series_surfaces(desk_model, T, cfg)
                 assert len(ham._SURFACES_CACHE) <= ham._SURFACES_CACHE_SIZE
             assert (desk_model, expiries[0], cfg) not in ham._SURFACES_CACHE
-            last = ham._surfaces_for(desk_model, expiries[-1], cfg)
-            assert ham._surfaces_for(desk_model, expiries[-1], cfg) is last
+            last = ham.series_surfaces(desk_model, expiries[-1], cfg)
+            assert ham.series_surfaces(desk_model, expiries[-1], cfg) is last
             assert len(ham._SURFACES_CACHE) == ham._SURFACES_CACHE_SIZE
         finally:
             ham._SURFACES_CACHE.clear()
@@ -206,3 +214,11 @@ class TestComparisonReport:
             assert len(mode["probes"]) == 6
             for probe in mode["probes"]:
                 assert np.isfinite(probe["gap"]) and probe["fd"] >= 0.0
+
+    def test_repeated_report_builds_nothing(self, desk_model, build_calls):
+        kwargs = dict(config=HamConfig(m_trunc=2, n_z=41, n_u=5),
+                      fd_config=FdConfig(n_y=50, n_t=50))
+        first = ham_vs_fd_report(desk_model, 1.0, **kwargs)
+        assert len(build_calls) == 4, "one build per mode combination"
+        assert ham_vs_fd_report(desk_model, 1.0, **kwargs) == first
+        assert len(build_calls) == 4, "the second report reads the cached surfaces"

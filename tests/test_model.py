@@ -14,7 +14,6 @@ from rsasian import (
     two_state_model,
     validate_model,
 )
-from rsasian.model import from_reduced_coords, to_reduced_coords
 
 
 class TestRegimeModel:
@@ -175,30 +174,3 @@ class TestPayoff:
         ]:
             spec = AsianOptionSpec(style=style, T=1.0, K=k)
             assert (payoff(spec, s, a) >= 0.0).all(), style
-
-
-class TestReducedCoordinates:
-    @pytest.mark.parametrize("t,y", [(0.0, 0.05), (0.25, 0.1), (0.5, 1.0), (0.9, 3.5)])
-    def test_round_trip(self, desk_model, t, y):
-        for i in range(2):
-            tau, z = to_reduced_coords(t, y, desk_model, i, 1.0)
-            t_back, y_back = from_reduced_coords(tau, z, desk_model, i, 1.0)
-            assert np.isclose(t_back, t), f"t round trip {t_back} vs {t}"
-            assert np.isclose(y_back, y), f"y round trip {y_back} vs {y}"
-
-    def test_zero_average_refused(self, desk_model):
-        # z = -log(y) is unbounded at y = 0; the mapping refuses rather
-        # than returning an infinite coordinate.
-        with pytest.raises(ValidationError):
-            to_reduced_coords(0.0, 0.0, desk_model, 0, 1.0)
-
-    def test_expiry_maps_to_tau_zero(self, desk_model):
-        tau, z = to_reduced_coords(1.0, 0.5, desk_model, 0, 1.0)
-        assert tau == 0.0
-        assert np.isclose(z, -np.log(0.5))
-
-    def test_time_scale_uses_regime_variance(self, desk_model):
-        tau0, _ = to_reduced_coords(0.0, 0.5, desk_model, 0, 1.0)
-        tau1, _ = to_reduced_coords(0.0, 0.5, desk_model, 1, 1.0)
-        assert tau0 > tau1, "higher volatility regime runs on a faster clock"
-        assert np.isclose(tau0 / tau1, (0.3 / 0.2) ** 2)
