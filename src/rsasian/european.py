@@ -9,6 +9,11 @@ evolves by a 2x2 matrix exponential. The terminal transform is
 from a single integral over real frequencies ``omega`` with
 Gaussian-decaying integrand. This is exact for unequal rates, unequal
 dividend yields, and any coupling strength.
+
+The integral is a Gauss-Legendre rule of ``P`` equal panels, so a node is
+``mid_p + offset_g`` and ``e^{i omega x}`` factors by panel: per regime one
+``(P, 20) @ (20, n_x)`` product times the ``(P, n_x)`` panel phase, summed
+over panels, ``(P + 20) n_x`` exponentials instead of ``20 P n_x``.
 """
 
 from __future__ import annotations
@@ -73,16 +78,6 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
     return expm(g * ttm) @ np.full(model.n_states, float(k))
 
 
-def _gl_panels(upper: float, n_panels: int, nodes_per_panel: int = 20):
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
 def _spectral_terms(model: RegimeModel, omega: np.ndarray, ttm: float) -> np.ndarray:
     """Transform-domain solution rows ``E_i(omega)``, shape (2, n)."""
     sig_sq = model.sigma_array() ** 2
@@ -126,16 +121,25 @@ def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float, n_min: int):
     return omega_max, n_panels
 
 
+def _panel_spectrum(model: RegimeModel, ttm: float, omega_max: float, n_panels: int):
+    """Gauss-Legendre rule of equal panels on ``[0, omega_max]`` and its
+    weighted transform terms: ``(mid (P,), offsets (20,), terms (2, P, 20))``,
+    where node ``(p, g)`` is ``mid[p] + offsets[g]``."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    half = 0.5 * omega_max / n_panels
+    mid = (2.0 * np.arange(n_panels) + 1.0) * half
+    e_terms = _spectral_terms(model, (mid[:, None] + half * x).ravel(), ttm)
+    return mid, half * x, e_terms.reshape(2, n_panels, 20) * (half * w)
+
+
 def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: float,
-                    omega_max: float, n_panels: int) -> np.ndarray:
-    """Put values for both regimes, shape (2, n_s)."""
+                    spectrum: tuple) -> np.ndarray:
+    """Put values for both regimes, shape (2, n_s), from :func:`_panel_spectrum`."""
+    mid, offsets, terms = spectrum
     x = np.log(s_values / k)
-    nodes, weights = _gl_panels(omega_max, n_panels)
-    e_terms = _spectral_terms(model, nodes, ttm)  # (2, n_omega)
-    phase = np.exp(1j * np.outer(nodes, x))       # (n_omega, n_s)
-    w_vals = (weights[None, :, None] * e_terms[:, :, None] * phase[None, :, :]).real.sum(axis=1) / math.pi
-    d_vec = discounted_strike_vector(model, k, ttm)
-    return d_vec[:, None] + np.sqrt(s_values * k)[None, :] * w_vals
+    inner = terms @ np.exp(1j * np.outer(offsets, x))  # (2, P, n_s)
+    w_vals = (inner * np.exp(1j * np.outer(mid, x))).real.sum(axis=1) / math.pi
+    return discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k)[None, :] * w_vals
 
 
 def european_put_grid(
@@ -156,8 +160,8 @@ def european_put_grid(
         pay = np.maximum(k - s_values, 0.0)
         return np.stack([pay, pay])
     x_max = float(np.max(np.abs(np.log(s_values / k))))
-    omega_max, n_panels = _exact_grid_sizes(model, ttm, x_max, quad.n_rho)
-    return _exact_put_grid(model, s_values, k, ttm, omega_max, n_panels)
+    spectrum = _panel_spectrum(model, ttm, *_exact_grid_sizes(model, ttm, x_max, quad.n_rho))
+    return _exact_put_grid(model, s_values, k, ttm, spectrum)
 
 
 def price_european_put_rs(
@@ -199,11 +203,12 @@ def price_european_put_rs(
     omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)), quad.n_rho)
     attempts = 0
     while True:
-        price = float(_exact_put_grid(model, s_arr, k, ttm, omega_max, n_panels)[regime, 0])
-        coarse = float(_exact_put_grid(model, s_arr, k, ttm, omega_max, max(1, n_panels // 2))[regime, 0])
-        nodes, weights = _gl_panels(omega_max, n_panels)
-        tail_vals = _spectral_terms(model, nodes[-20:], ttm)[regime]
-        tail = float(np.abs(weights[-20:] * tail_vals).sum()) * math.sqrt(s * k) / math.pi
+        fine = _panel_spectrum(model, ttm, omega_max, n_panels)
+        halved = _panel_spectrum(model, ttm, omega_max, max(1, n_panels // 2))
+        price = float(_exact_put_grid(model, s_arr, k, ttm, fine)[regime, 0])
+        coarse = float(_exact_put_grid(model, s_arr, k, ttm, halved)[regime, 0])
+        # the last panel of the rule that priced
+        tail = float(np.abs(fine[2][regime, -1]).sum()) * math.sqrt(s * k) / math.pi
         err = abs(price - coarse) + tail
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
         if quad.rule != "adaptive" or err <= tol:

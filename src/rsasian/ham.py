@@ -20,10 +20,11 @@ scaled to ``sqrt(tau)`` for the erfc correction piece, which is
 :func:`rsasian.greens.robin_correction`, the function
 :func:`rsasian.greens.greens_function` evaluates. Because spatial
 nodes sit on one lattice with a node exactly at ``z = 0``, the weights
-form one dense matrix per kernel time (a Toeplitz and a Hankel lookup
-into two weight vectors), applied to all pending source levels at once.
-The time integral is a trapezoid over grid levels; its ``tau -> 0``
-endpoint is the kernel's delta identity.
+at one kernel time come from four generator vectors that depend only on
+regime and lag; :func:`build_terms` makes them once per build, and each
+step adds strided Toeplitz and Hankel views of them into a dense matrix,
+one product per lag over all pending source levels. The time integral is a
+trapezoid over grid levels; its ``tau -> 0`` end is the delta identity.
 
 Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
@@ -42,6 +43,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ExtrapolationRefused, InterpolationOutOfRange, ValidationError
@@ -298,48 +300,52 @@ def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float):
     return lobe_l, lobe_r
 
 
-def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float) -> np.ndarray:
-    """Dense weight matrix for one regime and one kernel time.
-
-    Entry ``(k, n)`` integrates hat ``n`` (on the ``xi`` lattice)
-    against the full kernel at output ``z_k``; both kernel pieces are
-    functions of lattice offsets, so the matrix is a Toeplitz plus a
-    Hankel lookup into two weight vectors, with the two edge hats
-    corrected for clipping. A dense product keeps genuinely empty far
-    field entries at exact zero (the Gaussian weights underflow), which
-    matters because the recursion's source prefactor grows like
-    ``e^{(3 + gamma) xi / 2}`` and would amplify convolution dust.
-    """
+def _kernel_generators(z: np.ndarray, j0: int, tau: float, gamma: float):
+    """Weights at one kernel time: ``w1`` (direct piece, offsets ``(k - j0 - n) h``),
+    ``w2`` (image plus correction, ``(k - j0 + n) h``) and, per output node,
+    the lobe each edge hat loses (``xi = 0`` keeps its right half, ``xi_max`` its left)."""
     n_z = len(z)
     n_xi = n_z - j0
     h = float(z[1] - z[0])
     norm = 1.0 / (2.0 * math.sqrt(math.pi * tau))
-    k_idx = np.arange(n_z)[:, None] - j0
-    n_idx = np.arange(n_xi)[None, :]
-
-    # direct piece: offsets (k - j0 - n) h
     p = np.arange(-(n_z - 1), n_z - j0) * h
     ll, rr = _gauss_lobes(p, h, tau)
-    w1 = (ll + rr) * norm
-    mat = w1[(n_z - 1) + k_idx - n_idx]
-
-    # reflected piece (image plus correction): offsets (k - j0 + n) h
     q = np.arange(-j0, n_z - 1 - j0 + n_xi) * h
     ll_g, rr_g = _gauss_lobes(q, h, tau)
     ll_r, rr_r = _robin_lobes(q, h, tau, gamma)
-    w2 = (ll_g + rr_g + ll_r + rr_r) * norm
-    mat = mat + w2[j0 + k_idx + n_idx]
-
-    # edge hats keep one lobe each: xi = 0 its right half, xi_max its left
     _, r0 = _gauss_lobes(z - z[j0], h, tau)
     lN, _ = _gauss_lobes(z - z[-1], h, tau)
     l0g, _ = _gauss_lobes(z + z[j0], h, tau)
     l0r, _ = _robin_lobes(z + z[j0], h, tau, gamma)
     _, rNg = _gauss_lobes(z + z[-1], h, tau)
     _, rNr = _robin_lobes(z + z[-1], h, tau, gamma)
-    mat[:, 0] -= (r0 + l0g + l0r) * norm
-    mat[:, -1] -= (lN + rNg + rNr) * norm
+    return ((ll + rr) * norm, (ll_g + rr_g + ll_r + rr_r) * norm,
+            (r0 + l0g + l0r) * norm, (lN + rNg + rNr) * norm)
+
+
+def _table(generators, n_xi: int) -> np.ndarray:
+    """Dense table from :func:`_kernel_generators`: entry ``(k, n)`` integrates
+    hat ``n`` against the kernel at ``z_k``. Dense keeps empty far-field
+    entries at exact zero, where the ``e^{(3 + gamma) xi / 2}`` source
+    prefactor would otherwise amplify convolution dust."""
+    w1, w2, c0, c_n = generators
+    n_z = len(c0)
+    mat = sliding_window_view(w1[::-1], n_xi)[n_z - 1::-1] + sliding_window_view(w2, n_xi)[:n_z]
+    mat[:, 0] -= c0
+    mat[:, -1] -= c_n
     return mat
+
+
+def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float) -> np.ndarray:
+    """Dense weight matrix for one regime and one kernel time."""
+    return _table(_kernel_generators(z, j0, tau, gamma), len(z) - j0)
+
+
+def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> list[list[tuple]]:
+    """``gens[i][j - 1]``: :func:`_kernel_generators` for regime ``i`` at lag ``j``."""
+    j0, du = int(np.argmin(np.abs(z))), float(u[1] - u[0])
+    return [[_kernel_generators(z, j0, 0.5 * model.sigma[i] ** 2 * j * du, rate_ratios(model, i)[1])
+             for j in range(1, len(u))] for i in (0, 1)]
 
 
 # --- recursion ------------------------------------------------------------
@@ -358,13 +364,14 @@ def _source_fields(prev: TermGrid, model: RegimeModel) -> list[np.ndarray]:
     return out
 
 
-def ham_step(prev: TermGrid, model: RegimeModel) -> TermGrid:
+def ham_step(prev: TermGrid, model: RegimeModel, generators: list | None = None) -> TermGrid:
     """Series term ``m`` from term ``m - 1``.
 
     Solves the transformed heat problem by the kernel double integral:
     trapezoid over source levels in physical time (the zero-lag endpoint
     is the delta identity), exact-plus-panel hat weights over ``xi``.
-    The returned term is zero at ``u = 0`` by construction.
+    The returned term is zero at ``u = 0`` by construction. ``generators``
+    is :func:`_lag_generators` of the grid, built here if not given.
     """
     require_two_states(model)
     z, u = prev.z_nodes, prev.u_nodes
@@ -374,6 +381,8 @@ def ham_step(prev: TermGrid, model: RegimeModel) -> TermGrid:
     j0 = int(np.argmin(np.abs(z)))
     if abs(float(z[j0])) > 1e-12:
         raise ValidationError("z grid has no node at 0; build it with ham_grid")
+    if generators is None:
+        generators = _lag_generators(z, u, model)
     sources = _source_fields(prev, model)
 
     new_vals = []
@@ -400,9 +409,7 @@ def ham_step(prev: TermGrid, model: RegimeModel) -> TermGrid:
 
         accum = np.zeros((n_z, n_u))
         for j in range(1, n_u):
-            tau = sig_half * j * du
-            mat = _build_tables(z, j0, tau, gamma)
-            conv = mat @ s_hat[:, : n_u - j]
+            conv = _table(generators[i][j - 1], n_z - j0) @ s_hat[:, : n_u - j]
             accum[:, j] += 0.5 * conv[:, 0]
             if j + 1 < n_u:
                 accum[:, j + 1 :] += conv[:, 1 : n_u - j]
@@ -545,11 +552,12 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGri
     validate_model(model)
     require_two_states(model)
     grid = ham_grid(config, T)
+    generators = _lag_generators(*grid, model)
     terms = [initial_guess(model, grid, config.initial_guess_mode, T,
                            terminal_mode=config.terminal_mode,
                            quad=config.guess_quad)]
     for _ in range(config.m_trunc):
-        terms.append(ham_step(terms[-1], model))
+        terms.append(ham_step(terms[-1], model, generators))
     return terms
 
 
@@ -559,9 +567,11 @@ _SURFACES_CACHE: dict = {}
 def series_surfaces(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurfaces:
     """The series surface for ``(model, T, config)``, built on first use.
 
-    The newest ``_SURFACES_CACHE_SIZE`` surfaces are kept.
+    The key carries :func:`ham_window`, so a filled-in default window
+    shares the entry. The newest ``_SURFACES_CACHE_SIZE`` surfaces are kept.
     """
-    key = (model, T, config)
+    z_lo, z_hi = ham_window(config, T)
+    key = (model, T, replace(config, z_min=z_lo, z_max=z_hi))
     hit = _SURFACES_CACHE.get(key)
     if hit is None:
         hit = assemble_series(build_terms(model, T, config))

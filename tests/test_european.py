@@ -7,8 +7,12 @@ exact terminal sampling, and against its own structural limits (tiny
 spot, strong mixing, expiry).
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsasian import (
     AsianOptionSpec,
@@ -23,6 +27,7 @@ from rsasian import (
     price_european_put_rs,
     two_state_model,
 )
+from rsasian import european
 
 S0, K, T = 100.0, 100.0, 1.0
 
@@ -129,3 +134,32 @@ class TestQuadrature:
                 assert np.isclose(grid[regime, j], want, rtol=1e-9), (
                     f"grid[{regime},{j}] = {grid[regime, j]} vs {want}"
                 )
+
+
+_rates = st.floats(0.0, 0.1)
+_vols = st.floats(0.1, 0.6)
+_switch = st.floats(0.1, 5.0)
+
+
+class TestPanelFactorisedSum:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        moneyness=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
+        k=st.floats(0.5, 200.0),
+        ttm=st.floats(1e-3, 5.0),
+        params=st.tuples(_rates, _rates, _vols, _vols, _switch, _switch, _rates, _rates),
+    )
+    def test_matches_the_dense_phase_sum(self, moneyness, k, ttm, params):
+        # unsorted spots off any lattice; the reference forms e^{i omega x}
+        # at every node instead of factoring it by panel
+        model = two_state_model(*params)
+        s_values = k * np.array(moneyness)
+        x = np.log(s_values / k)
+        omega_max, n_panels = european._exact_grid_sizes(
+            model, ttm, float(np.max(np.abs(x))), QuadratureSpec().n_rho)
+        mid, offsets, terms = european._panel_spectrum(model, ttm, omega_max, n_panels)
+        phase = np.exp(1j * np.outer((mid[:, None] + offsets[None, :]).ravel(), x))
+        dense = (terms.reshape(2, -1, 1) * phase[None, :, :]).real.sum(axis=1) / math.pi
+        want = discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k) * dense
+        got = european_put_grid(model, s_values, k, ttm)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, k)

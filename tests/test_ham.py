@@ -96,6 +96,22 @@ class TestStructure:
                 2.0 * np.asarray(one.values[i]), np.asarray(two.values[i])
             ), f"regime {i}"
 
+    def test_prebuilt_generators_give_the_same_step(self, desk_model, desk_terms):
+        z, u = desk_terms[0].z_nodes, desk_terms[0].u_nodes
+        built = ham_step(desk_terms[0], desk_model)
+        prebuilt = ham_step(desk_terms[0], desk_model, ham._lag_generators(z, u, desk_model))
+        for i in range(2):
+            assert np.array_equal(built.values[i], prebuilt.values[i]), f"regime {i}"
+
+    @pytest.mark.parametrize("m_trunc", [1, 4])
+    def test_build_makes_each_lag_generator_once(self, desk_model, monkeypatch, m_trunc):
+        calls = []
+        make = ham._kernel_generators
+        monkeypatch.setattr(ham, "_kernel_generators",
+                            lambda *args: calls.append(args) or make(*args))
+        build_terms(desk_model, 1.0, HamConfig(m_trunc=m_trunc, n_z=41, n_u=5))
+        assert len(calls) == 2 * (5 - 1)
+
     def test_tables_integrate_the_shared_kernel(self):
         # column n of the table is the hat at xi_n integrated against the
         # kernel that criterion 4 checks; gamma != 1 keeps the erfc piece live
@@ -174,12 +190,22 @@ class TestPricing:
             for T in expiries:
                 ham.series_surfaces(desk_model, T, cfg)
                 assert len(ham._SURFACES_CACHE) <= ham._SURFACES_CACHE_SIZE
-            assert (desk_model, expiries[0], cfg) not in ham._SURFACES_CACHE
+            z_lo, z_hi = ham.ham_window(cfg, expiries[0])
+            oldest = dataclasses.replace(cfg, z_min=z_lo, z_max=z_hi)
+            assert (desk_model, expiries[0], oldest) not in ham._SURFACES_CACHE
             last = ham.series_surfaces(desk_model, expiries[-1], cfg)
             assert ham.series_surfaces(desk_model, expiries[-1], cfg) is last
             assert len(ham._SURFACES_CACHE) == ham._SURFACES_CACHE_SIZE
         finally:
             ham._SURFACES_CACHE.clear()
+
+    def test_filled_in_window_shares_the_cached_surface(self, desk_model, build_calls):
+        cfg = HamConfig(m_trunc=1, n_z=41, n_u=5)
+        z_lo, z_hi = ham.ham_window(cfg, 1.0)
+        first = ham.series_surfaces(desk_model, 1.0, cfg)
+        filled = dataclasses.replace(cfg, z_min=z_lo, z_max=z_hi)
+        assert ham.series_surfaces(desk_model, 1.0, filled) is first
+        assert len(build_calls) == 1
 
     def test_deep_in_the_money_refused(self, desk_model):
         state = MarketState(t=0.9, s=10.0, a=300.0, regime=0)
