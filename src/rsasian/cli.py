@@ -268,8 +268,8 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
     return QuadratureSpec(**block.get("quad", {}))
 
 
-def _materialize(cfg: dict) -> tuple[dict, dict]:
-    """Effective config (every default filled in) and its engine config objects by name."""
+def _materialize(cfg: dict) -> tuple[dict, dict, MarketState]:
+    """Effective config (every default filled in), its engine config objects by name, and the state."""
     model = dict(cfg["model"])
     n = len(model["r"])
     model.setdefault("q", [0.0] * n)
@@ -295,7 +295,7 @@ def _materialize(cfg: dict) -> tuple[dict, dict]:
         "state": state,
         "method": method,
         "output": output,
-    }, engines
+    }, engines, mstate
 
 
 def _build_model(model_block: dict) -> RegimeModel:
@@ -369,16 +369,12 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
         }
     if name == "ham":
         res = price_floating_put_ham(state, model, cfg, T)
-        diag = dict(res.diagnostics)
-        diag["term_norms"] = [
-            [float(x) for x in row] for row in diag.get("term_norms", [])
-        ]
         return {
             "method": "ham",
             "price": res.price,
             "error_estimate": None,
             "runtime_ms": done(),
-            "diagnostics": diag,
+            "diagnostics": res.diagnostics,
         }
     # european_rs
     res = price_european_put_rs(
@@ -499,11 +495,9 @@ def _run(command: str, config_path: str) -> int:
             print(f"config invalid: {v}", file=sys.stderr)
         return 2
 
-    effective, engines = _materialize(raw)
+    effective, engines, state = _materialize(raw)
     model = _build_model(effective["model"])
     spec = _build_spec(effective["option"])
-    st = effective["state"]
-    state = MarketState(t=st["t"], s=st["s"], a=st["a"], regime=st["regime"])
     output = effective["output"]
     timings = output["timings"]
 

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
-from .model import MarketState, RegimeModel, validate_model
+from .model import MarketState, RegimeModel, bilinear, validate_model
 
 
 @dataclass(frozen=True)
@@ -69,24 +69,9 @@ class FdSurfaces:
 
     def value(self, t: float, y: float, regime: int) -> float:
         """Bilinear interpolation; refuses points off the grid."""
-        t_lo, t_hi = self.t_nodes[0], self.t_nodes[-1]
-        if not (t_lo <= t <= t_hi):
-            raise InterpolationOutOfRange(f"t={t!r} outside [{t_lo!r}, {t_hi!r}]")
-        if not (self.y_nodes[0] <= y <= self.y_nodes[-1]):
-            raise InterpolationOutOfRange(
-                f"y={y!r} outside [{self.y_nodes[0]!r}, {self.y_nodes[-1]!r}]"
-            )
         if not 0 <= regime < self.values.shape[1]:
             raise InterpolationOutOfRange(f"regime index {regime} out of range")
-        it = min(int(np.searchsorted(self.t_nodes, t, side="right")) - 1, len(self.t_nodes) - 2)
-        iy = min(int(np.searchsorted(self.y_nodes, y, side="right")) - 1, len(self.y_nodes) - 2)
-        wt = (t - self.t_nodes[it]) / (self.t_nodes[it + 1] - self.t_nodes[it])
-        wy = (y - self.y_nodes[iy]) / (self.y_nodes[iy + 1] - self.y_nodes[iy])
-        v = self.values[it : it + 2, regime, iy : iy + 2]
-        return float(
-            (1 - wt) * ((1 - wy) * v[0, 0] + wy * v[0, 1])
-            + wt * ((1 - wy) * v[1, 0] + wy * v[1, 1])
-        )
+        return bilinear(self.values[:, regime], ("t", self.t_nodes, t), ("y", self.y_nodes, y))
 
     def dollar_price(self, state: MarketState) -> float:
         """Price in currency units: ``s * V_i(t, a/s)``."""

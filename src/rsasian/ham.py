@@ -10,6 +10,10 @@ position ``xi`` and source time.
 
 Numerical layout
 ----------------
+A term is one array of shape ``(2, n_u, n_z)``: the regime is its first
+axis, so every step, residual and sum treats both regimes at once and
+regime ``i`` couples to ``1 - i`` by reversing that axis. The
+``d/dz`` a source needs is computed where it is read, never stored.
 Both regimes live on one physical-time grid ``u = T - t``; the kernel
 time for regime ``i`` between levels is ``(sigma_i^2/2) (u_k - u_l)``,
 so no cross-regime time interpolation is ever needed. The ``xi``
@@ -20,11 +24,14 @@ scaled to ``sqrt(tau)`` for the erfc correction piece, which is
 :func:`rsasian.greens.robin_correction`, the function
 :func:`rsasian.greens.greens_function` evaluates. Because spatial
 nodes sit on one lattice with a node exactly at ``z = 0``, the weights
-at one kernel time come from four generator vectors that depend only on
-regime and lag; :func:`build_terms` makes them once per build, and each
-step adds strided Toeplitz and Hankel views of them into a dense matrix,
-one product per lag over all pending source levels. The time integral is a
-trapezoid over grid levels; its ``tau -> 0`` end is the delta identity.
+at one kernel time come from hat lobes on two offset lattices, and the
+lobes the two edge hats lose are slices of the same lobes. The four
+resulting generator vectors depend only on regime and lag;
+:func:`build_terms` makes them once per build, and each step adds
+strided Toeplitz and Hankel views of them into a dense matrix, one
+product per regime and lag over all pending source levels. The time
+integral is a trapezoid over grid levels; its ``tau -> 0`` end is the
+delta identity.
 
 Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
@@ -46,13 +53,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .errors import ExtrapolationRefused, InterpolationOutOfRange, ValidationError
+from .errors import ExtrapolationRefused, ValidationError
 from .european import QuadratureSpec, european_put_grid
 from .greens import robin_correction
 from .model import (
     MarketState,
     PriceResult,
     RegimeModel,
+    bilinear,
     rate_ratios,
     require_two_states,
     validate_model,
@@ -108,19 +116,21 @@ class HamConfig:
 class TermGrid:
     """One series term on the shared grid.
 
-    ``values[i]`` and ``d_dz[i]`` are ``(n_u, n_z)`` arrays for regime
-    ``i``; rows follow ``u_nodes`` (time to maturity), columns follow
-    ``z_nodes``. Arrays are marked read-only on construction.
+    ``values`` has shape ``(2, n_u, n_z)``: regime, then rows along
+    ``u_nodes`` (time to maturity), then columns along ``z_nodes``. A
+    pair of per-regime arrays is stacked on construction. ``d/dz`` is
+    not stored; readers take it with :func:`_deriv_z`. Arrays are marked
+    read-only on construction.
     """
 
     m: int
     z_nodes: np.ndarray
     u_nodes: np.ndarray
-    values: tuple[np.ndarray, np.ndarray]
-    d_dz: tuple[np.ndarray, np.ndarray]
+    values: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.z_nodes, self.u_nodes, *self.values, *self.d_dz):
+        object.__setattr__(self, "values", np.asarray(self.values))
+        for arr in (self.z_nodes, self.u_nodes, self.values):
             arr.setflags(write=False)
 
     def boundary_decay(self, i: int) -> float:
@@ -174,7 +184,7 @@ def _reduced_payoff(z: np.ndarray, T: float) -> np.ndarray:
 
 
 def _floor_far_field(vals: np.ndarray, j0: int, rel: float = 1e-12) -> None:
-    """Zero sub-noise magnitudes on the half-line part of the field.
+    """Zero sub-noise magnitudes on the half-line part of each regime's field.
 
     The recursion feeds each term through an ``e^{z}``-weighted source,
     so roundoff dust in a term's far tail (for instance the quadrature
@@ -183,11 +193,11 @@ def _floor_far_field(vals: np.ndarray, j0: int, rel: float = 1e-12) -> None:
     terms. True terms decay superexponentially out there, so entries
     below ``rel`` of the field's half-line magnitude are dust, not
     signal; zeroing them is well inside the scheme's error budget. One
-    global threshold serves all time rows because the noise floor is
-    absolute while early rows have small genuine content.
+    threshold per regime serves all its time rows because the noise
+    floor is absolute while early rows have small genuine content.
     """
-    half = vals[:, j0:]
-    cut = rel * float(np.max(np.abs(half)))
+    half = vals[..., j0:]
+    cut = rel * np.max(np.abs(half), axis=(-2, -1), keepdims=True)
     np.copyto(half, 0.0, where=np.abs(half) < cut)
 
 
@@ -209,34 +219,19 @@ def initial_guess(model: RegimeModel, grid, mode: str, T: float,
         raise ValidationError(f"unknown initial guess mode {mode!r}")
     if terminal_mode not in _TERMINAL_MODES:
         raise ValidationError(f"unknown terminal_mode {terminal_mode!r}")
-    n_u, n_z = len(u), len(z)
-    vals = [np.zeros((n_u, n_z)), np.zeros((n_u, n_z))]
+    vals = np.zeros((2, len(u), len(z)))
     if mode == "european_rs":
         quad = quad if quad is not None else QuadratureSpec()
         s_vals = np.exp(z)
         damp = np.exp(-z)
         for l, ttm in enumerate(u):
-            both = european_put_grid(model, s_vals, 1.0 / T, float(ttm), quad)
-            vals[0][l] = damp * both[0]
-            vals[1][l] = damp * both[1]
-    else:
-        row = _reduced_payoff(z, T) if terminal_mode == "payoff" else np.zeros(n_z)
-        vals[0][:] = row
-        vals[1][:] = row
-    if terminal_mode == "paper_zero":
-        vals[0][0] = 0.0
-        vals[1][0] = 0.0
-    else:
-        vals[0][0] = _reduced_payoff(z, T)
-        vals[1][0] = _reduced_payoff(z, T)
-    j0 = int(np.argmin(np.abs(np.asarray(z))))
-    _floor_far_field(vals[0], j0)
-    _floor_far_field(vals[1], j0)
-    h = float(z[1] - z[0])
-    d = [_deriv_z(vals[0], h), _deriv_z(vals[1], h)]
+            vals[:, l] = damp * european_put_grid(model, s_vals, 1.0 / T, float(ttm), quad)
+    elif terminal_mode == "payoff":
+        vals[:] = _reduced_payoff(z, T)
+    vals[:, 0] = _reduced_payoff(z, T) if terminal_mode == "payoff" else 0.0
+    _floor_far_field(vals, int(np.argmin(np.abs(np.asarray(z)))))
     return TermGrid(m=0, z_nodes=np.asarray(z, dtype=float),
-                    u_nodes=np.asarray(u, dtype=float),
-                    values=(vals[0], vals[1]), d_dz=(d[0], d[1]))
+                    u_nodes=np.asarray(u, dtype=float), values=vals)
 
 
 # --- kernel weight tables -------------------------------------------------
@@ -308,19 +303,17 @@ def _kernel_generators(z: np.ndarray, j0: int, tau: float, gamma: float):
     n_xi = n_z - j0
     h = float(z[1] - z[0])
     norm = 1.0 / (2.0 * math.sqrt(math.pi * tau))
-    p = np.arange(-(n_z - 1), n_z - j0) * h
+    p = np.arange(-(n_z - 1), n_xi) * h
     ll, rr = _gauss_lobes(p, h, tau)
-    q = np.arange(-j0, n_z - 1 - j0 + n_xi) * h
+    q = np.arange(-j0, n_z - 1 + n_xi - j0) * h
     ll_g, rr_g = _gauss_lobes(q, h, tau)
     ll_r, rr_r = _robin_lobes(q, h, tau, gamma)
-    _, r0 = _gauss_lobes(z - z[j0], h, tau)
-    lN, _ = _gauss_lobes(z - z[-1], h, tau)
-    l0g, _ = _gauss_lobes(z + z[j0], h, tau)
-    l0r, _ = _robin_lobes(z + z[j0], h, tau, gamma)
-    _, rNg = _gauss_lobes(z + z[-1], h, tau)
-    _, rNr = _robin_lobes(z + z[-1], h, tau, gamma)
+    # the clips are slices of the same lobes: z - xi_0 = z is p[a:], z - xi_max
+    # is p[:n_z], z + xi_0 is q[:n_z] and z + xi_max is q[b:]
+    a, b = n_z - 1 - j0, n_xi - 1
     return ((ll + rr) * norm, (ll_g + rr_g + ll_r + rr_r) * norm,
-            (r0 + l0g + l0r) * norm, (lN + rNg + rNr) * norm)
+            (rr[a:] + ll_g[:n_z] + ll_r[:n_z]) * norm,
+            (ll[:n_z] + rr_g[b:] + rr_r[b:]) * norm)
 
 
 def _table(generators, n_xi: int) -> np.ndarray:
@@ -350,18 +343,18 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> list[li
 
 # --- recursion ------------------------------------------------------------
 
-def _source_fields(prev: TermGrid, model: RegimeModel) -> list[np.ndarray]:
-    """Recursion sources ``lam_i (V_i - V_j) - (2 e^z / sigma_i^2) dV_i/dz``."""
-    out = []
-    for i in (0, 1):
-        j = 1 - i
-        lam, _ = rate_ratios(model, i)
-        sig_sq = model.sigma[i] ** 2
-        out.append(
-            lam * (prev.values[i] - prev.values[j])
-            - (2.0 / sig_sq) * np.exp(prev.z_nodes)[None, :] * prev.d_dz[i]
-        )
-    return out
+def _regime_axes(model: RegimeModel):
+    """``(lam, gamma, sigma^2/2)`` per regime, shaped ``(2, 1, 1)`` to broadcast over a term."""
+    ratios = np.array([rate_ratios(model, i) for i in (0, 1)])
+    sig_half = np.array([0.5 * model.sigma[i] ** 2 for i in (0, 1)])
+    return ratios[:, 0, None, None], ratios[:, 1, None, None], sig_half[:, None, None]
+
+
+def _source_fields(prev: TermGrid, model: RegimeModel) -> np.ndarray:
+    """Recursion sources ``lam_i (V_i - V_j) - (2 e^z / sigma_i^2) dV_i/dz``, stacked."""
+    lam, _, sig_half = _regime_axes(model)
+    z, v = prev.z_nodes, prev.values
+    return lam * (v - v[::-1]) - (1.0 / sig_half) * np.exp(z) * _deriv_z(v, float(z[1] - z[0]))
 
 
 def ham_step(prev: TermGrid, model: RegimeModel, generators: list | None = None) -> TermGrid:
@@ -376,61 +369,46 @@ def ham_step(prev: TermGrid, model: RegimeModel, generators: list | None = None)
     require_two_states(model)
     z, u = prev.z_nodes, prev.u_nodes
     n_u, n_z = len(u), len(z)
-    h = float(z[1] - z[0])
     du = float(u[1] - u[0])
     j0 = int(np.argmin(np.abs(z)))
     if abs(float(z[j0])) > 1e-12:
         raise ValidationError("z grid has no node at 0; build it with ham_grid")
     if generators is None:
         generators = _lag_generators(z, u, model)
-    sources = _source_fields(prev, model)
+    _, gamma, sig_half = _regime_axes(model)
+    growth = 0.25 * (1.0 + gamma) ** 2
+    # source with its transform prefactor, (2, n_xi, n_u): column l is level l
+    pref = np.exp(0.5 * (1.0 + gamma) * z[j0:, None]) * np.exp(growth * sig_half * u)
+    s_hat = pref * _source_fields(prev, model)[..., j0:].transpose(0, 2, 1)
 
-    new_vals = []
+    peak = np.max(np.abs(s_hat), axis=(1, 2))
+    tail = np.max(np.abs(s_hat[:, -1]), axis=1)
+    for i in np.flatnonzero((peak > 0.0) & (tail > _SOURCE_TAIL_WARN * peak)):
+        warnings.warn(
+            f"xi-integrand tail at xi_max is {tail[i] / peak[i]:.2e} of its peak "
+            f"(regime {i}, term {prev.m + 1}); widen z_max",
+            stacklevel=2,
+        )
+
+    accum = np.zeros((2, n_z, n_u))
     for i in (0, 1):
-        lam, gamma = rate_ratios(model, i)
-        sig_half = 0.5 * model.sigma[i] ** 2
-        growth = 0.25 * (1.0 + gamma) ** 2
-        xi = z[j0:]
-        # source with its transform prefactor, (n_xi, n_u): column l is level l
-        pref = np.exp(0.5 * (1.0 + gamma) * xi)[:, None] * np.exp(
-            growth * sig_half * u
-        )[None, :]
-        s_hat = pref * sources[i][:, j0:].T
-
-        peak = float(np.max(np.abs(s_hat)))
-        if peak > 0.0:
-            tail = float(np.max(np.abs(s_hat[-1])))
-            if tail > _SOURCE_TAIL_WARN * peak:
-                warnings.warn(
-                    f"xi-integrand tail at xi_max is {tail / peak:.2e} of its peak "
-                    f"(regime {i}, term {prev.m + 1}); widen z_max",
-                    stacklevel=2,
-                )
-
-        accum = np.zeros((n_z, n_u))
         for j in range(1, n_u):
-            conv = _table(generators[i][j - 1], n_z - j0) @ s_hat[:, : n_u - j]
-            accum[:, j] += 0.5 * conv[:, 0]
+            conv = _table(generators[i][j - 1], n_z - j0) @ s_hat[i, :, : n_u - j]
+            accum[i, :, j] += 0.5 * conv[:, 0]
             if j + 1 < n_u:
-                accum[:, j + 1 :] += conv[:, 1 : n_u - j]
-        # delta-identity endpoint: kernel mass lands at xi = |z|, which
-        # falls outside the truncated source range for z < -z_max
-        mirror = np.abs(np.arange(n_z) - j0)
-        inside = mirror <= (n_z - 1 - j0)
-        accum[inside] += 0.5 * s_hat[mirror[inside], :]
-        v_hat = (sig_half * du) * accum
-        v_hat[:, 0] = 0.0
+                accum[i, :, j + 1 :] += conv[:, 1 : n_u - j]
+    # delta-identity endpoint: kernel mass lands at xi = |z|, which
+    # falls outside the truncated source range for z < -z_max
+    mirror = np.abs(np.arange(n_z) - j0)
+    inside = mirror <= (n_z - 1 - j0)
+    accum[:, inside] += 0.5 * s_hat[:, mirror[inside], :]
+    v_hat = (sig_half * du) * accum
+    v_hat[..., 0] = 0.0
 
-        damp = np.exp(-0.5 * (1.0 + gamma) * z)[:, None] * np.exp(
-            -growth * sig_half * u
-        )[None, :]
-        new_vals.append((damp * v_hat).T)
-
-    _floor_far_field(new_vals[0], j0)
-    _floor_far_field(new_vals[1], j0)
-    d = [_deriv_z(new_vals[0], h), _deriv_z(new_vals[1], h)]
-    return TermGrid(m=prev.m + 1, z_nodes=z, u_nodes=u,
-                    values=(new_vals[0], new_vals[1]), d_dz=(d[0], d[1]))
+    damp = np.exp(-0.5 * (1.0 + gamma) * z[:, None]) * np.exp(-growth * sig_half * u)
+    new_vals = (damp * v_hat).transpose(0, 2, 1)
+    _floor_far_field(new_vals, j0)
+    return TermGrid(m=prev.m + 1, z_nodes=z, u_nodes=u, values=new_vals)
 
 
 def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
@@ -455,32 +433,24 @@ def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
     h = float(z[1] - z[0])
     du = float(u[1] - u[0])
     j0 = int(np.argmin(np.abs(z)))
-    sources = _source_fields(prev, model)
-    out = {}
     skip = max(3, int(math.ceil(z_margin / h)))
     lo = j0 + skip
     hi = len(z) - skip
     if hi - lo < 5:
         raise ValidationError("z_margin leaves no interior window")
-    for i in (0, 1):
-        _, gamma = rate_ratios(model, i)
-        sig_half = 0.5 * model.sigma[i] ** 2
-        v = term.values[i]
-        dv_du = (v[2:] - v[:-2]) / (2.0 * du)
-        d1 = term.d_dz[i][1:-1]
-        d2 = np.empty_like(v[1:-1])
-        d2[:, 2:-2] = (
-            -v[1:-1, :-4] + 16.0 * v[1:-1, 1:-3] - 30.0 * v[1:-1, 2:-2]
-            + 16.0 * v[1:-1, 3:-1] - v[1:-1, 4:]
-        ) / (12.0 * h * h)
-        d2[:, :2] = 0.0
-        d2[:, -2:] = 0.0
-        lhs = dv_du / sig_half - d2 - (1.0 + gamma) * d1
-        res = lhs - sources[i][1:-1]
-        window = res[u_margin - 1 : len(u) - 1 - u_margin, lo:hi]
-        scale = float(np.max(np.abs(sources[i])))
-        out[i] = float(np.max(np.abs(window))) / (scale if scale > 0.0 else 1.0)
-    return out
+    _, gamma, sig_half = _regime_axes(model)
+    sources = _source_fields(prev, model)
+    v = term.values[:, 1:-1]
+    dv_du = (term.values[:, 2:] - term.values[:, :-2]) / (2.0 * du)
+    d2 = np.zeros_like(v)
+    d2[..., 2:-2] = (
+        -v[..., :-4] + 16.0 * v[..., 1:-3] - 30.0 * v[..., 2:-2] + 16.0 * v[..., 3:-1] - v[..., 4:]
+    ) / (12.0 * h * h)
+    lhs = dv_du / sig_half - d2 - (1.0 + gamma) * _deriv_z(v, h)
+    window = (lhs - sources[:, 1:-1])[:, u_margin - 1 : len(u) - 1 - u_margin, lo:hi]
+    scale = np.max(np.abs(sources), axis=(1, 2))
+    return {i: float(np.max(np.abs(window[i]))) / (float(scale[i]) if scale[i] > 0.0 else 1.0)
+            for i in (0, 1)}
 
 
 # --- assembly and pricing -------------------------------------------------
@@ -504,22 +474,7 @@ class SeriesSurfaces:
 
     def value(self, u: float, z: float, regime: int, m: int = -1) -> float:
         """Bilinear read of partial sum ``m`` (default: all terms)."""
-        uu, zz = self.u_nodes, self.z_nodes
-        if not (uu[0] <= u <= uu[-1]) or not (zz[0] <= z <= zz[-1]):
-            raise InterpolationOutOfRange(
-                f"(u={u!r}, z={z!r}) outside [{uu[0]}, {uu[-1]}] x [{zz[0]}, {zz[-1]}]"
-            )
-        ku = min(int(np.searchsorted(uu, u, "right")) - 1, len(uu) - 2)
-        kz = min(int(np.searchsorted(zz, z, "right")) - 1, len(zz) - 2)
-        fu = (u - uu[ku]) / (uu[ku + 1] - uu[ku])
-        fz = (z - zz[kz]) / (zz[kz + 1] - zz[kz])
-        v = self.partials[m, regime]
-        return float(
-            v[ku, kz] * (1 - fu) * (1 - fz)
-            + v[ku + 1, kz] * fu * (1 - fz)
-            + v[ku, kz + 1] * (1 - fu) * fz
-            + v[ku + 1, kz + 1] * fu * fz
-        )
+        return bilinear(self.partials[m, regime], ("u", self.u_nodes, u), ("z", self.z_nodes, z))
 
 
 def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
@@ -536,13 +491,9 @@ def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
     norms = []
     for k, t in enumerate(terms):
         w = 1.0 / math.factorial(t.m)
-        total[0] += w * t.values[0]
-        total[1] += w * t.values[1]
+        total += w * t.values
         partials[k] = total
-        norms.append((
-            w * float(np.max(np.abs(t.values[0]))),
-            w * float(np.max(np.abs(t.values[1]))),
-        ))
+        norms.append(tuple((w * np.max(np.abs(t.values), axis=(1, 2))).tolist()))
     return SeriesSurfaces(z_nodes=z, u_nodes=u, partials=partials,
                           term_norms=tuple(norms))
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InterpolationOutOfRange, ValidationError
 
 
 class OptionStyle(enum.Enum):
@@ -248,6 +248,29 @@ def rate_ratios(model: RegimeModel, i: int) -> tuple[float, float]:
     """
     half_var = 0.5 * model.sigma[i] ** 2
     return model.gen[i][i] / half_var, model.r[i] / half_var
+
+
+# --- grid reads ---------------------------------------------------------
+
+def bilinear(surface: np.ndarray, rows: tuple, cols: tuple) -> float:
+    """Bilinear read of a 2-D ``surface``; refuses points off the grid.
+
+    ``rows`` and ``cols`` are ``(name, nodes, point)`` for the two axes
+    of ``surface``; the name labels the refusal.
+    """
+    at, frac = [], []
+    for name, nodes, x in (rows, cols):
+        if not (nodes[0] <= x <= nodes[-1]):
+            raise InterpolationOutOfRange(f"{name}={x!r} outside [{nodes[0]!r}, {nodes[-1]!r}]")
+        k = min(int(np.searchsorted(nodes, x, side="right")) - 1, len(nodes) - 2)
+        at.append(k)
+        frac.append((x - nodes[k]) / (nodes[k + 1] - nodes[k]))
+    (k, j), (wt, wy) = at, frac
+    v = surface[k : k + 2, j : j + 2]
+    return float(
+        (1 - wt) * ((1 - wy) * v[0, 0] + wy * v[0, 1])
+        + wt * ((1 - wy) * v[1, 0] + wy * v[1, 1])
+    )
 
 
 # --- payoffs ------------------------------------------------------------

@@ -203,7 +203,6 @@ def symmetry_mc_check(
     views.
     """
     other_spec, other_model, scale = symmetric_counterpart(spec, model, state)
-    case = symmetry_case(spec, model, state)
     pi = _stationary_law(model)
     rows = []
     rhs_runs = []
@@ -239,8 +238,8 @@ def symmetry_mc_check(
         row = rows[i]
         terminal.append(_comparison(i, row["lhs_price"], row["lhs_se"], rhs_price, rhs_se))
     return {
-        "lhs": case.lhs,
-        "rhs": case.rhs,
+        "lhs": _side_tuple(spec, model, state.s),
+        "rhs": _side_tuple(other_spec, other_model, state.s),
         "scale": scale,
         "per_regime": rows,
         "stationary": {

@@ -18,6 +18,7 @@ from rsasian import (
     FdConfig,
     HamConfig,
     MarketState,
+    RegimeModel,
     assemble_series,
     build_terms,
     greens_function,
@@ -27,6 +28,7 @@ from rsasian import (
     price_floating_put_ham,
     recursion_residual,
     series_dollar_price,
+    two_state_model,
 )
 from rsasian import ham
 
@@ -84,11 +86,7 @@ class TestStructure:
 
     def test_step_is_linear(self, desk_model, desk_terms):
         base = desk_terms[0]
-        doubled = dataclasses.replace(
-            base,
-            values=tuple(2.0 * np.asarray(v) for v in base.values),
-            d_dz=tuple(2.0 * np.asarray(v) for v in base.d_dz),
-        )
+        doubled = dataclasses.replace(base, values=2.0 * base.values)
         one = ham_step(base, desk_model)
         two = ham_step(doubled, desk_model)
         for i in range(2):
@@ -112,19 +110,51 @@ class TestStructure:
         build_terms(desk_model, 1.0, HamConfig(m_trunc=m_trunc, n_z=41, n_u=5))
         assert len(calls) == 2 * (5 - 1)
 
-    def test_tables_integrate_the_shared_kernel(self):
+    @pytest.mark.parametrize("n", [0, 10, -1])
+    def test_tables_integrate_the_shared_kernel(self, n):
         # column n of the table is the hat at xi_n integrated against the
-        # kernel that criterion 4 checks; gamma != 1 keeps the erfc piece live
+        # kernel that criterion 4 checks; gamma != 1 keeps the erfc piece live.
+        # The edge columns (0 and n_xi - 1) are half hats: xi stays in [0, xi_max]
         z, _ = ham_grid(COARSE, 1.0)
         j0 = int(np.argmin(np.abs(z)))
         h = z[1] - z[0]
-        tau, gamma, n = 0.05, 1.5, 10
+        tau, gamma = 0.05, 1.5
         mat = ham._build_tables(z, j0, tau, gamma)
+        n = n % mat.shape[1]
         centre = z[j0 + n]
-        xi = np.linspace(centre - h, centre + h, 20001)
+        xi = np.linspace(max(centre - h, 0.0), min(centre + h, z[-1]), 20001)
         hat = 1.0 - np.abs(xi - centre) / h
         want = np.trapezoid(greens_function(tau, z[:, None], xi[None, :], gamma) * hat, xi, axis=1)
         assert np.max(np.abs(mat[:, n] - want)) < 1e-8
+
+    @pytest.mark.parametrize("guess", ["zero", "european_rs"])
+    @pytest.mark.parametrize("model", ["desk", "asymmetric"])
+    def test_swapping_the_regimes_swaps_the_terms(self, desk_model, model, guess):
+        # regime i of one model is regime 1 - i of the model with r, sigma and
+        # the switch rates exchanged; only the European guess depends on the order
+        first = desk_model if model == "desk" else two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0)
+        swapped = RegimeModel(r=first.r[::-1], sigma=first.sigma[::-1],
+                              gen=tuple(row[::-1] for row in first.gen[::-1]), q=first.q[::-1])
+        cfg = dataclasses.replace(COARSE, initial_guess_mode=guess)
+        for a, b in zip(build_terms(first, 1.0, cfg), build_terms(swapped, 1.0, cfg)):
+            if guess == "zero":
+                assert np.array_equal(a.values, b.values[::-1]), f"term {a.m}"
+            else:
+                gap = np.max(np.abs(a.values - b.values[::-1]))
+                assert gap <= 1e-8 * np.max(np.abs(a.values)), f"term {a.m}: {gap}"
+
+    def test_source_is_the_coupled_recursion_right_side(self):
+        # lam_i (V_i - V_j) - (2 / sigma_i^2) e^z dV_i/dz, regime by regime
+        model = two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0)
+        prev = build_terms(model, 1.0, COARSE)[1]
+        z, v = prev.z_nodes, prev.values
+        got = ham._source_fields(prev, model)
+        for i in (0, 1):
+            sig_sq = model.sigma[i] ** 2
+            lam = 2.0 * model.gen[i][i] / sig_sq
+            dv_dz = ham._deriv_z(v[i], z[1] - z[0])
+            want = lam * (v[i] - v[1 - i]) - (2.0 / sig_sq) * np.exp(z) * dv_dz
+            assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want)), f"regime {i}"
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_recursion_residual_smoke(self, desk_model, desk_terms, m):
