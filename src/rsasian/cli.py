@@ -11,7 +11,8 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
 * ``compare``        one row per engine named in ``method.compare``
 * ``convergence``    partial-sum prices and deltas per added series term,
                      for both initial-guess modes, read off the cached
-                     series surface (:func:`rsasian.ham.series_surfaces`)
+                     series surface (:func:`rsasian.ham.series_surfaces`);
+                     refused (exit 3) where the series clamps at z_max
 * ``symmetry-check`` Monte Carlo on both sides of the fixed/floating
                      equivalence, per starting regime and combined with
                      the chain's stationary weights
@@ -44,7 +45,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 
 import jsonschema
 
-from .errors import NotApplicable, PricingError, ValidationError
+from .errors import ExtrapolationRefused, NotApplicable, PricingError, ValidationError
 from .european import QuadratureSpec, price_european_put_rs
 from .fd import FdConfig, default_y_max, fd_price, richardson_order
 # build_terms and assemble_series are not called here; perfbench/spans.py wraps them on this module
@@ -404,7 +405,11 @@ def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
         surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess))
         previous = None
         for m in range(len(surf.partials)):
-            price, _ = series_dollar_price(surf, state, T, m)
+            price, info = series_dollar_price(surf, state, T, m)
+            if info["clamped"]:
+                z = -math.log(state.a / state.s) if state.a > 0.0 else math.inf
+                raise ExtrapolationRefused(f"z={z:.4f} beyond z_max={info['z']:.4f}: every "
+                                           "partial sum would read the clamped far column")
             rows.append(
                 {
                     "guess_mode": guess,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import DegenerateVolatilities, QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
@@ -64,7 +64,7 @@ def black_scholes_put(
     sq = sigma * math.sqrt(ttm)
     d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * ttm) / sq
     d2 = d1 - sq
-    return k * math.exp(-r * ttm) * norm.cdf(-d2) - s * math.exp(-q * ttm) * norm.cdf(-d1)
+    return k * math.exp(-r * ttm) * ndtr(-d2) - s * math.exp(-q * ttm) * ndtr(-d1)
 
 
 def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.ndarray:

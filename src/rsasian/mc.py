@@ -10,7 +10,8 @@ exact: every path carries the time of its next switch, an exponential
 holding time at the regime's exit rate, and only the paths whose clock
 falls inside a step draw a new regime and a new clock there. The only
 discretization is the trapezoidal approximation of the running integral
-of spot on the base grid, whose bias is O(1 / n_steps^2).
+of spot on the base grid, whose bias is O(1 / n_steps^2). The European
+put reads only S_T, so it takes one step to expiry whatever ``n_steps``.
 
 Reproducibility contract: each fixed-size batch of paths draws from its
 own counter-based stream keyed by ``(seed, batch_index)``, and batch
@@ -36,7 +37,8 @@ _BATCH_SIZE = 250_000  # fixed so that batching never depends on thread count
 
 @dataclass(frozen=True)
 class McConfig:
-    """Path count, average-grid resolution, seed, and antithetic flag."""
+    """Path count, steps per year of the averaging grid (the European put
+    takes one step whatever ``n_steps``), seed, and antithetic flag."""
 
     n_paths: int
     n_steps: int = 252
@@ -106,7 +108,8 @@ def _price_batch(
     anti = cfg.antithetic
     n_units = batch_n // 2 if anti else batch_n
     need_avg = spec.style is not OptionStyle.EUROPEAN_PUT
-    n_base = max(1, int(math.ceil((T - state.t) * cfg.n_steps - 1e-12)))
+    # the European payoff reads only S_T, which one exact step samples
+    n_base = max(1, int(math.ceil((T - state.t) * cfg.n_steps - 1e-12))) if need_avg else 1
     grid = np.linspace(state.t, T, n_base + 1)
     h = (T - state.t) / n_base
     sqrt_h = math.sqrt(h)

@@ -9,6 +9,9 @@ caller's working directory.
 import copy
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -46,6 +49,8 @@ def run(tmp_path, command, cfg, name="cfg"):
 
 TINY_MC = {"mc": {"n_paths": 2000, "n_steps": 16, "seed": 7, "antithetic": True}}
 TINY_HAM = {"ham": {"m_trunc": 2, "n_z": 101, "n_u": 21}}
+# a state inside the series grid; at inception (a = 0) the series clamps to z_max
+MID_LIFE = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
 
 
 class TestPriceCommand:
@@ -125,6 +130,8 @@ class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, command, method, style):
         k = 120.0 if style == "fixed_put" else None
         cfg = base_config(tmp_path, method, style=style, K=k)
+        if command == "convergence":
+            cfg["state"] = dict(MID_LIFE)
         code, report = run(tmp_path, command, cfg)
         assert code == 0
         first = open(report, "rb").read()
@@ -159,7 +166,7 @@ class TestCompareCommand:
 class TestConvergenceCommand:
     def test_table_covers_both_guesses(self, tmp_path):
         cfg = base_config(tmp_path, TINY_HAM)
-        cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+        cfg["state"] = dict(MID_LIFE)
         code, report = run(tmp_path, "convergence", cfg)
         assert code == 0
         lines = open(report).read().splitlines()
@@ -175,7 +182,7 @@ class TestConvergenceCommand:
         ticks = iter(range(1000))  # the clock moves one second per read
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
         cfg = base_config(tmp_path, TINY_HAM, fmt="json")
-        cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+        cfg["state"] = dict(MID_LIFE)
         cfg["output"]["timings"] = True
         code, report = run(tmp_path, "convergence", cfg)
         assert code == 0
@@ -185,10 +192,21 @@ class TestConvergenceCommand:
     def test_compare_reuses_the_convergence_surface(self, tmp_path, build_calls):
         for command, method in (("convergence", TINY_HAM), ("compare", {"compare": TINY_HAM})):
             cfg = base_config(tmp_path, method, name=command)
-            cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+            cfg["state"] = dict(MID_LIFE)
             code, _ = run(tmp_path, command, cfg, name=command)
             assert code == 0
         assert [args[2].initial_guess_mode for args in build_calls] == ["european_rs", "zero"]
+
+    @pytest.mark.parametrize("a,z", [(0.0, "inf"), (1e-3, "11.5129")],
+                             ids=["inception", "past_z_max"])
+    def test_clamped_state_is_refused(self, tmp_path, capsys, a, z):
+        cfg = base_config(tmp_path, TINY_HAM)
+        cfg["state"] = dict(MID_LIFE, a=a)
+        code, report = run(tmp_path, "convergence", cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"z={z} beyond z_max=9.1546" in err, err
+        assert not os.path.exists(report), "a refused table writes no report"
 
 
 class TestSymmetryCommand:
@@ -286,7 +304,7 @@ class TestFailureModes:
 
     def test_symmetry_requires_inception(self, tmp_path, capsys):
         cfg = base_config(tmp_path, TINY_MC)
-        cfg["state"] = {"t": 0.5, "s": 100.0, "a": 50.0, "regime": 0}
+        cfg["state"] = dict(MID_LIFE)
         code, _ = run(tmp_path, "symmetry-check", cfg)
         assert code == 2
         assert "t = 0" in capsys.readouterr().err
@@ -309,3 +327,17 @@ class TestFailureModes:
         code = main(["price", "--config", str(path)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats about doubles the CLI's import time and adds a third to
+        # its memory; a fresh interpreter shows whether anything pulls it in
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        probe = ("import sys, rsasian.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]", proc.stdout

@@ -51,8 +51,8 @@ class TestEuropeanCheck:
         assert abs(z) < 3.5, f"z = {z:.2f} (mc {est.price:.4f} vs bs {want:.4f})"
 
     def test_step_count_does_not_bias_european(self, flat_model):
-        # terminal sampling is exact for any step count; only the seed-path
-        # alignment differs, so agreement is statistical
+        # the European put takes one exact step whatever n_steps, so the two
+        # runs differ by their seeds and agreement is statistical
         spec = AsianOptionSpec(style="european_put", T=1.0, K=100.0)
         coarse = mc_price(
             spec, INCEPTION, flat_model, McConfig(n_paths=100_000, n_steps=1, seed=19)
@@ -62,6 +62,18 @@ class TestEuropeanCheck:
         )
         se = np.hypot(coarse.std_error, fine.std_error)
         assert abs(coarse.price - fine.price) < 3.5 * se
+
+    @pytest.mark.parametrize("state", [INCEPTION, MarketState(t=0.3, s=100.0, a=20.0, regime=1)],
+                             ids=["inception", "mid_life"])
+    def test_european_ignores_the_step_count(self, desk_model, state):
+        # the payoff reads only S_T, so n_steps must not touch the stream
+        spec = AsianOptionSpec(style="european_put", T=1.0, K=100.0)
+        ests = [
+            mc_price(spec, state, desk_model,
+                     McConfig(n_paths=20_000, n_steps=n, seed=31, antithetic=True))
+            for n in (1, 64, 252)
+        ]
+        assert ests[0] == ests[1] == ests[2], ests
 
 
 class TestDeterminism:
@@ -199,4 +211,28 @@ class TestChainLaw:
         for j in range(model.n_states):
             got = (est.terminal_price[j] + s0 * regime_law[j]) / strike
             zs.append((got - disc_law[j]) / (est.terminal_se[j] / strike))
+        assert max(abs(z) for z in zs) < 4.0, f"z = {np.round(zs, 2)}"
+
+    @pytest.mark.parametrize("name", sorted(_CHAIN_MODELS))
+    def test_average_law_on_the_base_grid(self, name):
+        # A fixed put struck above every reachable average pays K * D - D * A / T,
+        # and D * S_t = S_0 * exp(-integral of r over [t, T]) given the chain, so
+        # E[D * S_t * 1{X_T = j}] = S_0 * [expm(G t) expm((G - diag r)(T - t))]_0j.
+        # The reference sums these by the trapezoid rule on the MC base grid,
+        # so it carries no discretization bias and the many-step loop is tested.
+        model = _CHAIN_MODELS[name]
+        s0, strike, n_steps = 100.0, 200.0, 252
+        spec = AsianOptionSpec(style="fixed_put", T=1.0, K=strike)
+        est = mc_price(spec, INCEPTION, model, McConfig(40_000, n_steps, seed=43))
+        gen = model.gen_array()
+        killed = gen - np.diag(model.r_array())
+        grid = np.linspace(0.0, spec.T, n_steps + 1)
+        weights = np.full(grid.size, spec.T / n_steps)
+        weights[[0, -1]] *= 0.5
+        avg_law = sum(w * (expm(gen * t) @ expm(killed * (spec.T - t)))[0]
+                      for w, t in zip(weights, grid))
+        want = strike * expm(killed * spec.T)[0] - s0 / spec.T * avg_law
+        zs = [(est.price - want.sum()) / est.std_error]
+        for j in range(model.n_states):
+            zs.append((est.terminal_price[j] - want[j]) / est.terminal_se[j])
         assert max(abs(z) for z in zs) < 4.0, f"z = {np.round(zs, 2)}"
