@@ -5,20 +5,35 @@ over spot). The characteristic at y = 0 flows into the domain, so the
 treatment there is pure transport.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsasian import (
     FdConfig,
     InterpolationOutOfRange,
     MarketState,
+    RegimeModel,
+    ValidationError,
     default_y_max,
     fd_price,
     richardson_order,
     two_state_model,
 )
+from rsasian import fd
 
 INCEPTION = MarketState(t=0.0, s=100.0, a=0.0, regime=0)
+
+THREE_STATE = RegimeModel(
+    r=(0.05, 0.03, 0.01),
+    sigma=(0.3, 0.2, 0.4),
+    gen=((-1.5, 1.0, 0.5), (0.3, -0.7, 0.4), (2.0, 1.0, -3.0)),
+    q=(0.01, 0.0, 0.02),
+)
 
 # converged desk-model reference from a 3200 x 3200 grid
 DESK_REFERENCE = 4.977686
@@ -85,3 +100,100 @@ class TestVariants:
         a = raw.dollar_price(INCEPTION)
         b = desk_surface.dollar_price(INCEPTION)
         assert np.isclose(a, b, rtol=2e-3), f"no-smoothing {a} vs default {b}"
+
+
+@pytest.fixture(params=["desk", "three_state"])
+def any_model(request, desk_model):
+    return desk_model if request.param == "desk" else THREE_STATE
+
+
+class TestEarlyStop:
+    """``t_min`` stops the march at the last level at or below it."""
+
+    @pytest.mark.parametrize("t_min", [0.37, 0.5, 1.0])
+    def test_kept_levels_are_the_full_march_sliced(self, any_model, t_min):
+        cfg = FdConfig(n_y=60, n_t=100)
+        full = fd_price(any_model, 1.0, cfg)
+        short = fd_price(any_model, 1.0, replace(cfg, t_min=t_min))
+        first = min(np.flatnonzero(full.t_nodes <= t_min)[-1], cfg.n_t - 1)
+        assert short.t_nodes[0] <= t_min
+        assert np.array_equal(short.t_nodes, full.t_nodes[first:])
+        assert np.array_equal(short.values, full.values[first:])
+        assert np.array_equal(short.y_nodes, full.y_nodes)
+
+    def test_richardson_matches_the_full_march(self, any_model, monkeypatch):
+        state = MarketState(t=0.5, s=100.0, a=60.0, regime=1)
+        cfg = FdConfig(y_max=default_y_max(1.0, 0.6), n_y=50, n_t=50)
+        got = richardson_order(any_model, 1.0, cfg, state)
+        monkeypatch.setattr(fd, "fd_price", lambda m, T, c: fd_price(m, T, replace(c, t_min=None)))
+        want = richardson_order(any_model, 1.0, cfg, state)
+        assert got == want
+
+    def test_read_before_the_first_level_is_refused(self, desk_model):
+        surf = fd_price(desk_model, 1.0, FdConfig(n_y=40, n_t=40, t_min=0.5))
+        with pytest.raises(InterpolationOutOfRange, match="t="):
+            surf.value(surf.t_nodes[0] - 0.01, 0.5, 0)
+
+    @pytest.mark.parametrize("t_min", [-0.1, math.nan])
+    def test_negative_t_min_is_rejected(self, t_min):
+        with pytest.raises(ValidationError, match="t_min"):
+            FdConfig(t_min=t_min)
+
+    def test_t_min_past_expiry_is_rejected(self, desk_model):
+        with pytest.raises(ValidationError, match="t_min"):
+            fd_price(desk_model, 1.0, FdConfig(n_y=40, n_t=40, t_min=1.5))
+
+    def test_state_at_expiry_still_prices(self, any_model):
+        surf = fd_price(any_model, 1.0, FdConfig(n_y=40, n_t=40, t_min=1.0))
+        assert len(surf.t_nodes) == 2
+        state = MarketState(t=1.0, s=100.0, a=150.0, regime=0)
+        assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
+
+
+class TestOperator:
+    """``_spatial_operator`` applied to a quadratic in y in each regime.
+
+    Central differences are exact on quadratics, so the interior rows
+    give the generator itself; the edges give their one-sided formulas.
+    """
+
+    def test_rows_discretise_the_generator(self, any_model):
+        n_states, n = any_model.n_states, 41
+        y = np.linspace(0.0, 3.0, n)
+        h = y[1] - y[0]
+        c = np.array([[0.7, -0.4, 1.3], [0.2, 0.9, -0.5], [1.1, 0.3, 0.25]])[:n_states]
+        v = c[:, :1] + c[:, 1:2] * y + c[:, 2:] * y**2  # (n_states, n)
+        dv, d2v = c[:, 1:2] + 2 * c[:, 2:] * y, 2 * c[:, 2:] * np.ones_like(y)
+        got = (fd._spatial_operator(any_model, y) @ v.T.reshape(-1)).reshape(n, n_states).T
+        r, q, sig = (np.array(x)[:, None] for x in (any_model.r, any_model.q, any_model.sigma))
+        gen = any_model.gen_array()
+        coupling = np.array([sum(gen[i, k] * (v[k] - v[i]) for k in range(n_states) if k != i)
+                             for i in range(n_states)])
+        adv = 1.0 - (r - q) * y
+        want = adv * dv + 0.5 * sig**2 * y**2 * d2v - q * v + coupling
+        # far field: the one-sided slope (V_N - V_{N-1}) / h, no curvature
+        want[:, -1] = adv[:, -1] * (v[:, -1] - v[:, -2]) / h - q[:, 0] * v[:, -1] + coupling[:, -1]
+        # y = 0: transport with the one-sided second-order slope
+        slope0 = (-3 * v[:, 0] + 4 * v[:, 1] - v[:, 2]) / (2 * h)
+        want[:, 0] = adv[:, 0] * slope0 - q[:, 0] * v[:, 0] + coupling[:, 0]
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+_rates = st.floats(0.0, 0.1)
+_vols = st.floats(0.05, 0.8)
+_switch = st.floats(0.0, 10.0)
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        params=st.tuples(_rates, _rates, _vols, _vols, _switch, _switch,
+                         st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+        T=st.floats(0.1, 3.0),
+        n_y=st.integers(3, 60),
+        n_t=st.integers(3, 60),
+    )
+    def test_random_two_state_surfaces_are_monotone_in_y(self, params, T, n_y, n_t):
+        surf = fd_price(two_state_model(*params), T, FdConfig(n_y=n_y, n_t=n_t))
+        assert surf.monotone_in_y(), f"min step {np.diff(surf.values, axis=2).min()}"

@@ -1,7 +1,11 @@
 """Tests for the market model, option spec, state, and payoff primitives."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsasian import (
     AsianOptionSpec,
@@ -83,6 +87,40 @@ class TestRegimeModel:
         half_var = 0.5 * 0.3**2
         assert np.isclose(lam, desk_model.gen[0][0] / half_var), f"lam {lam}"
         assert np.isclose(gamma, 0.05 / half_var), f"gamma {gamma}"
+
+
+@st.composite
+def _malformed_generator(draw):
+    """A generator with one broken row, the fault and the message that must name it."""
+    n = draw(st.integers(2, 3))
+    gen = [[draw(st.floats(0.0, 10.0)) if j != i else 0.0 for j in range(n)] for i in range(n)]
+    for i, row in enumerate(gen):
+        row[i] = -sum(row)
+    i = draw(st.integers(0, n - 1))
+    size = draw(st.floats(1e-3, 10.0))
+    fault = draw(st.sampled_from(["negative", "diagonal", "row_sum"]))
+    if fault == "negative":
+        j = draw(st.sampled_from([j for j in range(n) if j != i]))
+        gen[i][j] = -size
+        gen[i][i] = -sum(a for k, a in enumerate(gen[i]) if k != i)
+        message = f"generator entry [{i}][{j}] negative"
+    elif fault == "diagonal":
+        gen[i][i] = size
+        message = f"generator diagonal [{i}][{i}] positive"
+    else:
+        gen[i][i] -= size
+        message = f"generator row {i} sums to"
+    return tuple(map(tuple, gen)), message
+
+
+class TestMalformedGenerators:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_malformed_generator())
+    def test_rejection_names_the_entry(self, case):
+        gen, message = case
+        model = RegimeModel(r=(0.05,) * len(gen), sigma=(0.3,) * len(gen), gen=gen)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate_model(model)
 
 
 class TestOptionSpec:
