@@ -265,7 +265,7 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
         if fc.y_max is None:
             y0 = state.a / state.s if state.t > 0.0 else 0.0
             fc = replace(fc, y_max=default_y_max(T, y0))
-        return fc if fc.t_min is not None else replace(fc, t_min=state.t)
+        return replace(fc, t_min=state.t)
     return QuadratureSpec(**block.get("quad", {}))
 
 

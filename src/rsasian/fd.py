@@ -41,8 +41,8 @@ class FdConfig:
     refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time;
     callers holding a state should pass ``default_y_max(T, y0)``.
     ``t_min`` is the earliest calendar time the surface must cover, so
-    the time domain is ``[t_min, T]``; ``None`` resolves to 0, and
-    callers holding a state should pass ``state.t``.
+    the time domain is ``[t_min, T]``; ``None`` resolves to 0. The CLI
+    always sets it to ``state.t``, whatever a config holds.
     """
 
     y_max: float | None = None

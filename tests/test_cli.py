@@ -248,6 +248,21 @@ class TestMethodBlocks:
         if name == "ham":
             assert set(block["guess_quad"]) == _field_names(QuadratureSpec)
 
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    def test_fd_t_min_is_always_the_state_time(self, tmp_path, command):
+        reports = []
+        for name, extra in (("unset", {}), ("early", {"t_min": 0.0}), ("late", {"t_min": 0.9})):
+            fd = {"n_y": 32, "n_t": 32, **extra}
+            method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
+            cfg = base_config(tmp_path, method, fmt="json", name=name)
+            cfg["state"] = dict(MID_LIFE)
+            code, report = run(tmp_path, command, cfg, name=name)
+            assert code == 0, name
+            block = json.loads(open(report + ".effective.json").read())["method"]
+            assert (block["compare"] if command == "compare" else block)["fd"]["t_min"] == 0.5
+            reports.append(open(report, "rb").read())
+        assert reports[0] == reports[1] == reports[2]
+
     def test_unknown_mode_names_its_path(self, tmp_path, capsys):
         cfg = base_config(tmp_path, {"ham": {"terminal_mode": "nope"}})
         code, _ = run(tmp_path, "price", cfg)
