@@ -25,13 +25,14 @@ scaled to ``sqrt(tau)`` for the erfc correction piece, which is
 :func:`rsasian.greens.greens_function` evaluates. Because spatial
 nodes sit on one lattice with a node exactly at ``z = 0``, the weights
 at one kernel time come from hat lobes on two offset lattices, and the
-lobes the two edge hats lose are slices of the same lobes. The four
-resulting generator vectors depend only on regime and lag;
-:func:`build_terms` makes them once per build, and each step adds
-strided Toeplitz and Hankel views of them into a dense matrix, one
-product per regime and lag over all pending source levels. The time
-integral is a trapezoid over grid levels; its ``tau -> 0`` end is the
-delta identity.
+lobes the two edge hats lose are slices of the same lobes. Stacked by
+lag, the resulting generators (Toeplitz ``w1``, Hankel ``w2``, one clip
+per edge hat) make the sum over source nodes and levels linear 2-D
+convolutions in ``(xi, u)``. :func:`build_terms` transforms them once;
+a step costs two forward and one inverse 2-D ``numpy.fft`` transform per
+regime, and its roundoff stays below the ``1e-12`` far-field floor. The
+time integral is a trapezoid over grid levels; its ``tau -> 0`` end is
+the delta identity.
 
 Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
@@ -50,7 +51,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ExtrapolationRefused, ValidationError
@@ -316,29 +316,52 @@ def _kernel_generators(z: np.ndarray, j0: int, tau: float, gamma: float):
             (ll[:n_z] + rr_g[b:] + rr_r[b:]) * norm)
 
 
-def _table(generators, n_xi: int) -> np.ndarray:
-    """Dense table from :func:`_kernel_generators`: entry ``(k, n)`` integrates
-    hat ``n`` against the kernel at ``z_k``. Dense keeps empty far-field
-    entries at exact zero, where the ``e^{(3 + gamma) xi / 2}`` source
-    prefactor would otherwise amplify convolution dust."""
-    w1, w2, c0, c_n = generators
-    n_z = len(c0)
-    mat = sliding_window_view(w1[::-1], n_xi)[n_z - 1::-1] + sliding_window_view(w2, n_xi)[:n_z]
-    mat[:, 0] -= c0
-    mat[:, -1] -= c_n
-    return mat
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer ``>= n``, a length ``numpy.fft`` transforms quickly."""
+    p = range(n.bit_length() + 1)
+    return min(m for a in p for b in p for c in p if (m := 2 ** a * 3 ** b * 5 ** c) >= n)
 
 
-def _build_tables(z: np.ndarray, j0: int, tau: float, gamma: float) -> np.ndarray:
-    """Dense weight matrix for one regime and one kernel time."""
-    return _table(_kernel_generators(z, j0, tau, gamma), len(z) - j0)
+def _kernel_key(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
+    """What the lag weights depend on: the grid and each regime's ``sigma^2/2`` and ``gamma``."""
+    j0 = int(np.argmin(np.abs(z)))
+    if abs(float(z[j0])) > 1e-12:
+        raise ValidationError("z grid has no node at 0; build it with ham_grid")
+    _, gamma, sig_half = _regime_axes(model)
+    return {"n_z": len(z), "n_u": len(u), "h": float(z[1] - z[0]), "j0": j0,
+            "du": float(u[1] - u[0]), "sigma^2/2": sig_half.ravel().tolist(),
+            "gamma": gamma.ravel().tolist()}
 
 
-def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> list[list[tuple]]:
-    """``gens[i][j - 1]``: :func:`_kernel_generators` for regime ``i`` at lag ``j``."""
-    j0, du = int(np.argmin(np.abs(z))), float(u[1] - u[0])
-    return [[_kernel_generators(z, j0, 0.5 * model.sigma[i] ** 2 * j * du, rate_ratios(model, i)[1])
-             for j in range(1, len(u))] for i in (0, 1)]
+def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
+    """:func:`_kernel_key` plus, per regime, the ``spectra`` of the lag-stacked ``w1``,
+    ``w2`` and negated clips (these shifted to the rows read); column ``j`` is lag ``j``."""
+    kernel = _kernel_key(z, u, model)
+    n_z, n_u, j0, du = kernel["n_z"], kernel["n_u"], kernel["j0"], kernel["du"]
+    n_xi = n_z - j0
+    kernel["shape"] = (_fast_len(n_z + n_xi - 1), _fast_len(2 * n_u - 1))
+    kernel["spectra"] = np.empty((2, 4, kernel["shape"][0], kernel["shape"][1] // 2 + 1), complex)
+    for i, (sig_half, gamma) in enumerate(zip(kernel["sigma^2/2"], kernel["gamma"])):
+        stack = np.zeros((4, n_z + n_xi - 1, n_u))
+        for j in range(1, n_u):
+            w = _kernel_generators(z, j0, sig_half * j * du, gamma)
+            stack[:2, :, j], stack[2:, n_xi - 1:, j] = w[:2], np.negative(w[2:])
+        for p in range(4):  # one plane at a time keeps the padded transform buffers small
+            kernel["spectra"][i, p] = np.fft.rfft2(stack[p], kernel["shape"])
+    return kernel
+
+
+def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
+    """``sum_{j >= 1} mat_j @ s_half[i, :, t - j]`` for each regime ``i`` and level ``t``,
+    ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring."""
+    n_xi, shape = s_half.shape[1], kernel["shape"]
+    out = np.empty((2, kernel["n_z"], kernel["n_u"]))
+    for i, spec in enumerate(kernel["spectra"]):
+        planes = np.fft.rfft2(np.stack((s_half[i], s_half[i, ::-1])), shape)
+        edges = np.fft.rfft(s_half[i, (0, -1), None], shape[1])
+        total = np.sum(spec[:2] * planes, axis=0) + np.sum(spec[2:] * edges, axis=0)
+        out[i] = np.fft.irfft2(total, shape)[n_xi - 1: n_xi - 1 + kernel["n_z"], :kernel["n_u"]]
+    return out
 
 
 # --- recursion ------------------------------------------------------------
@@ -357,24 +380,23 @@ def _source_fields(prev: TermGrid, model: RegimeModel) -> np.ndarray:
     return lam * (v - v[::-1]) - (1.0 / sig_half) * np.exp(z) * _deriv_z(v, float(z[1] - z[0]))
 
 
-def ham_step(prev: TermGrid, model: RegimeModel, generators: list | None = None) -> TermGrid:
+def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict | None = None) -> TermGrid:
     """Series term ``m`` from term ``m - 1``.
 
     Solves the transformed heat problem by the kernel double integral:
     trapezoid over source levels in physical time (the zero-lag endpoint
     is the delta identity), exact-plus-panel hat weights over ``xi``.
-    The returned term is zero at ``u = 0`` by construction. ``generators``
-    is :func:`_lag_generators` of the grid, built here if not given.
+    The returned term is zero at ``u = 0`` by construction. ``kernel`` is
+    :func:`_lag_generators` of this grid and model (built if not given).
     """
     require_two_states(model)
     z, u = prev.z_nodes, prev.u_nodes
-    n_u, n_z = len(u), len(z)
-    du = float(u[1] - u[0])
-    j0 = int(np.argmin(np.abs(z)))
-    if abs(float(z[j0])) > 1e-12:
-        raise ValidationError("z grid has no node at 0; build it with ham_grid")
-    if generators is None:
-        generators = _lag_generators(z, u, model)
+    key = _kernel_key(z, u, model)
+    kernel = _lag_generators(z, u, model) if kernel is None else kernel
+    for name, wanted in key.items():
+        if kernel[name] != wanted:
+            raise ValidationError(f"lag kernel built for {name}={kernel[name]}, not {wanted}")
+    n_z, j0, du = key["n_z"], key["j0"], key["du"]
     _, gamma, sig_half = _regime_axes(model)
     growth = 0.25 * (1.0 + gamma) ** 2
     # source with its transform prefactor, (2, n_xi, n_u): column l is level l
@@ -390,13 +412,9 @@ def ham_step(prev: TermGrid, model: RegimeModel, generators: list | None = None)
             stacklevel=2,
         )
 
-    accum = np.zeros((2, n_z, n_u))
-    for i in (0, 1):
-        for j in range(1, n_u):
-            conv = _table(generators[i][j - 1], n_z - j0) @ s_hat[i, :, : n_u - j]
-            accum[i, :, j] += 0.5 * conv[:, 0]
-            if j + 1 < n_u:
-                accum[i, :, j + 1 :] += conv[:, 1 : n_u - j]
+    # level 0 is the trapezoid's end point, so it enters with half weight
+    s_half = np.concatenate((0.5 * s_hat[..., :1], s_hat[..., 1:]), axis=-1)
+    accum = _kernel_integral(kernel, s_half)
     # delta-identity endpoint: kernel mass lands at xi = |z|, which
     # falls outside the truncated source range for z < -z_max
     mirror = np.abs(np.arange(n_z) - j0)
@@ -503,12 +521,12 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGri
     validate_model(model)
     require_two_states(model)
     grid = ham_grid(config, T)
-    generators = _lag_generators(*grid, model)
+    kernel = _lag_generators(*grid, model)
     terms = [initial_guess(model, grid, config.initial_guess_mode, T,
                            terminal_mode=config.terminal_mode,
                            quad=config.guess_quad)]
     for _ in range(config.m_trunc):
-        terms.append(ham_step(terms[-1], model, generators))
+        terms.append(ham_step(terms[-1], model, kernel))
     return terms
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsasian import (
@@ -163,3 +163,37 @@ class TestPanelFactorisedSum:
         want = discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k) * dense
         got = european_put_grid(model, s_values, k, ttm)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, k)
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.tuples(_rates, _rates, _vols, _vols, _switch, _switch),
+        moneyness=st.floats(0.2, 5.0),
+        k=st.floats(1.0, 200.0),
+        ttm=st.floats(0.01, 3.0),
+        regime=st.integers(0, 1),
+    )
+    def test_price_lies_between_the_no_arbitrage_bounds(self, params, moneyness, k, ttm, regime):
+        # no dividends: (D_i - s)^+ <= P_i <= D_i, D_i the expected discounted
+        # strike, to within the price's own error estimate: at short maturities
+        # the spectral sum misses a bound by up to ~1e-5, inside that estimate
+        assume(abs(params[2] ** 2 - params[3] ** 2) >= 1e-6)
+        model = two_state_model(*params)
+        s = k * moneyness
+        d = discounted_strike_vector(model, k, ttm)[regime]
+        res = price_european_put_rs(model, s, k, 0.0, ttm, regime)
+        lo, hi = max(d - s, 0.0) - res.error_estimate, d + res.error_estimate
+        assert lo <= res.price <= hi, f"{res.price} outside [{lo}, {hi}]"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=_rates, sigma=_vols, q=_rates, rates=st.tuples(_switch, _switch),
+        s=st.floats(1.0, 500.0), k=st.floats(1.0, 500.0),
+        T=st.floats(0.01, 3.0), t_share=st.floats(0.0, 1.0), regime=st.integers(0, 1),
+    )
+    def test_coinciding_regimes_price_as_black_scholes(self, r, sigma, q, rates, s, k, T,
+                                                      t_share, regime):
+        model = two_state_model(r, r, sigma, sigma, *rates, q, q)
+        got = price_european_put_rs(model, s, k, t_share * T, T, regime).price
+        assert got == black_scholes_put(s, k, r, sigma, T - t_share * T, q)

@@ -197,3 +197,24 @@ class TestProperties:
     def test_random_two_state_surfaces_are_monotone_in_y(self, params, T, n_y, n_t):
         surf = fd_price(two_state_model(*params), T, FdConfig(n_y=n_y, n_t=n_t))
         assert surf.monotone_in_y(), f"min step {np.diff(surf.values, axis=2).min()}"
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        params=st.tuples(_rates, _rates, _vols, _vols, _switch, _switch,
+                         st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+        T=st.floats(0.1, 3.0),
+        t_share=st.floats(0.01, 1.0),
+        y_share=st.floats(0.0, 0.99),
+        s=st.floats(1.0, 1000.0),
+        scale=st.floats(0.01, 100.0),
+        regime=st.integers(0, 1),
+    )
+    def test_random_two_state_prices_are_homogeneous(self, params, T, t_share, y_share, s,
+                                                      scale, regime):
+        # the price at (scale s, scale a) is scale times the price at (s, a)
+        surf = fd_price(two_state_model(*params), T, FdConfig(n_y=40, n_t=40))
+        t, a = t_share * T, s * y_share * surf.y_nodes[-1]
+        base = surf.dollar_price(MarketState(t=t, s=s, a=a, regime=regime))
+        scaled = surf.dollar_price(MarketState(t=t, s=scale * s, a=scale * a, regime=regime))
+        want = scale * base
+        assert abs(scaled - want) <= 1e-10 * abs(want), f"{scaled} vs {want}"

@@ -19,6 +19,7 @@ from rsasian import (
     HamConfig,
     MarketState,
     RegimeModel,
+    ValidationError,
     assemble_series,
     build_terms,
     greens_function,
@@ -112,20 +113,87 @@ class TestStructure:
 
     @pytest.mark.parametrize("n", [0, 10, -1])
     def test_tables_integrate_the_shared_kernel(self, n):
-        # column n of the table is the hat at xi_n integrated against the
-        # kernel that criterion 4 checks; gamma != 1 keeps the erfc piece live.
-        # The edge columns (0 and n_xi - 1) are half hats: xi stays in [0, xi_max]
-        z, _ = ham_grid(COARSE, 1.0)
+        # the weights the step applies to a unit source at xi_n, read two
+        # levels later, are the hat at xi_n integrated against the kernel that
+        # criterion 4 checks. sigma = 1 and r = 0.75 give tau = (sigma^2/2) 2 du
+        # = 0.05 and gamma = 1.5, which keeps the erfc piece live. The edge
+        # nodes (0 and n_xi - 1) are half hats: xi stays in [0, xi_max]
+        model = two_state_model(0.75, 0.75, 1.0, 1.0, 1.0, 1.0)
+        z, u = ham_grid(COARSE, 1.0)
         j0 = int(np.argmin(np.abs(z)))
         h = z[1] - z[0]
-        tau, gamma = 0.05, 1.5
-        mat = ham._build_tables(z, j0, tau, gamma)
-        n = n % mat.shape[1]
+        tau, gamma, lag = 0.05, 1.5, 2
+        assert 0.5 * model.sigma[0] ** 2 * lag * (u[1] - u[0]) == pytest.approx(tau, rel=1e-15)
+        assert ham.rate_ratios(model, 0)[1] == gamma
+        source = np.zeros((2, len(z) - j0, len(u)))
+        n = n % source.shape[1]
+        source[:, n, 0] = 1.0
+        weights = ham._kernel_integral(ham._lag_generators(z, u, model), source)[0, :, lag]
         centre = z[j0 + n]
         xi = np.linspace(max(centre - h, 0.0), min(centre + h, z[-1]), 20001)
         hat = 1.0 - np.abs(xi - centre) / h
         want = np.trapezoid(greens_function(tau, z[:, None], xi[None, :], gamma) * hat, xi, axis=1)
-        assert np.max(np.abs(mat[:, n] - want)) < 1e-8
+        assert np.max(np.abs(weights - want)) < 1e-8
+
+    @pytest.mark.parametrize("guess", ["zero", "european_rs"])
+    @pytest.mark.parametrize("model", ["desk", "asymmetric"])
+    def test_convolution_matches_the_dense_lag_products(self, desk_model, monkeypatch,
+                                                        model, guess):
+        # reference: the lag sum as one dense table product per regime and lag,
+        # with the generators _lag_generators asked for; gamma != 1 in both regimes
+        model = desk_model if model == "desk" else two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0)
+        cfg = dataclasses.replace(COARSE, m_trunc=4, initial_guess_mode=guess)
+        z, u = ham_grid(cfg, 1.0)
+        calls = []
+        make = ham._kernel_generators
+        monkeypatch.setattr(ham, "_kernel_generators",
+                            lambda *args: calls.append((args, make(*args))) or calls[-1][1])
+        kernel = ham._lag_generators(z, u, model)
+        monkeypatch.undo()
+        n_z, n_u, du = len(z), len(u), u[1] - u[0]
+        for c, (args, _) in enumerate(calls):
+            i, j = divmod(c, n_u - 1)
+            tau = 0.5 * model.sigma[i] ** 2 * (j + 1) * du
+            assert args[2:] == (tau, ham.rate_ratios(model, i)[1]), f"regime {i}, lag {j + 1}"
+        gens = [[out for _, out in calls[i * (n_u - 1):(i + 1) * (n_u - 1)]] for i in (0, 1)]
+
+        def dense(_, s_half):
+            n_xi = s_half.shape[1]
+            k, n = np.ogrid[:n_z, :n_xi]
+            accum = np.zeros((2, n_z, n_u))
+            for i in (0, 1):
+                for j in range(1, n_u):
+                    w1, w2, c0, c_n = gens[i][j - 1]
+                    mat = w1[k - n + n_xi - 1] + w2[k + n]
+                    mat[:, 0] -= c0
+                    mat[:, -1] -= c_n
+                    accum[i, :, j:] += mat @ s_half[i, :, : n_u - j]
+            return accum
+
+        terms = build_terms(model, 1.0, cfg)
+        for prev, fast in zip(terms, terms[1:]):
+            with monkeypatch.context() as patch:
+                patch.setattr(ham, "_kernel_integral", dense)
+                slow = ham_step(prev, model, kernel)
+            gap = np.max(np.abs(fast.values - slow.values))
+            assert gap <= 1e-13 * np.max(np.abs(slow.values)), f"term {fast.m}: {gap}"
+
+    @pytest.mark.parametrize("other, name", [
+        (dict(T=2.0), "du"),
+        (dict(n_z=121), "n_z"),
+        (dict(n_u=31), "n_u"),
+        (dict(model=two_state_model(0.06, 0.03, 0.3, 0.2, 1.0, 1.0)), "gamma"),
+    ])
+    def test_kernel_for_another_grid_or_model_is_refused(self, desk_model, other, name):
+        # the window is fixed, so a kernel for T = 2 differs from the step's
+        # grid only in du, the spacing of its lag times
+        cfg = dataclasses.replace(COARSE, z_min=-3.0, z_max=9.0)
+        prev = ham.initial_guess(desk_model, ham_grid(cfg, 1.0), "zero", 1.0)
+        built = dict(T=1.0, n_z=cfg.n_z, n_u=cfg.n_u, model=desk_model) | other
+        grid = ham_grid(dataclasses.replace(cfg, n_z=built["n_z"], n_u=built["n_u"]), built["T"])
+        kernel = ham._lag_generators(*grid, built["model"])
+        with pytest.raises(ValidationError, match=rf"lag kernel built for {name}="):
+            ham_step(prev, desk_model, kernel)
 
     @pytest.mark.parametrize("guess", ["zero", "european_rs"])
     @pytest.mark.parametrize("model", ["desk", "asymmetric"])
