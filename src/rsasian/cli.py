@@ -399,10 +399,10 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
 def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
                       state: MarketState, timings: bool) -> list[dict]:
     T = spec.T
-    rows = []
+    rows, kernels = [], {}
     for guess in ("european_rs", "zero"):
         done = _timer(timings)
-        surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess))
+        surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess), kernels)
         previous = None
         for m in range(len(surf.partials)):
             price, info = series_dollar_price(surf, state, T, m)

@@ -11,9 +11,9 @@ Gaussian-decaying integrand. This is exact for unequal rates, unequal
 dividend yields, and any coupling strength.
 
 The integral is a Gauss-Legendre rule of ``P`` equal panels, so a node is
-``mid_p + offset_g`` and ``e^{i omega x}`` factors by panel: per regime one
-``(P, 20) @ (20, n_x)`` product times the ``(P, n_x)`` panel phase, summed
-over panels, ``(P + 20) n_x`` exponentials instead of ``20 P n_x``.
+``mid_p + offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are a
+running product of ``e^{2 i mid_0 x}``, one ``(20, P) @ (P, n_x)`` product per
+regime sums the panels, and the ``(20, n_x)`` offset phases finish the rule.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import DegenerateVolatilities, QuadratureNotConverged, ValidationEr
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
 
 _RULES = ("gauss_legendre_panels", "adaptive")
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,10 @@ def _panel_spectrum(model: RegimeModel, ttm: float, omega_max: float, n_panels: 
     """Gauss-Legendre rule of equal panels on ``[0, omega_max]`` and its
     weighted transform terms: ``(mid (P,), offsets (20,), terms (2, P, 20))``,
     where node ``(p, g)`` is ``mid[p] + offsets[g]``."""
-    x, w = np.polynomial.legendre.leggauss(20)
     half = 0.5 * omega_max / n_panels
     mid = (2.0 * np.arange(n_panels) + 1.0) * half
-    e_terms = _spectral_terms(model, (mid[:, None] + half * x).ravel(), ttm)
-    return mid, half * x, e_terms.reshape(2, n_panels, 20) * (half * w)
+    e_terms = _spectral_terms(model, (mid[:, None] + half * _GL_NODES).ravel(), ttm)
+    return mid, half * _GL_NODES, e_terms.reshape(2, n_panels, 20) * (half * _GL_WEIGHTS)
 
 
 def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: float,
@@ -137,8 +137,10 @@ def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: flo
     """Put values for both regimes, shape (2, n_s), from :func:`_panel_spectrum`."""
     mid, offsets, terms = spectrum
     x = np.log(s_values / k)
-    inner = terms @ np.exp(1j * np.outer(offsets, x))  # (2, P, n_s)
-    w_vals = (inner * np.exp(1j * np.outer(mid, x))).real.sum(axis=1) / math.pi
+    phase = np.empty((len(mid), len(x)), complex)
+    phase[0], phase[1:] = np.exp(1j * mid[0] * x), np.exp(2j * mid[0] * x)
+    panels = terms.transpose(0, 2, 1) @ np.cumprod(phase, axis=0)  # (2, 20, n_s)
+    w_vals = (panels * np.exp(1j * np.outer(offsets, x))).real.sum(axis=1) / math.pi
     return discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k)[None, :] * w_vals
 
 

@@ -190,9 +190,9 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
             rhs *= 0.5 * dt
             rhs += v
             v = solve_imp.solve(rhs)
-        if not np.all(np.isfinite(v)):
-            raise LinearSolveFailure("non-finite values in the implicit solve")
         levels[-2 - step] = v.reshape(-1, n_states)
+    if not np.all(np.isfinite(levels[first:])):
+        raise LinearSolveFailure("non-finite values in the implicit solve")
 
     values = levels[first:].transpose(0, 2, 1)
     values.setflags(write=False)

@@ -41,7 +41,9 @@ grid oracles arbitrate the rest.
 
 :func:`series_surfaces` builds the terms once per ``(model, T, config)``
 and caches every partial sum; pricing, the CLI convergence table and
-:func:`ham_vs_fd_report` all read from it.
+:func:`ham_vs_fd_report` all read from it. The lag kernel depends only on
+the grid and the model, so the builds of one command share it through a
+memo the command owns; no module-level cache keeps it.
 """
 
 from __future__ import annotations
@@ -236,24 +238,18 @@ def initial_guess(model: RegimeModel, grid, mode: str, T: float,
 
 # --- kernel weight tables -------------------------------------------------
 
-def _gauss_lobes(d: np.ndarray, h: float, tau: float):
+def _gauss_lobes(v: np.ndarray, h: float, tau: float):
     """Exact left/right hat-lobe integrals of ``exp(-t^2/4 tau)``.
 
-    ``lobe_l(d)`` integrates the rising half over ``[d-h, d]`` and
-    ``lobe_r(d)`` the falling half over ``[d, d+h]``.
+    At each inner node ``d`` of the step-``h`` lattice ``v``, ``lobe_l(d)`` integrates the
+    rising half over ``[d-h, d]`` and ``lobe_r(d)`` the falling half over ``[d, d+h]``.
     """
     root = math.sqrt(tau)
-
-    def F(v):
-        return math.sqrt(math.pi) * root * erf(v / (2.0 * root))
-
-    def Gm(v):
-        return -2.0 * tau * np.exp(-(v * v) / (4.0 * tau))
-
-    f_lo, f_mid, f_hi = F(d - h), F(d), F(d + h)
-    g_lo, g_mid, g_hi = Gm(d - h), Gm(d), Gm(d + h)
-    lobe_l = ((g_mid - g_lo) - (d - h) * (f_mid - f_lo)) / h
-    lobe_r = ((d + h) * (f_hi - f_mid) - (g_hi - g_mid)) / h
+    f = math.sqrt(math.pi) * root * erf(v / (2.0 * root))
+    g = -2.0 * tau * np.exp(-(v * v) / (4.0 * tau))
+    df, dg = np.diff(f), np.diff(g)
+    lobe_l = (dg[:-1] - v[:-2] * df[:-1]) / h
+    lobe_r = (v[2:] * df[1:] - dg[1:]) / h
     return lobe_l, lobe_r
 
 
@@ -303,14 +299,14 @@ def _kernel_generators(z: np.ndarray, j0: int, tau: float, gamma: float):
     n_xi = n_z - j0
     h = float(z[1] - z[0])
     norm = 1.0 / (2.0 * math.sqrt(math.pi * tau))
-    p = np.arange(-(n_z - 1), n_xi) * h
-    ll, rr = _gauss_lobes(p, h, tau)
-    q = np.arange(-j0, n_z - 1 + n_xi - j0) * h
-    ll_g, rr_g = _gauss_lobes(q, h, tau)
-    ll_r, rr_r = _robin_lobes(q, h, tau, gamma)
+    # p = (-(n_z - 1) .. n_xi - 1) h and q = (-j0 .. n_z - 2 + n_xi - j0) h lie on
+    # one lattice: q starts a = n_z - 1 - j0 nodes after p
+    a, b = n_z - 1 - j0, n_xi - 1
+    ll_u, rr_u = _gauss_lobes(np.arange(-n_z, n_z + n_xi - j0) * h, h, tau)
+    ll, rr, ll_g, rr_g = ll_u[:n_z + b], rr_u[:n_z + b], ll_u[a:], rr_u[a:]
+    ll_r, rr_r = _robin_lobes(np.arange(-j0, n_z - 1 + n_xi - j0) * h, h, tau, gamma)
     # the clips are slices of the same lobes: z - xi_0 = z is p[a:], z - xi_max
     # is p[:n_z], z + xi_0 is q[:n_z] and z + xi_max is q[b:]
-    a, b = n_z - 1 - j0, n_xi - 1
     return ((ll + rr) * norm, (ll_g + rr_g + ll_r + rr_r) * norm,
             (rr[a:] + ll_g[:n_z] + ll_r[:n_z]) * norm,
             (ll[:n_z] + rr_g[b:] + rr_r[b:]) * norm)
@@ -516,12 +512,20 @@ def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
                           term_norms=tuple(norms))
 
 
-def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGrid]:
-    """Terms ``0..m_trunc`` for the configured grid and modes."""
+def build_terms(model: RegimeModel, T: float, config: HamConfig,
+                kernels: dict | None = None) -> list[TermGrid]:
+    """Terms ``0..m_trunc`` for the configured grid and modes; ``kernels``, a memo of
+    :func:`_lag_generators` by :func:`_kernel_key`, shares one kernel across builds."""
     validate_model(model)
     require_two_states(model)
+    if any(q != 0.0 for q in model.q):
+        raise ValidationError(f"model.q={list(model.q)}: the series engine prices only q = 0")
     grid = ham_grid(config, T)
-    kernel = _lag_generators(*grid, model)
+    kernels = {} if kernels is None else kernels
+    key = repr(_kernel_key(*grid, model))
+    if key not in kernels:
+        kernels[key] = _lag_generators(*grid, model)
+    kernel = kernels[key]
     terms = [initial_guess(model, grid, config.initial_guess_mode, T,
                            terminal_mode=config.terminal_mode,
                            quad=config.guess_quad)]
@@ -533,17 +537,19 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGri
 _SURFACES_CACHE: dict = {}
 
 
-def series_surfaces(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurfaces:
+def series_surfaces(model: RegimeModel, T: float, config: HamConfig,
+                    kernels: dict | None = None) -> SeriesSurfaces:
     """The series surface for ``(model, T, config)``, built on first use.
 
     The key carries :func:`ham_window`, so a filled-in default window
     shares the entry. The newest ``_SURFACES_CACHE_SIZE`` surfaces are kept.
+    A build passes ``kernels`` to :func:`build_terms`.
     """
     z_lo, z_hi = ham_window(config, T)
     key = (model, T, replace(config, z_min=z_lo, z_max=z_hi))
     hit = _SURFACES_CACHE.get(key)
     if hit is None:
-        hit = assemble_series(build_terms(model, T, config))
+        hit = assemble_series(build_terms(model, T, config, kernels))
         _SURFACES_CACHE[key] = hit
         if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
             del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
@@ -644,11 +650,12 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
         },
         "modes": [],
     }
+    kernels = {}
     for terminal_mode in _TERMINAL_MODES:
         for guess_mode in _GUESS_MODES:
             cfg = replace(base, terminal_mode=terminal_mode,
                           initial_guess_mode=guess_mode)
-            surf = series_surfaces(model, T, cfg)
+            surf = series_surfaces(model, T, cfg, kernels)
             z_top = float(surf.z_nodes[-1])
             prices = [[s * surf.value(T, z_top, i, m) for m in range(len(surf.partials))]
                       for i in (0, 1)]

@@ -64,9 +64,9 @@ class RegimeModel:
         ``j != i`` is the intensity of switching from regime ``i`` to
         ``j``; ``gen[i][i] = -sum of the off-diagonal row entries``.
     q:
-        Per-regime continuous dividend yields; defaults to zero. Only
-        the Monte Carlo oracle, the FD oracle, and the fixed/floating
-        symmetry exercise nonzero dividends.
+        Per-regime continuous dividend yields; defaults to zero. The
+        series engine refuses nonzero dividends; the other engines and
+        the fixed/floating symmetry price them.
     """
 
     r: tuple[float, ...]

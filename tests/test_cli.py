@@ -16,7 +16,7 @@ import types
 
 import pytest
 
-from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli
+from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli, ham
 from rsasian.cli import main
 
 MODEL = {
@@ -197,6 +197,22 @@ class TestConvergenceCommand:
             assert code == 0
         assert [args[2].initial_guess_mode for args in build_calls] == ["european_rs", "zero"]
 
+    def test_one_lag_kernel_per_command(self, tmp_path, monkeypatch, build_calls):
+        # both guess modes share the grid and model, so one kernel serves the
+        # command; nothing keeps it, so a build after the surfaces are dropped
+        # makes it again
+        kernels = []
+        make = ham._lag_generators
+        monkeypatch.setattr(ham, "_lag_generators",
+                            lambda *args: kernels.append(args) or make(*args))
+        cfg = base_config(tmp_path, TINY_HAM)
+        cfg["state"] = dict(MID_LIFE)
+        assert run(tmp_path, "convergence", cfg)[0] == 0
+        assert (len(build_calls), len(kernels)) == (2, 1)
+        ham._SURFACES_CACHE.clear()
+        assert run(tmp_path, "convergence", cfg)[0] == 0
+        assert (len(build_calls), len(kernels)) == (4, 2)
+
     @pytest.mark.parametrize("a,z", [(0.0, "inf"), (1e-3, "11.5129")],
                              ids=["inception", "past_z_max"])
     def test_clamped_state_is_refused(self, tmp_path, capsys, a, z):
@@ -323,6 +339,17 @@ class TestFailureModes:
         code, _ = run(tmp_path, "symmetry-check", cfg)
         assert code == 2
         assert "t = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["convergence", "compare"])
+    def test_series_engine_refuses_dividends(self, tmp_path, capsys, command):
+        method = TINY_HAM if command == "convergence" else {"compare": TINY_HAM}
+        cfg = base_config(tmp_path, method)
+        cfg["model"]["q"] = [0.04, 0.02]
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "config invalid: model.q=[0.04, 0.02]" in capsys.readouterr().err
+        assert not os.path.exists(report)
 
     def test_numerical_refusal_exits_three(self, tmp_path, capsys):
         cfg = base_config(tmp_path, TINY_HAM)

@@ -28,6 +28,7 @@ from rsasian import (
     two_state_model,
 )
 from rsasian import european
+from rsasian.ham import HamConfig, ham_grid
 
 S0, K, T = 100.0, 100.0, 1.0
 
@@ -163,6 +164,24 @@ class TestPanelFactorisedSum:
         want = discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k) * dense
         got = european_put_grid(model, s_values, k, ttm)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, k)
+
+    def test_series_guess_levels_match_the_per_panel_phases(self, desk_model):
+        # every level the series guess reads on the default grid; its shortest
+        # maturity, u = 0.01, takes the most panels and the longest running product
+        z, u = ham_grid(HamConfig(), 1.0)
+        s_values, n_rho = np.exp(z), QuadratureSpec().n_rho
+        panels = []
+        for ttm in u[1:]:
+            omega_max, n_panels = european._exact_grid_sizes(desk_model, ttm, z[-1], n_rho)
+            mid, offsets, terms = european._panel_spectrum(desk_model, ttm, omega_max, n_panels)
+            inner = terms @ np.exp(1j * np.outer(offsets, z))
+            direct = (inner * np.exp(1j * np.outer(mid, z))).real.sum(axis=1) / math.pi
+            want = (discounted_strike_vector(desk_model, 1.0, ttm)[:, None]
+                    + np.sqrt(s_values) * direct)
+            got = european_put_grid(desk_model, s_values, 1.0, ttm)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f"u = {ttm}"
+            panels.append(n_panels)
+        assert max(panels) == panels[0] == 243
 
 
 class TestProperties:

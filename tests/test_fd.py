@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rsasian import (
     FdConfig,
     InterpolationOutOfRange,
+    LinearSolveFailure,
     MarketState,
     RegimeModel,
     ValidationError,
@@ -128,6 +129,25 @@ class TestEarlyStop:
         monkeypatch.setattr(fd, "fd_price", lambda m, T, c: fd_price(m, T, replace(c, t_min=None)))
         want = richardson_order(any_model, 1.0, cfg, state)
         assert got == want
+
+    def test_non_finite_level_is_refused(self, desk_model, monkeypatch):
+        # one mid-march solve returns a NaN; the march is checked once, at its end
+        splu = fd.spla.splu
+
+        class OneBadSolve:
+            def __init__(self, matrix):
+                self.lu, self.calls = splu(matrix), 0
+
+            def solve(self, rhs):
+                self.calls += 1
+                out = self.lu.solve(rhs)
+                if self.calls == 8:
+                    out[3] = np.nan
+                return out
+
+        monkeypatch.setattr(fd.spla, "splu", OneBadSolve)
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30, t_min=0.5))
 
     def test_read_before_the_first_level_is_refused(self, desk_model):
         surf = fd_price(desk_model, 1.0, FdConfig(n_y=40, n_t=40, t_min=0.5))

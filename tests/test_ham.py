@@ -85,6 +85,12 @@ class TestStructure:
             for i in range(2):
                 assert not np.asarray(term.values[i]).any(), f"term {term.m}"
 
+    def test_dividends_are_refused(self):
+        # the recursion has no q term: the series would price a q > 0 model as q = 0
+        model = two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 1.0, 0.04, 0.02)
+        with pytest.raises(ValidationError, match=r"model\.q=\[0\.04, 0\.02\]"):
+            build_terms(model, 1.0, COARSE)
+
     def test_step_is_linear(self, desk_model, desk_terms):
         base = desk_terms[0]
         doubled = dataclasses.replace(base, values=2.0 * base.values)
@@ -339,10 +345,16 @@ class TestComparisonReport:
             for probe in mode["probes"]:
                 assert np.isfinite(probe["gap"]) and probe["fd"] >= 0.0
 
-    def test_repeated_report_builds_nothing(self, desk_model, build_calls):
+    def test_repeated_report_builds_nothing(self, desk_model, build_calls, monkeypatch):
+        kernels = []
+        make = ham._lag_generators
+        monkeypatch.setattr(ham, "_lag_generators",
+                            lambda *args: kernels.append(args) or make(*args))
         kwargs = dict(config=HamConfig(m_trunc=2, n_z=41, n_u=5),
                       fd_config=FdConfig(n_y=50, n_t=50))
         first = ham_vs_fd_report(desk_model, 1.0, **kwargs)
         assert len(build_calls) == 4, "one build per mode combination"
+        assert len(kernels) == 1, "the four builds share one lag kernel"
         assert ham_vs_fd_report(desk_model, 1.0, **kwargs) == first
         assert len(build_calls) == 4, "the second report reads the cached surfaces"
+        assert len(kernels) == 1
