@@ -41,7 +41,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, fields, replace
 
 import jsonschema
 
@@ -59,13 +59,16 @@ from .ham import (
     series_surfaces,
 )
 from .mc import McConfig, mc_price
-from .model import AsianOptionSpec, MarketState, OptionStyle, RegimeModel, validate_model
+from .model import (
+    FIXED_STYLES,
+    FLOATING_STYLES,
+    AsianOptionSpec,
+    MarketState,
+    OptionStyle,
+    RegimeModel,
+    validate_model,
+)
 from .symmetry import symmetry_mc_check
-
-_STYLES = tuple(style.value for style in OptionStyle)
-_FLOATING_STYLES = tuple(s for s in _STYLES if s.startswith("floating_"))
-_FIXED_STYLES = tuple(s for s in _STYLES if s.startswith("fixed_"))
-_SYMMETRY_STYLES = _FLOATING_STYLES + _FIXED_STYLES
 
 _NUM = {"type": "number"}
 _NUM_OR_NULL = {"type": ["number", "null"]}
@@ -78,7 +81,7 @@ def _block_schema(cls) -> dict:
     """Method-block schema for a config dataclass, one optional key per field.
 
     A field's ``enum`` metadata (the engine module's mode tuple) becomes a
-    JSON enum; a dataclass-typed field becomes a nested block.
+    JSON enum.
     """
     hints = typing.get_type_hints(cls)
     props = {}
@@ -86,8 +89,6 @@ def _block_schema(cls) -> dict:
         hint = hints[f.name]
         if "enum" in f.metadata:
             props[f.name] = {"enum": list(f.metadata["enum"])}
-        elif is_dataclass(hint):
-            props[f.name] = _block_schema(hint)
         else:
             types = [_JSON_TYPES[a] for a in (typing.get_args(hint) or (hint,))]
             props[f.name] = {"type": types[0] if len(types) == 1 else types}
@@ -129,7 +130,7 @@ _CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["style", "T"],
             "properties": {
-                "style": {"enum": list(_STYLES)},
+                "style": {"enum": [style.value for style in OptionStyle]},
                 "T": {"type": "number", "exclusiveMinimum": 0},
                 "K": _NUM_OR_NULL,
                 "multiplier": {"type": "number", "exclusiveMinimum": 0},
@@ -224,9 +225,10 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     if state.get("t", 0.0) > option["T"]:
         bad.append(f"state.t: {state['t']} exceeds option.T = {option['T']}")
     style = option["style"]
-    if style in _FLOATING_STYLES and option.get("K") is not None:
+    floating = OptionStyle(style) in FLOATING_STYLES
+    if floating and option.get("K") is not None:
         bad.append("option.K: must be null for floating styles")
-    if style not in _FLOATING_STYLES and option.get("multiplier", 1.0) != 1.0:
+    if not floating and option.get("multiplier", 1.0) != 1.0:
         bad.append("option.multiplier: only floating styles use the multiplier")
     method_name = next(iter(cfg["method"]))
     if method_name not in _COMMAND_METHODS[command]:
@@ -242,7 +244,7 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     if method_name == "european_rs" and style != "european_put":
         bad.append("option.style: method 'european_rs' prices european_put only")
     if command == "symmetry-check":
-        if style not in _SYMMETRY_STYLES:
+        if OptionStyle(style) not in FLOATING_STYLES + FIXED_STYLES:
             bad.append(f"option.style: no fixed/floating counterpart for '{style}'")
         if state.get("t", 0.0) != 0.0 or state.get("a", 0.0) != 0.0:
             bad.append("state.t: symmetry-check requires t = 0 and a = 0")
@@ -252,10 +254,7 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
 def _engine_config(name: str, block: dict, T: float, state: MarketState):
     """One engine's config object, every default resolved."""
     if name == "ham":
-        kwargs = dict(block)
-        if "guess_quad" in kwargs:
-            kwargs["guess_quad"] = QuadratureSpec(**kwargs["guess_quad"])
-        hc = HamConfig(**kwargs)
+        hc = HamConfig(**block)
         z_min, z_max = ham_window(hc, T)
         return replace(hc, z_min=z_min, z_max=z_max)
     if name == "mc":

@@ -14,12 +14,17 @@ The integral is a Gauss-Legendre rule of ``P`` equal panels, so a node is
 ``mid_p + offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are a
 running product of ``e^{2 i mid_0 x}``, one ``(20, P) @ (P, n_x)`` product per
 regime sums the panels, and the ``(20, n_x)`` offset phases finish the rule.
+
+:func:`price_european_put_rs` refines that rule until its error estimate
+meets the :class:`QuadratureSpec` tolerance, or refuses, and clips the result
+to the no-arbitrage bounds. :func:`european_put_grid`, the bulk path of the
+series guess, makes one pass on the grid sized from ``n_rho``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -28,30 +33,26 @@ from scipy.special import ndtr
 from .errors import DegenerateVolatilities, QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
 
-_RULES = ("gauss_legendre_panels", "adaptive")
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_PANEL_BLOCK = 2048
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for the spectral integral.
 
-    ``rule`` is ``"gauss_legendre_panels"`` (fixed composite rule) or
-    ``"adaptive"`` (node count and cutoff grow until the estimate
-    stabilizes within tolerance). The frequency grid is sized from the
-    model; ``n_rho`` is a floor on its node count.
+    The frequency grid is sized from the model; ``n_rho`` is a floor on its
+    node count. :func:`price_european_put_rs` refines the grid until its
+    error estimate is within ``max(abs_tol, rel_tol * |price|)``.
     """
 
     n_rho: int = 2000
-    rule: str = field(default="gauss_legendre_panels", metadata={"enum": _RULES})
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
 
     def __post_init__(self):
         if self.n_rho < 16:
             raise ValidationError("n_rho not >= 16")
-        if self.rule not in _RULES:
-            raise ValidationError(f"unknown quadrature rule {self.rule!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValidationError("quadrature tolerances must be > 0")
 
@@ -125,11 +126,17 @@ def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float, n_min: int):
 def _panel_spectrum(model: RegimeModel, ttm: float, omega_max: float, n_panels: int):
     """Gauss-Legendre rule of equal panels on ``[0, omega_max]`` and its
     weighted transform terms: ``(mid (P,), offsets (20,), terms (2, P, 20))``,
-    where node ``(p, g)`` is ``mid[p] + offsets[g]``."""
+    where node ``(p, g)`` is ``mid[p] + offsets[g]``. The terms are made
+    ``_PANEL_BLOCK`` panels at a time, so the transform's temporaries stay
+    small when a refined price needs millions of nodes."""
     half = 0.5 * omega_max / n_panels
     mid = (2.0 * np.arange(n_panels) + 1.0) * half
-    e_terms = _spectral_terms(model, (mid[:, None] + half * _GL_NODES).ravel(), ttm)
-    return mid, half * _GL_NODES, e_terms.reshape(2, n_panels, 20) * (half * _GL_WEIGHTS)
+    terms = np.empty((2, n_panels, 20), complex)
+    for p in range(0, n_panels, _PANEL_BLOCK):
+        nodes = (mid[p:p + _PANEL_BLOCK, None] + half * _GL_NODES).ravel()
+        terms[:, p:p + _PANEL_BLOCK] = _spectral_terms(model, nodes, ttm).reshape(2, -1, 20)
+    terms *= half * _GL_WEIGHTS
+    return mid, half * _GL_NODES, terms
 
 
 def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: float,
@@ -177,10 +184,14 @@ def price_european_put_rs(
 ) -> PriceResult:
     """European put price for the starting regime, with an error estimate.
 
-    The quadrature error estimate combines the change under node
-    doubling with the last panel's contribution; the adaptive rule
-    refines until it falls below tolerance and raises
-    :class:`QuadratureNotConverged` if it cannot.
+    The quadrature error estimate combines the change under node halving
+    with the last panel's contribution. Each pass that misses
+    ``max(quad.abs_tol, quad.rel_tol * |price|)`` doubles the panels and
+    stretches the cutoff by 1.3; after six refinements the call raises
+    :class:`QuadratureNotConverged`. The converged price is clipped to the
+    no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``D`` the expected
+    discounted strike and ``Q`` the expected dividend discount; a clip that
+    moves the price records the unclipped value as ``unclipped_price``.
     """
     validate_model(model)
     require_two_states(model)
@@ -213,7 +224,7 @@ def price_european_put_rs(
         tail = float(np.abs(fine[2][regime, -1]).sum()) * math.sqrt(s * k) / math.pi
         err = abs(price - coarse) + tail
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
-        if quad.rule != "adaptive" or err <= tol:
+        if err <= tol:
             break
         attempts += 1
         if attempts > 6:
@@ -222,5 +233,11 @@ def price_european_put_rs(
             )
         omega_max, n_panels = omega_max * 1.3, n_panels * 2
 
-    return PriceResult(price=price, method="european_rs", error_estimate=err,
-                       diagnostics={"nodes": (omega_max, n_panels)})
+    diagnostics = {"nodes": (omega_max, n_panels)}
+    d = discounted_strike_vector(model, k, ttm)[regime]
+    q_disc = discounted_strike_vector(model.swap_rates_dividends(), 1.0, ttm)[regime]
+    clipped = min(max(price, d - s * q_disc, 0.0), d)
+    if clipped != price:
+        diagnostics["unclipped_price"] = price
+    return PriceResult(price=float(clipped), method="european_rs", error_estimate=err,
+                       diagnostics=diagnostics)

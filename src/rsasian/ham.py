@@ -56,7 +56,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ExtrapolationRefused, ValidationError
-from .european import QuadratureSpec, european_put_grid
+from .european import european_put_grid
 from .greens import robin_correction
 from .model import (
     MarketState,
@@ -99,7 +99,6 @@ class HamConfig:
     z_max: float | None = None
     terminal_mode: str = field(default="payoff", metadata={"enum": _TERMINAL_MODES})
     initial_guess_mode: str = field(default="european_rs", metadata={"enum": _GUESS_MODES})
-    guess_quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if self.m_trunc < 1:
@@ -204,8 +203,7 @@ def _floor_far_field(vals: np.ndarray, j0: int, rel: float = 1e-12) -> None:
 
 
 def initial_guess(model: RegimeModel, grid, mode: str, T: float,
-                  terminal_mode: str = "payoff",
-                  quad: QuadratureSpec | None = None) -> TermGrid:
+                  terminal_mode: str = "payoff") -> TermGrid:
     """Term 0 on ``grid = (z_nodes, u_nodes)``.
 
     ``mode="european_rs"`` maps the reduced state to a European put:
@@ -223,11 +221,10 @@ def initial_guess(model: RegimeModel, grid, mode: str, T: float,
         raise ValidationError(f"unknown terminal_mode {terminal_mode!r}")
     vals = np.zeros((2, len(u), len(z)))
     if mode == "european_rs":
-        quad = quad if quad is not None else QuadratureSpec()
         s_vals = np.exp(z)
         damp = np.exp(-z)
         for l, ttm in enumerate(u):
-            vals[:, l] = damp * european_put_grid(model, s_vals, 1.0 / T, float(ttm), quad)
+            vals[:, l] = damp * european_put_grid(model, s_vals, 1.0 / T, float(ttm))
     elif terminal_mode == "payoff":
         vals[:] = _reduced_payoff(z, T)
     vals[:, 0] = _reduced_payoff(z, T) if terminal_mode == "payoff" else 0.0
@@ -527,8 +524,7 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig,
         kernels[key] = _lag_generators(*grid, model)
     kernel = kernels[key]
     terms = [initial_guess(model, grid, config.initial_guess_mode, T,
-                           terminal_mode=config.terminal_mode,
-                           quad=config.guess_quad)]
+                           terminal_mode=config.terminal_mode)]
     for _ in range(config.m_trunc):
         terms.append(ham_step(terms[-1], model, kernel))
     return terms

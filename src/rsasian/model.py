@@ -41,8 +41,9 @@ class OptionStyle(enum.Enum):
     EUROPEAN_PUT = "european_put"
 
 
-_FIXED_STYLES = (OptionStyle.FIXED_PUT, OptionStyle.FIXED_CALL)
-_FLOATING_STYLES = (OptionStyle.FLOATING_PUT, OptionStyle.FLOATING_CALL)
+# cash-strike (average-rate) and average-strike styles
+FIXED_STYLES = (OptionStyle.FIXED_PUT, OptionStyle.FIXED_CALL)
+FLOATING_STYLES = (OptionStyle.FLOATING_PUT, OptionStyle.FLOATING_CALL)
 
 
 def _as_tuple(values) -> tuple[float, ...]:
@@ -190,7 +191,7 @@ class AsianOptionSpec:
             object.__setattr__(self, "style", OptionStyle(self.style))
         if not (self.T > 0.0):
             raise ValidationError(f"T not > 0 (got {self.T!r})")
-        if self.style in _FIXED_STYLES or self.style is OptionStyle.EUROPEAN_PUT:
+        if self.style in FIXED_STYLES or self.style is OptionStyle.EUROPEAN_PUT:
             if self.K is None or not (self.K > 0.0):
                 raise ValidationError(f"K required and > 0 for style {self.style.value}")
         if not (self.strike_multiplier > 0.0):

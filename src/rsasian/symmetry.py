@@ -35,13 +35,14 @@ three views side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import NotApplicable, ValidationError
 from .mc import McConfig, mc_price
 from .model import (
+    FIXED_STYLES,
     AsianOptionSpec,
     MarketState,
     OptionStyle,
@@ -56,32 +57,9 @@ _PAIRED = {
     OptionStyle.FLOATING_PUT: OptionStyle.FIXED_CALL,
 }
 
-_FIXED = (OptionStyle.FIXED_CALL, OptionStyle.FIXED_PUT)
-
-
-@dataclass(frozen=True)
-class SymmetryCase:
-    """One equivalence instance in six-argument report notation.
-
-    Each side reads ``(spot, strike_or_multiplier, r_role, q_role,
-    t_star, T)`` with the rate vectors spelled out, so a report row can
-    be audited against the statement it instantiates. ``scale`` is the
-    factor multiplying the right-hand price: ``lhs = scale * rhs``.
-    """
-
-    lhs: tuple
-    rhs: tuple
-    scale: float
-
-    def __post_init__(self):
-        if self.lhs[0] != self.rhs[0] or self.lhs[5] != self.rhs[5]:
-            raise ValidationError("symmetry case sides disagree on spot or expiry")
-        if not (self.scale > 0.0):
-            raise ValidationError(f"symmetry scale must be positive, got {self.scale!r}")
-
 
 def _moneyness(spec: AsianOptionSpec, s0: float) -> float:
-    if spec.style in _FIXED:
+    if spec.style in FIXED_STYLES:
         return spec.K / s0
     return spec.strike_multiplier
 
@@ -116,7 +94,7 @@ def symmetric_counterpart(
     if not (mu > 0.0):
         raise ValidationError(f"moneyness must be positive, got {mu!r}")
     new_style = _PAIRED[spec.style]
-    if new_style in _FIXED:
+    if new_style in FIXED_STYLES:
         new_spec = AsianOptionSpec(style=new_style, T=spec.T, K=s0 / mu)
     else:
         new_spec = AsianOptionSpec(style=new_style, T=spec.T, strike_multiplier=1.0 / mu)
@@ -124,22 +102,8 @@ def symmetric_counterpart(
 
 
 def _side_tuple(spec: AsianOptionSpec, model: RegimeModel, s0: float) -> tuple:
-    strike_arg = spec.K if spec.style in _FIXED else spec.strike_multiplier
+    strike_arg = spec.K if spec.style in FIXED_STYLES else spec.strike_multiplier
     return (s0, strike_arg, model.r, model.q, 0.0, spec.T)
-
-
-def symmetry_case(
-    spec: AsianOptionSpec,
-    model: RegimeModel,
-    state: MarketState,
-) -> SymmetryCase:
-    """Report record pairing a contract with its counterpart."""
-    other_spec, other_model, scale = symmetric_counterpart(spec, model, state)
-    return SymmetryCase(
-        lhs=_side_tuple(spec, model, state.s),
-        rhs=_side_tuple(other_spec, other_model, state.s),
-        scale=scale,
-    )
 
 
 def _stationary_law(model: RegimeModel) -> np.ndarray:

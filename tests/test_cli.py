@@ -84,18 +84,23 @@ class TestPriceCommand:
         assert b"." in raw
 
     def test_effective_config_written_and_rerunnable(self, tmp_path):
-        cfg = base_config(tmp_path, TINY_MC)
-        code, report = run(tmp_path, "price", cfg)
-        assert code == 0
-        effective_path = report + ".effective.json"
-        effective = json.loads(open(effective_path).read())
-        assert effective["model"]["q"] == [0.0, 0.0]
-        assert effective["output"]["timings"] is False
-        first = open(report, "rb").read()
-        # the effective document is itself a valid config for the same run
-        code2 = main(["price", "--config", effective_path])
-        assert code2 == 0
-        assert open(report, "rb").read() == first
+        european = base_config(tmp_path, {"european_rs": {}}, style="european_put", K=100.0,
+                               name="european")
+        convergence = base_config(tmp_path, TINY_HAM, name="convergence")
+        convergence["state"] = dict(MID_LIFE)
+        for command, cfg in (("price", base_config(tmp_path, TINY_MC)), ("price", european),
+                             ("convergence", convergence)):
+            code, report = run(tmp_path, command, cfg)
+            assert code == 0
+            effective_path = report + ".effective.json"
+            effective = json.loads(open(effective_path).read())
+            assert effective["model"]["q"] == [0.0, 0.0]
+            assert effective["output"]["timings"] is False
+            first = open(report, "rb").read()
+            # the effective document is itself a valid config for the same run
+            code2 = main([command, "--config", effective_path])
+            assert code2 == 0
+            assert open(report, "rb").read() == first
 
     def test_json_report_sorted_and_newline_terminated(self, tmp_path):
         cfg = base_config(tmp_path, TINY_MC, fmt="json")
@@ -261,8 +266,6 @@ class TestMethodBlocks:
             return
         cls = {"ham": HamConfig, "mc": McConfig, "fd": FdConfig}[name]
         assert set(block) == _field_names(cls)
-        if name == "ham":
-            assert set(block["guess_quad"]) == _field_names(QuadratureSpec)
 
     @pytest.mark.parametrize("command", ["price", "compare"])
     def test_fd_t_min_is_always_the_state_time(self, tmp_path, command):
@@ -291,6 +294,9 @@ class TestMethodBlocks:
             ({"fd": {"coupling": "strang"}}, "floating_put", None, "method.fd"),
             ({"european_rs": {"variant": "rho_printed"}}, "european_put", 100.0,
              "method.european_rs"),
+            ({"european_rs": {"quad": {"rule": "adaptive"}}}, "european_put", 100.0,
+             "method.european_rs.quad"),
+            ({"ham": {"guess_quad": {"n_rho": 2000}}}, "floating_put", None, "method.ham"),
         ],
     )
     def test_removed_knobs_are_rejected(self, tmp_path, capsys, method, style, k, path):
@@ -357,6 +363,16 @@ class TestFailureModes:
         code, _ = run(tmp_path, "price", cfg)
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        # a European price that cannot refine to its tolerance writes no report;
+        # at ttm = 1e-3 the estimate stalls near 1e-10
+        quad = {"abs_tol": 1e-16, "rel_tol": 1e-16}
+        cfg = base_config(tmp_path, {"european_rs": {"quad": quad}}, style="european_put",
+                          K=100.0, name="european")
+        cfg["state"]["t"] = 0.999
+        code, report = run(tmp_path, "price", cfg, name="european")
+        assert code == 3
+        assert "numerical failure: error estimate" in capsys.readouterr().err
+        assert not os.path.exists(report)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["price", "--config", str(tmp_path / "absent.json")])

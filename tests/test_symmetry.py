@@ -20,10 +20,7 @@ from rsasian import (
     McConfig,
     NotApplicable,
     OptionStyle,
-    SymmetryCase,
-    ValidationError,
     symmetric_counterpart,
-    symmetry_case,
     symmetry_mc_check,
     two_state_model,
 )
@@ -59,9 +56,11 @@ class TestCounterpartMap:
         spec = AsianOptionSpec(style="fixed_put", T=1.0, K=120.0)
         rhs, swapped, scale = symmetric_counterpart(spec, dividend_model, STATE)
         assert rhs.style is OptionStyle.FLOATING_CALL
+        assert rhs.T == spec.T
         assert np.isclose(rhs.strike_multiplier, 100.0 / 120.0)
-        assert np.isclose(scale, 1.2)
-        assert swapped.r == dividend_model.q
+        assert scale == pytest.approx(1.2)
+        assert swapped.r == dividend_model.q, "lhs dividends become rhs rates"
+        assert swapped.q == dividend_model.r, "lhs rates become rhs dividends"
 
     def test_unit_moneyness_is_self_scaled(self, dividend_model):
         # an at-the-money floating put maps to a fixed call struck at the
@@ -92,26 +91,6 @@ class TestCounterpartMap:
         spec = AsianOptionSpec(style="european_put", T=1.0, K=100.0)
         with pytest.raises(NotApplicable):
             symmetric_counterpart(spec, dividend_model, STATE)
-
-
-class TestSymmetryCase:
-    def test_case_tuples_share_spot_and_expiry(self, dividend_model):
-        spec = AsianOptionSpec(style="fixed_put", T=1.0, K=120.0)
-        case = symmetry_case(spec, dividend_model, STATE)
-        assert isinstance(case, SymmetryCase)
-        assert case.lhs[0] == case.rhs[0] == 100.0
-        assert case.lhs[5] == case.rhs[5] == 1.0
-        assert case.lhs[2] == case.rhs[3], "lhs rates become rhs dividends"
-        assert case.lhs[3] == case.rhs[2], "lhs dividends become rhs rates"
-        assert case.scale == pytest.approx(1.2)
-
-    def test_case_rejects_mismatched_sides(self):
-        with pytest.raises(ValidationError):
-            SymmetryCase(
-                lhs=(100.0, 120.0, (0.05,), (0.0,), 0.0, 1.0),
-                rhs=(90.0, 120.0, (0.0,), (0.05,), 0.0, 1.0),
-                scale=1.2,
-            )
 
 
 @pytest.fixture(scope="module")
