@@ -93,6 +93,23 @@ class TestCounterpartMap:
             symmetric_counterpart(spec, dividend_model, STATE)
 
 
+class TestSymmetryCase:
+    def test_case_tuples_share_spot_and_expiry(self, dividend_model):
+        # the check's report records each side as
+        # (spot, strike or multiplier, rates, dividends, 0, expiry)
+        spec = AsianOptionSpec(style="fixed_put", T=1.0, K=120.0)
+        cfg = McConfig(n_paths=2_000, n_steps=8, seed=3)
+        case = symmetry_mc_check(spec, dividend_model, STATE, cfg)
+        lhs, rhs = case["lhs"], case["rhs"]
+        assert lhs[0] == rhs[0] == 100.0
+        assert lhs[5] == rhs[5] == 1.0
+        assert lhs[1] == 120.0
+        assert np.isclose(rhs[1], 100.0 / 120.0)
+        assert lhs[2] == rhs[3], "lhs rates become rhs dividends"
+        assert lhs[3] == rhs[2], "lhs dividends become rhs rates"
+        assert case["scale"] == pytest.approx(1.2)
+
+
 @pytest.fixture(scope="module")
 def desk_check(desk_model):
     cfg = McConfig(n_paths=100_000, n_steps=126, seed=92, antithetic=True)
