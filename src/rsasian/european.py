@@ -185,13 +185,15 @@ def price_european_put_rs(
     """European put price for the starting regime, with an error estimate.
 
     The quadrature error estimate combines the change under node halving
-    with the last panel's contribution. Each pass that misses
-    ``max(quad.abs_tol, quad.rel_tol * |price|)`` doubles the panels and
-    stretches the cutoff by 1.3; after six refinements the call raises
-    :class:`QuadratureNotConverged`. The converged price is clipped to the
-    no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``D`` the expected
-    discounted strike and ``Q`` the expected dividend discount; a clip that
-    moves the price records the unclipped value as ``unclipped_price``.
+    with the last panel's contribution, floored at ``8 * np.spacing(D_i)``
+    (a price is ``D_i`` plus the transform; converged rules differ by up to
+    4 such spacings), so a tolerance below roundoff is never met. Each pass
+    that misses ``max(quad.abs_tol, quad.rel_tol * |price|)`` doubles the
+    panels and stretches the cutoff by 1.3; after six refinements the call
+    raises :class:`QuadratureNotConverged`. The converged price is clipped
+    to the no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``D`` the
+    expected discounted strike and ``Q`` the expected dividend discount; a
+    clip that moves the price records the unclipped value as ``unclipped_price``.
     """
     validate_model(model)
     require_two_states(model)
@@ -213,6 +215,7 @@ def price_european_put_rs(
         )
 
     s_arr = np.array([s])
+    d = discounted_strike_vector(model, k, ttm)[regime]
     omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)), quad.n_rho)
     attempts = 0
     while True:
@@ -222,7 +225,7 @@ def price_european_put_rs(
         coarse = float(_exact_put_grid(model, s_arr, k, ttm, halved)[regime, 0])
         # the last panel of the rule that priced
         tail = float(np.abs(fine[2][regime, -1]).sum()) * math.sqrt(s * k) / math.pi
-        err = abs(price - coarse) + tail
+        err = max(abs(price - coarse) + tail, 8.0 * float(np.spacing(d)))
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
         if err <= tol:
             break
@@ -234,7 +237,6 @@ def price_european_put_rs(
         omega_max, n_panels = omega_max * 1.3, n_panels * 2
 
     diagnostics = {"nodes": (omega_max, n_panels)}
-    d = discounted_strike_vector(model, k, ttm)[regime]
     q_disc = discounted_strike_vector(model.swap_rates_dividends(), 1.0, ttm)[regime]
     clipped = min(max(price, d - s * q_disc, 0.0), d)
     if clipped != price:

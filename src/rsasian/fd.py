@@ -6,8 +6,9 @@ are ``s * V_i(t, y)``. Each regime's operator is
     L_i V = (1 - (r_i - q_i) y) V_y + (sigma_i^2 / 2) y^2 V_yy - q_i V,
 
 and the regimes couple through the generator row. Marching is backward
-from the terminal payoff ``(y/T - 1)^+`` with a Crank-Nicolson step and
-a few fully implicit startup steps to damp the payoff kink (the kink
+from the terminal payoff ``(y/T - 1)^+``. A Crank-Nicolson level is one
+sparse solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
+a few fully implicit startup steps damp the payoff kink (the kink
 ordinate ``y = T`` is snapped onto the grid for clean second-order
 convergence). The time domain is ``[t_min, T]``: the march stops at the
 level at or below ``t_min`` (0 by default); callers holding a state pass
@@ -143,7 +144,9 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
 
     The march stops at the last time node at or below ``cfg.t_min``
     (keeping at least two levels), so reads at ``t >= t_min`` match the
-    full march; callers holding a state pass ``t_min = state.t``.
+    full march; callers holding a state pass ``t_min = state.t``. Each
+    Crank-Nicolson level is one solve, ``2 (I - dt/2 A)^-1 v - v``, which
+    is ``(I - dt/2 A)^-1 (I + dt/2 A) v``; ``A`` only enters the factorisation.
     """
     validate_model(model)
     if not (T > 0.0):
@@ -168,14 +171,12 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     # interleaved like the operator: node-major, regime-minor
     v = np.repeat(np.maximum(y / T - 1.0, 0.0), n_states)
 
-    a_full = _spatial_operator(model, y)
-
     # one factorization serves both stages: (I - dt/2 A) is the implicit
     # matrix of the Crank-Nicolson step and of a backward-Euler half-step,
     # so the kink-damping startup (two half-steps per step) reuses it
-    eye = sp.identity(a_full.shape[0], format="csr")
+    implicit = sp.identity(v.size, format="csr") - 0.5 * dt * _spatial_operator(model, y)
     try:
-        solve_imp = spla.splu((eye - 0.5 * dt * a_full).tocsc())
+        solve_imp = spla.splu(implicit.tocsc())
     except RuntimeError as exc:  # pragma: no cover - singular operator
         raise LinearSolveFailure(f"factorization failed: {exc}") from exc
 
@@ -183,14 +184,13 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     levels = np.empty((cfg.n_t + 1, y.size, n_states))
     levels[-1] = v.reshape(-1, n_states)
     for step in range(cfg.n_t - first):
+        out = levels[-2 - step].reshape(-1)
         if step < cfg.rannacher_steps:
-            v = solve_imp.solve(solve_imp.solve(v))
+            out[:] = solve_imp.solve(solve_imp.solve(v))
         else:
-            rhs = a_full @ v
-            rhs *= 0.5 * dt
-            rhs += v
-            v = solve_imp.solve(rhs)
-        levels[-2 - step] = v.reshape(-1, n_states)
+            np.multiply(solve_imp.solve(v), 2.0, out=out)
+            out -= v
+        v = out
     if not np.all(np.isfinite(levels[first:])):
         raise LinearSolveFailure("non-finite values in the implicit solve")
 

@@ -98,8 +98,9 @@ def _price_batch(
     var = sig * sig
     mu = r - model.q_array() - 0.5 * var
     exit_rates = -np.diag(gen)
+    # below 1e-300 a year a regime never switches; its mean hold would overflow the draws
     mean_hold = np.divide(1.0, exit_rates, out=np.full_like(exit_rates, np.inf),
-                          where=exit_rates > 0.0)
+                          where=exit_rates > 1e-300)
     # next-regime CDF per row; dividing by the last entry makes it exactly 1
     n_states = gen.shape[0]
     cum = np.cumsum(np.maximum(gen, 0.0) * (1.0 - np.eye(n_states)), axis=1)

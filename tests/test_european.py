@@ -19,6 +19,7 @@ from rsasian import (
     DegenerateVolatilities,
     MarketState,
     McConfig,
+    QuadratureNotConverged,
     QuadratureSpec,
     black_scholes_put,
     discounted_strike_vector,
@@ -143,6 +144,16 @@ class TestQuadrature:
         if moneyness > 1.0:
             assert res.price == 0.0
             assert -1e-9 < res.diagnostics["unclipped_price"] < 0.0
+
+    def test_tolerance_below_roundoff_is_refused(self, desk_model):
+        # at ttm = 1 the halved rule agrees with the priced rule to the bit, so
+        # without its roundoff floor the estimate read 2.7e-42 and met 1e-16
+        d = discounted_strike_vector(desk_model, K, T)[0]
+        res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
+        assert res.error_estimate >= 8.0 * np.spacing(d)
+        quad = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
+        with pytest.raises(QuadratureNotConverged, match="error estimate"):
+            price_european_put_rs(desk_model, S0, K, 0.0, T, 0, quad=quad)
 
     def test_grid_evaluation_matches_scalar_calls(self, desk_model):
         s_values = np.array([80.0, 100.0, 125.0])

@@ -10,8 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from rsasian import (
     FdConfig,
@@ -168,6 +170,35 @@ class TestEarlyStop:
         assert len(surf.t_nodes) == 2
         state = MarketState(t=1.0, s=100.0, a=150.0, regime=0)
         assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
+
+
+class TestScheme:
+    """The march is Crank-Nicolson with the Rannacher startup.
+
+    The reference forms each level's right-hand side explicitly,
+    ``v + dt/2 (A v)``, and solves with ``I - dt/2 A``; ``fd_price`` makes
+    the same level as one solve, ``2 (I - dt/2 A)^-1 v - v``.
+    """
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_levels_match_the_explicit_right_hand_side(self, any_model, n):
+        cfg, T = FdConfig(n_y=n, n_t=n), 1.0
+        surf = fd_price(any_model, T, cfg)
+        y, dt = surf.y_nodes, T / cfg.n_t
+        a = fd._spatial_operator(any_model, y)
+        lu = splu((sp.identity(a.shape[0]) - 0.5 * dt * a).tocsc())
+        v = np.repeat(np.maximum(y / T - 1.0, 0.0), any_model.n_states)
+        levels = [v]
+        for step in range(cfg.n_t):
+            if step < cfg.rannacher_steps:
+                v = lu.solve(lu.solve(v))
+            else:
+                v = lu.solve(v + 0.5 * dt * (a @ v))
+            levels.append(v)
+        want = np.reshape(levels[::-1], (cfg.n_t + 1, y.size, -1)).transpose(0, 2, 1)
+        assert surf.values.shape == want.shape
+        gap = np.abs(surf.values - want).max()
+        assert gap <= 1e-11 * np.abs(want).max(), f"max gap {gap:.3e}"
 
 
 class TestOperator:

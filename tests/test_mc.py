@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import rsasian.mc
@@ -20,6 +22,7 @@ from rsasian import (
     MarketState,
     McConfig,
     McEstimate,
+    OptionStyle,
     RegimeModel,
     ValidationError,
     black_scholes_put,
@@ -106,6 +109,37 @@ class TestDeterminism:
         assert serial == threaded, (
             f"thread count changed the estimate: {serial} vs {threaded}"
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        style=st.sampled_from(OptionStyle),
+        regime=st.integers(0, 1),
+        rates=st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
+        seed=st.integers(0, 2**63 - 1),
+        antithetic=st.booleans(),
+        threads=st.integers(2, 3),
+        pairs=st.integers(65, 192),
+    )
+    # at the smallest normal rate the mean hold is 4.5e307 years; its draws must not overflow
+    @example(style=OptionStyle.FLOATING_PUT, regime=0, rates=(2.2250738585072014e-308, 1.0),
+             seed=1, antithetic=False, threads=2, pairs=65)
+    def test_thread_count_never_changes_the_estimate(self, style, regime, rates, seed,
+                                                     antithetic, threads, pairs):
+        # 64-path batches, so 130-384 paths make 3-6 of them
+        model = two_state_model(0.05, 0.03, 0.3, 0.2, *rates)
+        spec = AsianOptionSpec(style=style, T=1.0, K=100.0)
+        state = MarketState(t=0.0, s=100.0, a=0.0, regime=regime)
+        cfg = McConfig(n_paths=2 * pairs, n_steps=8, seed=seed, antithetic=antithetic)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rsasian.mc, "_BATCH_SIZE", 64)
+            mp.setenv("PRICER_THREADS", "1")
+            serial = mc_price(spec, state, model, cfg)
+            mp.setenv("PRICER_THREADS", str(threads))
+            threaded = mc_price(spec, state, model, cfg)
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(serial) == repr(threaded)
+        assert len(serial.terminal_price) == 2
 
     def test_different_seeds_differ(self, desk_model):
         a = mc_price(FLOATING_PUT, INCEPTION, desk_model, McConfig(n_paths=4000, seed=1))
