@@ -197,6 +197,8 @@ def price_european_put_rs(
     """
     validate_model(model)
     require_two_states(model)
+    if regime not in (0, 1):
+        raise ValidationError(f"regime index {regime!r} not 0 or 1")
     if not (s > 0.0 and k > 0.0):
         raise ValidationError("spot and strike must be > 0")
     if not (0.0 <= t <= T):

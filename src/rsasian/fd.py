@@ -204,22 +204,18 @@ def richardson_order(
     T: float,
     cfg: FdConfig,
     state: MarketState,
-    refinements: int = 2,
 ) -> tuple[float, list[float]]:
-    """Empirical convergence order from successively doubled grids.
+    """Empirical convergence order from the grids n, 2n and 4n.
 
-    Returns ``(order, prices)`` where ``prices`` has ``refinements + 1``
-    entries; the order uses the last three. Each grid marches down to
-    ``state.t`` only.
+    Returns ``(order, prices)`` with the three grids' prices, coarsest
+    first. Each grid marches down to ``state.t`` only.
     """
-    if refinements < 2:
-        raise ValidationError("refinements must be >= 2")
     prices = []
-    for level in range(refinements + 1):
+    for level in range(3):
         scaled = replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level, t_min=state.t)
         prices.append(fd_price(model, T, scaled).dollar_price(state))
-    d1 = prices[-2] - prices[-3]
-    d2 = prices[-1] - prices[-2]
+    d1 = prices[1] - prices[0]
+    d2 = prices[2] - prices[1]
     if d2 == 0.0:
         return math.inf, prices
     ratio = d1 / d2

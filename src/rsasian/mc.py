@@ -12,6 +12,8 @@ falls inside a step draw a new regime and a new clock there. The only
 discretization is the trapezoidal approximation of the running integral
 of spot on the base grid, whose bias is O(1 / n_steps^2). The European
 put reads only S_T, so it takes one step to expiry whatever ``n_steps``.
+An antithetic run mirrors each path's normal draws in a second row of
+the same spot array, so it takes the same step code as a plain run.
 
 Reproducibility contract: each fixed-size batch of paths draws from its
 own counter-based stream keyed by ``(seed, batch_index)``, and batch
@@ -87,9 +89,11 @@ def _price_batch(
     """Returns (sum, sum of squares, count) of per-unit discounted payoffs,
     then the sums and sums of squares split by terminal regime.
 
-    A unit is a path, or an antithetic pair mean. The pair shares one
-    chain path, hence one terminal regime and the same occupation times;
-    only the Gaussian increments are mirrored.
+    The path state is one spot array of shape ``(sides, n_units)``: one
+    side, or two with ``antithetic``, the second row taking the negated
+    Gaussian increments of the first. The rows share one chain path per
+    unit, hence one terminal regime and the same occupation times. A unit
+    is the payoff averaged over the sides: a path, or an antithetic pair mean.
     """
     rng = _batch_rng(cfg.seed, batch_index)
     gen = model.gen_array()
@@ -106,8 +110,8 @@ def _price_batch(
     cum = np.cumsum(np.maximum(gen, 0.0) * (1.0 - np.eye(n_states)), axis=1)
     cum = np.divide(cum, cum[:, -1:], out=np.zeros_like(cum), where=cum[:, -1:] > 0.0)
     T = spec.T
-    anti = cfg.antithetic
-    n_units = batch_n // 2 if anti else batch_n
+    sides = 2 if cfg.antithetic else 1
+    n_units = batch_n // sides
     need_avg = spec.style is not OptionStyle.EUROPEAN_PUT
     # the European payoff reads only S_T, which one exact step samples
     n_base = max(1, int(math.ceil((T - state.t) * cfg.n_steps - 1e-12))) if need_avg else 1
@@ -127,12 +131,10 @@ def _price_batch(
     vol = np.full(n_units, sig[state.regime] * sqrt_h)
     disc = np.full(n_units, r[state.regime] * (T - state.t))
 
-    s_p = np.full(n_units, state.s)
-    s_m = s_p.copy() if anti else None
+    spot = np.full((sides, n_units), state.s)
     # trapezoid on the base grid: h * (s_0/2 + s_1 + ... + s_{N-1} + s_N/2)
-    sum_p = np.zeros(n_units)
-    sum_m = np.zeros(n_units) if anti else None
-    x = np.empty(n_units)  # log-returns of the step
+    sums = np.zeros((sides, n_units))
+    x = np.empty((sides, n_units))  # log-returns of the step
 
     for t1 in grid[1:]:
         hit = np.flatnonzero(clock < t1)
@@ -162,32 +164,19 @@ def _price_batch(
                 pos = pos[tau < t1]
             drift[hit] = m
             vol[hit] = np.sqrt(v)
-        dw = rng.standard_normal(n_units)
+        dw = rng.standard_normal(out=x[0])
         dw *= vol
-        np.add(drift, dw, out=x)
-        s_p *= np.exp(x, out=x)
-        if anti:
-            np.subtract(drift, dw, out=x)
-            s_m *= np.exp(x, out=x)
-        if need_avg:
-            sum_p += s_p
-            if anti:
-                sum_m += s_m
+        np.negative(dw, out=x[1:])
+        x += drift
+        spot *= np.exp(x, out=x)
+        sums += spot
         if hit.size:
             now = states[hit]
             drift[hit] = mu[now] * h
             vol[hit] = sig[now] * sqrt_h
 
-    def average(sums, s_last):
-        return (state.a + h * (0.5 * state.s + sums - 0.5 * s_last)) / T
-
-    df = np.exp(-disc)
-    pay_p = payoff(spec, s_p, average(sum_p, s_p)) * df
-    if anti:
-        pay_m = payoff(spec, s_m, average(sum_m, s_m)) * df
-        units = 0.5 * (pay_p + pay_m)
-    else:
-        units = pay_p
+    avg = (state.a + h * (0.5 * state.s + sums - 0.5 * spot)) / T
+    units = np.mean(payoff(spec, spot, avg) * np.exp(-disc), axis=0)
     term_sum = np.bincount(states, weights=units, minlength=n_states)
     term_sq = np.bincount(states, weights=units * units, minlength=n_states)
     return float(units.sum()), float(np.dot(units, units)), n_units, term_sum, term_sq
@@ -227,14 +216,8 @@ def mc_price(
             terminal_se=(0.0,) * model.n_states,
         )
 
-    sizes = []
-    remaining = cfg.n_paths
-    while remaining > 0:
-        b = min(_BATCH_SIZE, remaining)
-        if cfg.antithetic and b % 2:
-            b += 1
-        sizes.append(b)
-        remaining -= b
+    # _BATCH_SIZE is even and antithetic runs have an even n_paths, so no batch splits a pair
+    sizes = [min(_BATCH_SIZE, cfg.n_paths - k) for k in range(0, cfg.n_paths, _BATCH_SIZE)]
 
     def run(args):
         i, b = args

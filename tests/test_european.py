@@ -21,6 +21,7 @@ from rsasian import (
     McConfig,
     QuadratureNotConverged,
     QuadratureSpec,
+    ValidationError,
     black_scholes_put,
     discounted_strike_vector,
     european_put_grid,
@@ -108,6 +109,12 @@ class TestStructuralLimits:
             p1 = price_european_put_rs(model, S0, K, 0.0, T, 1).price
             gaps.append(abs(p0 - p1))
         assert gaps[0] > gaps[1] > gaps[2], f"gaps not shrinking: {gaps}"
+
+    @pytest.mark.parametrize("regime", [-1, 2])
+    def test_regime_out_of_range_is_refused(self, desk_model, regime):
+        # unchecked, a negative index wraps round to the other regime's price
+        with pytest.raises(ValidationError, match=f"regime index {regime}"):
+            price_european_put_rs(desk_model, S0, K, 0.0, T, regime)
 
     def test_put_price_bounds(self, desk_model):
         price = price_european_put_rs(desk_model, S0, K, 0.0, T, 0).price

@@ -147,6 +147,146 @@ class TestDeterminism:
         assert a.price != b.price
 
 
+# Recorded estimates: a change to the path stepping that should leave the
+# random stream alone must reproduce them, and repr round-trips every float,
+# so equal reprs are equal bits. Each model comes with its own state: the
+# desk at inception, the others mid-life.
+_PIN_MODELS = {
+    "desk": (two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 1.0), INCEPTION),
+    "rate_50": (two_state_model(0.05, 0.03, 0.3, 0.2, 50.0, 50.0, 0.02, 0.01),
+                MarketState(t=0.5, s=100.0, a=45.0, regime=1)),
+    "three_regimes": (RegimeModel(r=(0.05, 0.03, 0.01), sigma=(0.3, 0.2, 0.4),
+                                  gen=((-1.5, 1.0, 0.5), (0.3, -0.7, 0.4), (2.0, 1.0, -3.0)),
+                                  q=(0.01, 0.0, 0.02)),
+                      MarketState(t=0.25, s=95.0, a=20.0, regime=2)),
+}
+_PIN_STRIKES = {"floating_put": None, "floating_call": None, "fixed_put": 100.0,
+                "european_put": 100.0}
+# (model, style, antithetic, n_paths, batch size or None for the default) -> repr
+_PINNED = {
+    ("desk", "floating_put", False, 200, None): (
+        "McEstimate(price=5.183642318939617, std_error=0.4932603618003452, n_paths=200, "
+        "terminal_price=(2.991717183922857, 2.1919251350167595), "
+        "terminal_se=(0.4393347496828559, 0.3408760651840854))"),
+    ("desk", "floating_put", True, 200, None): (
+        "McEstimate(price=5.256353288148603, std_error=0.3267206784872274, n_paths=200, "
+        "terminal_price=(3.358277321134557, 1.898075967014047), "
+        "terminal_se=(0.37203068675396883, 0.3116289616507924))"),
+    ("desk", "floating_call", False, 200, None): (
+        "McEstimate(price=6.712058242204613, std_error=0.8055874053263765, n_paths=200, "
+        "terminal_price=(4.270275641553888, 2.441782600650726), "
+        "terminal_se=(0.7245010343750705, 0.47839747128705135))"),
+    ("desk", "floating_call", True, 200, None): (
+        "McEstimate(price=7.086182691212897, std_error=0.5322881715755563, n_paths=200, "
+        "terminal_price=(4.499481489813118, 2.586701201399779), "
+        "terminal_se=(0.5705233303151586, 0.4392737031326224))"),
+    ("desk", "fixed_put", False, 200, None): (
+        "McEstimate(price=6.0845573509559765, std_error=0.5964267008048663, n_paths=200, "
+        "terminal_price=(3.417985693429689, 2.666571657526289), "
+        "terminal_se=(0.5024874318855107, 0.44139804395154714))"),
+    ("desk", "fixed_put", True, 200, None): (
+        "McEstimate(price=5.474608722508087, std_error=0.37412755556745214, n_paths=200, "
+        "terminal_price=(3.195616788490567, 2.27899193401752), "
+        "terminal_se=(0.37416410938915007, 0.3835356755991477))"),
+    ("desk", "european_put", False, 200, None): (
+        "McEstimate(price=8.5823385993615, std_error=0.8630975884496934, n_paths=200, "
+        "terminal_price=(4.831595262284126, 3.750743337077373), "
+        "terminal_se=(0.7409511104536052, 0.6148660776556509))"),
+    ("desk", "european_put", True, 200, None): (
+        "McEstimate(price=8.301757685151273, std_error=0.660024777062701, n_paths=200, "
+        "terminal_price=(4.820232657253218, 3.481525027898057), "
+        "terminal_se=(0.6876315952226546, 0.5493823468156143))"),
+    ("rate_50", "floating_put", False, 200, None): (
+        "McEstimate(price=3.218795102605717, std_error=0.3558550356653634, n_paths=200, "
+        "terminal_price=(1.5043952252681458, 1.714399877337571), "
+        "terminal_se=(0.2587150480243045, 0.2926094410715388))"),
+    ("rate_50", "floating_put", True, 200, None): (
+        "McEstimate(price=2.962546051142473, std_error=0.28410271581499325, n_paths=200, "
+        "terminal_price=(1.450732489071342, 1.5118135620711328), "
+        "terminal_se=(0.22286899503226104, 0.2745024288005048))"),
+    ("rate_50", "floating_call", False, 200, None): (
+        "McEstimate(price=7.692567054554563, std_error=0.7630110540653713, n_paths=200, "
+        "terminal_price=(3.7481675127359146, 3.9443995418186484), "
+        "terminal_se=(0.5390725528214123, 0.6634548076329383))"),
+    ("rate_50", "floating_call", True, 200, None): (
+        "McEstimate(price=8.823053619054736, std_error=0.46495273944979826, n_paths=200, "
+        "terminal_price=(4.1641129983703795, 4.658940620684358), "
+        "terminal_se=(0.5014103038636185, 0.5972395873701131))"),
+    ("rate_50", "fixed_put", False, 200, None): (
+        "McEstimate(price=5.50510631989156, std_error=0.2837822882176655, n_paths=200, "
+        "terminal_price=(2.668853939792329, 2.836252380099231), "
+        "terminal_se=(0.2718764362493876, 0.28756112910018594))"),
+    ("rate_50", "fixed_put", True, 200, None): (
+        "McEstimate(price=5.196584980821524, std_error=0.07200336108420947, n_paths=200, "
+        "terminal_price=(2.5060095638000504, 2.6905754170214737), "
+        "terminal_se=(0.26626574541398146, 0.26552087365284566))"),
+    ("rate_50", "european_put", False, 200, None): (
+        "McEstimate(price=6.35689674187862, std_error=0.6279831226804382, n_paths=200, "
+        "terminal_price=(2.865892502010762, 3.4910042398678582), "
+        "terminal_se=(0.4773715607600655, 0.5167498234422703))"),
+    ("rate_50", "european_put", True, 200, None): (
+        "McEstimate(price=6.812209976562066, std_error=0.4557912391834591, n_paths=200, "
+        "terminal_price=(3.30990876850248, 3.5023012080595857), "
+        "terminal_se=(0.4624315421098126, 0.47758826454036984))"),
+    ("three_regimes", "floating_put", False, 200, None): (
+        "McEstimate(price=4.786841679079596, std_error=0.5056554188425136, n_paths=200, "
+        "terminal_price=(1.9523411404136826, 1.483015776650765, 1.3514847620151482), "
+        "terminal_se=(0.36620543100899716, 0.2820997854304238, 0.34316373879542883))"),
+    ("three_regimes", "floating_put", True, 200, None): (
+        "McEstimate(price=4.566670172416736, std_error=0.3521237718062294, n_paths=200, "
+        "terminal_price=(1.8456849536762427, 1.5018873063037876, 1.219097912436706), "
+        "terminal_se=(0.3392357653069891, 0.25145410831870285, 0.29004501563854945))"),
+    ("three_regimes", "floating_call", False, 200, None): (
+        "McEstimate(price=7.150218547369825, std_error=0.8068889117456011, n_paths=200, "
+        "terminal_price=(3.19979533734951, 3.1073067720206375, 0.8431164379996774), "
+        "terminal_se=(0.6126455215163937, 0.5653006174176293, 0.33096966218570634))"),
+    ("three_regimes", "floating_call", True, 200, None): (
+        "McEstimate(price=9.119526383597236, std_error=0.6240181552110889, n_paths=200, "
+        "terminal_price=(3.6986828929605053, 3.4722971328420567, 1.9485463577946747), "
+        "terminal_se=(0.6793932651795932, 0.4869458610268741, 0.48212321471541014))"),
+    ("three_regimes", "fixed_put", False, 200, None): (
+        "McEstimate(price=11.027158204064463, std_error=0.6632949161150388, n_paths=200, "
+        "terminal_price=(3.843386507118959, 4.5484673785395735, 2.63530431840593), "
+        "terminal_se=(0.5216118857432752, 0.5634478311446717, 0.49836088988533883))"),
+    ("three_regimes", "fixed_put", True, 200, None): (
+        "McEstimate(price=10.10588455028514, std_error=0.18686863852671257, n_paths=200, "
+        "terminal_price=(3.5879170485847167, 4.3448936193348455, 2.173073882365577), "
+        "terminal_se=(0.52086159498116, 0.49069845448525035, 0.43130500107567943))"),
+    ("three_regimes", "european_put", False, 200, None): (
+        "McEstimate(price=13.387210191930881, std_error=1.0622228551848107, n_paths=200, "
+        "terminal_price=(5.6622851819720825, 5.300762552054921, 2.424162457903879), "
+        "terminal_se=(0.8581131127792817, 0.7490708809889765, 0.6321409855304564))"),
+    ("three_regimes", "european_put", True, 200, None): (
+        "McEstimate(price=12.949585488494757, std_error=0.5774867485994242, n_paths=200, "
+        "terminal_price=(5.193204827872513, 5.7741575704241725, 1.9822230901980702), "
+        "terminal_se=(0.7758702447781323, 0.677626087523678, 0.5633043212623612))"),
+    ("desk", "floating_put", True, 300, 64): (
+        "McEstimate(price=4.9831369965147365, std_error=0.28857573823289306, n_paths=300, "
+        "terminal_price=(2.9132846504451906, 2.069852346069546), "
+        "terminal_se=(0.3131819424430537, 0.25716444550821677))"),
+    ("rate_50", "fixed_put", False, 301, 64): (
+        "McEstimate(price=5.044411239969684, std_error=0.2375846952703698, n_paths=301, "
+        "terminal_price=(2.1128873910875794, 2.931523848882104), "
+        "terminal_se=(0.19784933298417856, 0.2420647173331965))"),
+}
+
+
+def _pinned_estimate(name, style, antithetic, n_paths, batch):
+    model, state = _PIN_MODELS[name]
+    spec = AsianOptionSpec(style=style, T=1.0, K=_PIN_STRIKES[style])
+    cfg = McConfig(n_paths=n_paths, n_steps=16, seed=11, antithetic=antithetic)
+    with pytest.MonkeyPatch.context() as mp:
+        if batch is not None:
+            mp.setattr(rsasian.mc, "_BATCH_SIZE", batch)
+        return mc_price(spec, state, model, cfg)
+
+
+class TestPinnedStream:
+    @pytest.mark.parametrize("case", sorted(_PINNED), ids=lambda c: "-".join(map(str, c)))
+    def test_estimate_matches_the_recorded_stream(self, case):
+        assert repr(_pinned_estimate(*case)) == _PINNED[case]
+
+
 class TestVarianceReduction:
     def test_antithetic_shrinks_the_error_bar(self, desk_model):
         plain = mc_price(
