@@ -13,17 +13,8 @@ class ValidationError(PricingError):
     """
 
 
-class DegenerateVolatilities(PricingError):
-    """The closed-form European put requires distinct regime variances.
-
-    Raised when ``|sigma1**2 - sigma2**2| < 1e-10``; callers should fall
-    back to the Monte Carlo or finite-difference oracles (or plain
-    Black-Scholes when the short rates coincide as well).
-    """
-
-
 class QuadratureNotConverged(PricingError):
-    """The adaptive quadrature could not meet its error tolerances."""
+    """A European price missed its quadrature tolerance after every refinement."""
 
 
 class ExtrapolationRefused(PricingError):

@@ -7,18 +7,19 @@ satisfies a constant-coefficient coupled heat system whose transform
 evolves by a 2x2 matrix exponential. The terminal transform is
 ``-1/(1/4 + omega^2)`` for both regimes, and the price is recovered
 from a single integral over real frequencies ``omega`` with
-Gaussian-decaying integrand. This is exact for unequal rates, unequal
-dividend yields, and any coupling strength.
+Gaussian-decaying integrand. Nothing divides by ``sigma_0^2 - sigma_1^2``,
+so it is exact for every two-state model: equal or unequal variances, rates
+and dividend yields, and any coupling strength.
 
-The integral is a Gauss-Legendre rule of ``P`` equal panels, so a node is
-``mid_p + offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are a
-running product of ``e^{2 i mid_0 x}``, one ``(20, P) @ (P, n_x)`` product per
-regime sums the panels, and the ``(20, n_x)`` offset phases finish the rule.
+The integral is a Gauss-Legendre rule of ``P`` equal panels, node ``mid_p +
+offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are a running
+product of ``e^{2 i mid_0 x}``. :func:`_put_transform` streams the panels a
+block at a time, so its memory stays flat however many a short maturity needs.
 
 :func:`price_european_put_rs` refines that rule until its error estimate
 meets the :class:`QuadratureSpec` tolerance, or refuses, and clips the result
 to the no-arbitrage bounds. :func:`european_put_grid`, the bulk path of the
-series guess, makes one pass on the grid sized from ``n_rho``.
+series guess, makes one pass on the grid sized from the default ``n_rho``.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from .errors import DegenerateVolatilities, QuadratureNotConverged, ValidationError
+from .errors import QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_PANEL_BLOCK = 2048
+_PANEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -123,54 +124,46 @@ def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float, n_min: int):
     return omega_max, n_panels
 
 
-def _panel_spectrum(model: RegimeModel, ttm: float, omega_max: float, n_panels: int):
-    """Gauss-Legendre rule of equal panels on ``[0, omega_max]`` and its
-    weighted transform terms: ``(mid (P,), offsets (20,), terms (2, P, 20))``,
-    where node ``(p, g)`` is ``mid[p] + offsets[g]``. The terms are made
-    ``_PANEL_BLOCK`` panels at a time, so the transform's temporaries stay
-    small when a refined price needs millions of nodes."""
+def _put_transform(model: RegimeModel, x: np.ndarray, ttm: float, omega_max: float,
+                   n_panels: int):
+    """``(w, last)``: ``w`` (2, n_x), the transform part of the put at log-moneyness
+    ``x`` (the put is ``D_i + sqrt(s k) w_i``), and ``last`` (2, 20), the last
+    panel's weighted terms, which the error estimate reads. The ``P`` panels of
+    ``[0, omega_max]`` go ``_PANEL_BLOCK`` at a time into one ``(2, 20, n_x)``
+    sum, the running phase product carried across blocks, so nothing has length P."""
     half = 0.5 * omega_max / n_panels
-    mid = (2.0 * np.arange(n_panels) + 1.0) * half
-    terms = np.empty((2, n_panels, 20), complex)
+    offsets = half * _GL_NODES
+    step = np.exp(2j * half * x)
+    phase = np.exp(1j * half * x)
+    panels = 0.0
     for p in range(0, n_panels, _PANEL_BLOCK):
-        nodes = (mid[p:p + _PANEL_BLOCK, None] + half * _GL_NODES).ravel()
-        terms[:, p:p + _PANEL_BLOCK] = _spectral_terms(model, nodes, ttm).reshape(2, -1, 20)
-    terms *= half * _GL_WEIGHTS
-    return mid, half * _GL_NODES, terms
+        mid = (2.0 * np.arange(p, min(p + _PANEL_BLOCK, n_panels)) + 1.0) * half
+        terms = _spectral_terms(model, (mid[:, None] + offsets).ravel(), ttm)
+        terms = terms.reshape(2, -1, 20) * (half * _GL_WEIGHTS)
+        rows = np.empty((len(mid), len(x)), complex)
+        rows[0], rows[1:] = phase, step
+        rows = np.cumprod(rows, axis=0)
+        panels += terms.transpose(0, 2, 1) @ rows  # (2, 20, n_x)
+        phase = rows[-1] * step
+    w = (panels * np.exp(1j * np.outer(offsets, x))).real.sum(axis=1) / math.pi
+    return w, terms[:, -1]
 
 
-def _exact_put_grid(model: RegimeModel, s_values: np.ndarray, k: float, ttm: float,
-                    spectrum: tuple) -> np.ndarray:
-    """Put values for both regimes, shape (2, n_s), from :func:`_panel_spectrum`."""
-    mid, offsets, terms = spectrum
-    x = np.log(s_values / k)
-    phase = np.empty((len(mid), len(x)), complex)
-    phase[0], phase[1:] = np.exp(1j * mid[0] * x), np.exp(2j * mid[0] * x)
-    panels = terms.transpose(0, 2, 1) @ np.cumprod(phase, axis=0)  # (2, 20, n_s)
-    w_vals = (panels * np.exp(1j * np.outer(offsets, x))).real.sum(axis=1) / math.pi
-    return discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k)[None, :] * w_vals
-
-
-def european_put_grid(
-    model: RegimeModel,
-    s_values,
-    k: float,
-    ttm: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
+def european_put_grid(model: RegimeModel, s_values, k: float, ttm: float) -> np.ndarray:
     """Exact put values for an array of spots, both regimes at once.
 
-    Returns shape ``(2, n_s)``. Meant for bulk evaluation such as
-    series initial guesses; ``ttm = 0`` returns the payoff exactly.
+    Returns shape ``(2, n_s)``. Meant for bulk evaluation such as series
+    initial guesses: one pass, no refinement; ``ttm = 0`` returns the payoff.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     require_two_states(model)
     if ttm == 0.0:
         pay = np.maximum(k - s_values, 0.0)
         return np.stack([pay, pay])
-    x_max = float(np.max(np.abs(np.log(s_values / k))))
-    spectrum = _panel_spectrum(model, ttm, *_exact_grid_sizes(model, ttm, x_max, quad.n_rho))
-    return _exact_put_grid(model, s_values, k, ttm, spectrum)
+    x = np.log(s_values / k)
+    sizes = _exact_grid_sizes(model, ttm, float(np.max(np.abs(x))), QuadratureSpec.n_rho)
+    w, _ = _put_transform(model, x, ttm, *sizes)
+    return discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k)[None, :] * w
 
 
 def price_european_put_rs(
@@ -194,6 +187,7 @@ def price_european_put_rs(
     to the no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``D`` the
     expected discounted strike and ``Q`` the expected dividend discount; a
     clip that moves the price records the unclipped value as ``unclipped_price``.
+    Equal regime variances take the same path as any other two-state model.
     """
     validate_model(model)
     require_two_states(model)
@@ -206,27 +200,17 @@ def price_european_put_rs(
     ttm = T - t
     if ttm == 0.0:
         return PriceResult(price=max(k - s, 0.0), method="european_rs", error_estimate=0.0)
-    if abs(model.sigma[0] ** 2 - model.sigma[1] ** 2) < 1e-10:
-        if abs(model.r[0] - model.r[1]) < 1e-14 and abs(model.q[0] - model.q[1]) < 1e-14:
-            # the chain modulates nothing; the vanilla formula is exact
-            p = black_scholes_put(s, k, model.r[regime], model.sigma[regime], ttm, model.q[regime])
-            return PriceResult(price=p, method="european_rs", error_estimate=0.0,
-                               diagnostics={"degenerate_fallback": "black_scholes"})
-        raise DegenerateVolatilities(
-            "regime variances coincide but rates differ; reroute to the MC or FD oracle"
-        )
-
-    s_arr = np.array([s])
+    x = np.log(np.array([s]) / k)
+    scale = math.sqrt(s * k)
     d = discounted_strike_vector(model, k, ttm)[regime]
     omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)), quad.n_rho)
     attempts = 0
     while True:
-        fine = _panel_spectrum(model, ttm, omega_max, n_panels)
-        halved = _panel_spectrum(model, ttm, omega_max, max(1, n_panels // 2))
-        price = float(_exact_put_grid(model, s_arr, k, ttm, fine)[regime, 0])
-        coarse = float(_exact_put_grid(model, s_arr, k, ttm, halved)[regime, 0])
-        # the last panel of the rule that priced
-        tail = float(np.abs(fine[2][regime, -1]).sum()) * math.sqrt(s * k) / math.pi
+        fine, last = _put_transform(model, x, ttm, omega_max, n_panels)
+        halved, _ = _put_transform(model, x, ttm, omega_max, max(1, n_panels // 2))
+        price = float(d + scale * fine[regime, 0])
+        coarse = float(d + scale * halved[regime, 0])
+        tail = float(np.abs(last[regime]).sum()) * scale / math.pi
         err = max(abs(price - coarse) + tail, 8.0 * float(np.spacing(d)))
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
         if err <= tol:

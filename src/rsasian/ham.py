@@ -587,6 +587,8 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
 def price_floating_put_ham(state: MarketState, model: RegimeModel,
                            config: HamConfig, T: float) -> PriceResult:
     """Dollar price of the unit-multiplier floating put via the series."""
+    if state.regime not in (0, 1):
+        raise ValidationError(f"regime index {state.regime!r} not 0 or 1")
     surfaces = series_surfaces(model, T, config)
     price, info = series_dollar_price(surfaces, state, T)
     return PriceResult(

@@ -321,6 +321,13 @@ class TestPricing:
         with pytest.raises(ExtrapolationRefused):
             price_floating_put_ham(state, desk_model, COARSE, 1.0)
 
+    def test_regime_out_of_range_refused_before_a_build(self, desk_model, build_calls):
+        # unchecked, the whole surface was built before the regime indexed past it
+        state = MarketState(t=0.0, s=100.0, a=0.0, regime=2)
+        with pytest.raises(ValidationError, match="regime index 2"):
+            price_floating_put_ham(state, desk_model, COARSE, 1.0)
+        assert build_calls == []
+
 
 class TestComparisonReport:
     def test_report_covers_all_four_modes(self, desk_model):
