@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import ndtr
 
 from .errors import QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states, validate_model
@@ -62,6 +60,8 @@ def black_scholes_put(
     s: float, k: float, r: float, sigma: float, ttm: float, q: float = 0.0
 ) -> float:
     """Vanilla Black-Scholes put, used as a limit and test oracle."""
+    from scipy.special import ndtr
+
     if ttm <= 0.0:
         return max(k - s, 0.0)
     sq = sigma * math.sqrt(ttm)
@@ -77,6 +77,8 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
     this is the deep-in-the-money put limit. Collapses to
     ``k e^{-r_i ttm}`` when the short rates coincide.
     """
+    from scipy.linalg import expm
+
     g = model.gen_array() - np.diag(model.r_array())
     return expm(g * ttm) @ np.full(model.n_states, float(k))
 

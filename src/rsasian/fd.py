@@ -11,8 +11,10 @@ sparse solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
 a few fully implicit startup steps damp the payoff kink (the kink
 ordinate ``y = T`` is snapped onto the grid for clean second-order
 convergence). The time domain is ``[t_min, T]``: the march stops at the
-level at or below ``t_min`` (0 by default); callers holding a state pass
-``state.t``, as they do for ``y_max``, and reads there match a full march.
+level at or below ``t_min``; callers holding a state pass ``state.t``, as
+they do for ``y_max``. A state read keeps only the two levels that bracket
+``t_min``, so memory does not grow with ``n_t``, and reads there match a
+full march bit for bit; ``t_min=None`` keeps every level of ``[0, T]``.
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
 from .model import MarketState, RegimeModel, bilinear, validate_model
@@ -41,9 +41,10 @@ class FdConfig:
     ``n_y`` and ``n_t`` count intervals, so doubling them exactly
     refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time;
     callers holding a state should pass ``default_y_max(T, y0)``.
-    ``t_min`` is the earliest calendar time the surface must cover, so
-    the time domain is ``[t_min, T]``; ``None`` resolves to 0. The CLI
-    always sets it to ``state.t``, whatever a config holds.
+    ``t_min`` is the calendar time a state read needs: the surface keeps
+    only the two levels that bracket it. ``None`` keeps every level of
+    ``[0, T]``, for callers that read many times. The CLI always sets it
+    to ``state.t``, whatever a config holds.
     """
 
     y_max: float | None = None
@@ -70,7 +71,12 @@ def default_y_max(T: float, y0: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class FdSurfaces:
-    """Retained value surfaces ``V_i(t, y)`` on the solver grid."""
+    """Retained value surfaces ``V_i(t, y)`` on the solver grid.
+
+    The levels kept are the two that bracket ``FdConfig.t_min``, or every
+    level of ``[0, T]`` when it is ``None``; reads at other times raise
+    :class:`InterpolationOutOfRange`.
+    """
 
     t_nodes: np.ndarray
     y_nodes: np.ndarray
@@ -101,6 +107,8 @@ def _spatial_operator(model: RegimeModel, y: np.ndarray):
     keeps the bandwidth at two, so the factorization stays cheap. Entries
     are listed in one fixed order, so duplicates always sum the same way.
     """
+    from scipy.sparse import coo_matrix
+
     n, n_states = y.size, model.n_states
     h = y[1] - y[0]
     gen = model.gen_array()
@@ -136,18 +144,23 @@ def _spatial_operator(model: RegimeModel, y: np.ndarray):
                 add(node + i, [0, k - i], [np.full(n, -gen[i, k]), gen[i, k]])
 
     rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
-    return sp.coo_matrix((data, (rows, cols)), shape=(n_states * n,) * 2).tocsr()
+    return coo_matrix((data, (rows, cols)), shape=(n_states * n,) * 2).tocsr()
 
 
 def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurfaces:
     """Backward Crank-Nicolson solve over ``[t_min, T]``; returns the levels kept.
 
-    The march stops at the last time node at or below ``cfg.t_min``
-    (keeping at least two levels), so reads at ``t >= t_min`` match the
-    full march; callers holding a state pass ``t_min = state.t``. Each
-    Crank-Nicolson level is one solve, ``2 (I - dt/2 A)^-1 v - v``, which
-    is ``(I - dt/2 A)^-1 (I + dt/2 A) v``; ``A`` only enters the factorisation.
+    The march stops at the last time node at or below ``cfg.t_min`` and
+    keeps that level and the next one, the two a read at ``t_min`` needs;
+    with ``t_min=None`` it runs to 0 and keeps every level. Level ``i``
+    is written to slot ``(i - first) % kept`` of one ring, so both cases
+    are the same march. Each Crank-Nicolson level is one solve,
+    ``2 (I - dt/2 A)^-1 v - v``, which is ``(I - dt/2 A)^-1 (I + dt/2 A) v``;
+    ``A`` only enters the factorisation.
     """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
     validate_model(model)
     if not (T > 0.0):
         raise ValidationError("T not > 0")
@@ -167,6 +180,7 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     n_states = model.n_states
     t_nodes = np.linspace(0.0, T, cfg.n_t + 1)
     first = min(int(np.searchsorted(t_nodes, t_min, side="right")) - 1, cfg.n_t - 1)
+    kept = cfg.n_t + 1 if cfg.t_min is None else 2
     dt = T / cfg.n_t
     # interleaved like the operator: node-major, regime-minor
     v = np.repeat(np.maximum(y / T - 1.0, 0.0), n_states)
@@ -174,29 +188,29 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     # one factorization serves both stages: (I - dt/2 A) is the implicit
     # matrix of the Crank-Nicolson step and of a backward-Euler half-step,
     # so the kink-damping startup (two half-steps per step) reuses it
-    implicit = sp.identity(v.size, format="csr") - 0.5 * dt * _spatial_operator(model, y)
+    implicit = identity(v.size, format="csr") - 0.5 * dt * _spatial_operator(model, y)
     try:
-        solve_imp = spla.splu(implicit.tocsc())
+        solve_imp = splu(implicit.tocsc())
     except RuntimeError as exc:  # pragma: no cover - singular operator
         raise LinearSolveFailure(f"factorization failed: {exc}") from exc
 
-    # full-march size: one allocator request at any t_min; levels below first stay untouched
-    levels = np.empty((cfg.n_t + 1, y.size, n_states))
-    levels[-1] = v.reshape(-1, n_states)
-    for step in range(cfg.n_t - first):
-        out = levels[-2 - step].reshape(-1)
-        if step < cfg.rannacher_steps:
+    ring = np.empty((kept, y.size, n_states))
+    ring[(cfg.n_t - first) % kept] = v.reshape(-1, n_states)
+    for level in range(cfg.n_t - 1, first - 1, -1):
+        out = ring[(level - first) % kept].reshape(-1)
+        if cfg.n_t - 1 - level < cfg.rannacher_steps:
             out[:] = solve_imp.solve(solve_imp.solve(v))
         else:
             np.multiply(solve_imp.solve(v), 2.0, out=out)
             out -= v
+        # checked as written: with two slots, a bad level may be overwritten later
+        if not np.isfinite(out).all():
+            raise LinearSolveFailure("non-finite values in the implicit solve")
         v = out
-    if not np.all(np.isfinite(levels[first:])):
-        raise LinearSolveFailure("non-finite values in the implicit solve")
 
-    values = levels[first:].transpose(0, 2, 1)
+    values = ring.transpose(0, 2, 1)
     values.setflags(write=False)
-    return FdSurfaces(t_nodes=t_nodes[first:], y_nodes=y, values=values)
+    return FdSurfaces(t_nodes=t_nodes[first:first + kept], y_nodes=y, values=values)
 
 
 def richardson_order(
@@ -208,7 +222,8 @@ def richardson_order(
     """Empirical convergence order from the grids n, 2n and 4n.
 
     Returns ``(order, prices)`` with the three grids' prices, coarsest
-    first. Each grid marches down to ``state.t`` only.
+    first. Each grid marches down to ``state.t`` only and keeps the two
+    levels that bracket it.
     """
     prices = []
     for level in range(3):

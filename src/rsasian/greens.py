@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import ValidationError
 
@@ -47,6 +46,8 @@ def robin_correction(v, tau: float, gamma: float, variant: str = "tau_scaled") -
     kernel's common ``1 / (2 sqrt(pi tau))`` normalization. ``tau`` is a
     positive scalar; ``v`` may be any array.
     """
+    from scipy.special import erfcx
+
     one_mg = 1.0 - gamma
     root = math.sqrt(tau)
     s = np.asarray(v, dtype=float) / (2.0 * root)

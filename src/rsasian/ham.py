@@ -53,7 +53,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ExtrapolationRefused, ValidationError
 from .european import european_put_grid
@@ -241,6 +240,8 @@ def _gauss_lobes(v: np.ndarray, h: float, tau: float):
     At each inner node ``d`` of the step-``h`` lattice ``v``, ``lobe_l(d)`` integrates the
     rising half over ``[d-h, d]`` and ``lobe_r(d)`` the falling half over ``[d, d+h]``.
     """
+    from scipy.special import erf
+
     root = math.sqrt(tau)
     f = math.sqrt(math.pi) * root * erf(v / (2.0 * root))
     g = -2.0 * tau * np.exp(-(v * v) / (4.0 * tau))

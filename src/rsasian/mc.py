@@ -117,7 +117,9 @@ def _price_batch(
     n_base = max(1, int(math.ceil((T - state.t) * cfg.n_steps - 1e-12))) if need_avg else 1
     grid = np.linspace(state.t, T, n_base + 1)
     h = (T - state.t) / n_base
-    sqrt_h = math.sqrt(h)
+    mu_h, sig_h = mu * h, sig * math.sqrt(h)  # a whole step in each regime
+    # entry frm * n_states + to: the change of rate at a switch from frm to to
+    d_mu, d_var, d_r = ((a[None, :] - a[:, None]).ravel() for a in (mu, var, r))
 
     # Chain state carried across steps: the regime and the time of its next
     # switch. drift and vol (log-return mean and standard deviation of the
@@ -127,8 +129,8 @@ def _price_batch(
     # expiry at each switch.
     states = np.full(n_units, state.regime, dtype=np.int64)
     clock = state.t + rng.standard_exponential(n_units) * mean_hold[state.regime]
-    drift = np.full(n_units, mu[state.regime] * h)
-    vol = np.full(n_units, sig[state.regime] * sqrt_h)
+    drift = np.full(n_units, mu_h[state.regime])
+    vol = np.full(n_units, sig_h[state.regime])
     disc = np.full(n_units, r[state.regime] * (T - state.t))
 
     spot = np.full((sides, n_units), state.s)
@@ -142,38 +144,45 @@ def _price_batch(
             # The paths that switch in this step get the log-return mean and
             # variance of their occupation times: those of the regime held
             # at the step's start, corrected at each switch by the change of
-            # rate over the rest of the step.
+            # rate over the rest of the step. Their chain state is gathered
+            # once, switched on the compact arrays and scattered back.
+            now, tau, dsc = states[hit], clock[hit], disc[hit]
             m = drift[hit]
             v = vol[hit] ** 2
-            pos = np.arange(hit.size)
-            while pos.size:
-                j = hit[pos]
-                tau = clock[j]
-                frm = states[j]
-                u = rng.random(j.size)
-                to = np.zeros(j.size, dtype=np.int64)
+            # the first pass takes every gathered path through views, so frm and
+            # at must be read before now and tau are written
+            live, rows = slice(None), None
+            while True:
+                frm = now[live]
+                at = tau[live]
+                u = rng.random(frm.size)
+                to = np.zeros(frm.size, dtype=np.int64)
                 for c in range(n_states - 1):  # to = #{c : cum[frm, c] <= u}
                     to += cum[frm, c] <= u
-                left = t1 - tau
-                m[pos] += (mu[to] - mu[frm]) * left
-                v[pos] += (var[to] - var[frm]) * left
-                disc[j] += (r[to] - r[frm]) * (T - tau)
-                states[j] = to
-                tau += rng.standard_exponential(j.size) * mean_hold[to]
-                clock[j] = tau
-                pos = pos[tau < t1]
+                pair = frm * n_states + to
+                left = t1 - at
+                m[live] += d_mu[pair] * left
+                v[live] += d_var[pair] * left
+                dsc[live] += d_r[pair] * (T - at)
+                now[live] = to
+                at = at + rng.standard_exponential(frm.size) * mean_hold[to]
+                tau[live] = at
+                rows = np.flatnonzero(at < t1) if rows is None else rows[at < t1]
+                if not rows.size:
+                    break
+                live = rows
+            states[hit], clock[hit], disc[hit] = now, tau, dsc
             drift[hit] = m
             vol[hit] = np.sqrt(v)
         dw = rng.standard_normal(out=x[0])
         dw *= vol
-        np.negative(dw, out=x[1:])
-        x += drift
+        np.subtract(drift, dw, out=x[1:])  # the antithetic row, if any
+        dw += drift
         spot *= np.exp(x, out=x)
         sums += spot
         if hit.size:
-            now = states[hit]
-            drift[hit] = mu[now] * h
-            vol[hit] = sig[now] * sqrt_h
+            drift[hit] = mu_h[now]
+            vol[hit] = sig_h[now]
 
     avg = (state.a + h * (0.5 * state.s + sums - 0.5 * spot)) / T
     units = np.mean(payoff(spec, spot, avg) * np.exp(-disc), axis=0)

@@ -388,14 +388,31 @@ class TestFailureModes:
 
 
 class TestColdStart:
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats about doubles the CLI's import time and adds a third to
-        # its memory; a fresh interpreter shows whether anything pulls it in
+    """Only the series, FD and European engines need scipy, and they import
+    it where they call it: importing it costs a cold MC ``price`` about
+    0.4 s. A fresh interpreter shows whether anything pulls it in."""
+
+    @staticmethod
+    def _scipy_modules_after(code):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        probe = ("import sys, rsasian.cli; "
-                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        probe = code + "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout.strip() == "[]", proc.stdout
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        assert self._scipy_modules_after("import sys, rsasian.cli") == "[]"
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("style", ["floating_put", "european_put"])
+    def test_mc_price_loads_no_scipy(self, tmp_path, style, antithetic):
+        extra = {"K": 100.0} if style == "european_put" else {}
+        cfg = base_config(tmp_path, TINY_MC, style=style, **extra)
+        cfg["method"]["mc"]["antithetic"] = antithetic
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = ("import sys, rsasian.cli; "
+                f"assert rsasian.cli.main(['price', '--config', {str(path)!r}]) == 0")
+        assert self._scipy_modules_after(code) == "[]"

@@ -6,11 +6,13 @@ treatment there is pure transport.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -111,18 +113,34 @@ def any_model(request, desk_model):
 
 
 class TestEarlyStop:
-    """``t_min`` stops the march at the last level at or below it."""
+    """``t_min`` stops the march at the last level at or below it and keeps
+    that level and the next; ``t_min=None`` keeps every level."""
 
-    @pytest.mark.parametrize("t_min", [0.37, 0.5, 1.0])
+    @pytest.mark.parametrize("t_min", [0.0, 0.37, 0.5, 1.0])
     def test_kept_levels_are_the_full_march_sliced(self, any_model, t_min):
         cfg = FdConfig(n_y=60, n_t=100)
         full = fd_price(any_model, 1.0, cfg)
         short = fd_price(any_model, 1.0, replace(cfg, t_min=t_min))
         first = min(np.flatnonzero(full.t_nodes <= t_min)[-1], cfg.n_t - 1)
-        assert short.t_nodes[0] <= t_min
-        assert np.array_equal(short.t_nodes, full.t_nodes[first:])
-        assert np.array_equal(short.values, full.values[first:])
+        assert short.t_nodes[0] <= t_min <= short.t_nodes[1]
+        assert np.array_equal(short.t_nodes, full.t_nodes[first:first + 2])
+        assert np.array_equal(short.values, full.values[first:first + 2])
         assert np.array_equal(short.y_nodes, full.y_nodes)
+        for regime in range(any_model.n_states):
+            for y in (0.0, 0.61, 1.3):
+                assert short.value(t_min, y, regime) == full.value(t_min, y, regime)
+
+    def test_state_read_memory_does_not_grow_with_n_t(self, desk_model):
+        # keeping every level of the 1600 x 1600 march takes 41 MB; a state read keeps two
+        fd_price(desk_model, 1.0, FdConfig(n_y=10, n_t=10))  # imports done untraced
+        cfg = FdConfig(n_y=1600, n_t=1600, t_min=0.0)
+        tracemalloc.start()
+        try:
+            fd_price(desk_model, 1.0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_richardson_matches_the_full_march(self, any_model, monkeypatch):
         state = MarketState(t=0.5, s=100.0, a=60.0, regime=1)
@@ -133,9 +151,7 @@ class TestEarlyStop:
         assert got == want
 
     def test_non_finite_level_is_refused(self, desk_model, monkeypatch):
-        # one mid-march solve returns a NaN; the march is checked once, at its end
-        splu = fd.spla.splu
-
+        # one mid-march solve returns a NaN
         class OneBadSolve:
             def __init__(self, matrix):
                 self.lu, self.calls = splu(matrix), 0
@@ -147,9 +163,30 @@ class TestEarlyStop:
                     out[3] = np.nan
                 return out
 
-        monkeypatch.setattr(fd.spla, "splu", OneBadSolve)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", OneBadSolve)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
             fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30, t_min=0.5))
+
+    def test_nan_in_an_overwritten_level_is_refused(self, desk_model, monkeypatch):
+        # the second startup half-step puts a NaN into level n_t - 1, and every
+        # solve is handed a cleaned right-hand side, so no later level inherits
+        # it; a read at 0.5 keeps levels 15 and 16, so the NaN is caught only
+        # if each level is checked as it is written
+        class BadThenClean:
+            def __init__(self, matrix):
+                self.lu, self.calls = splu(matrix), 0
+
+            def solve(self, rhs):
+                self.calls += 1
+                out = self.lu.solve(np.nan_to_num(rhs))
+                if self.calls == 2:
+                    out[3] = np.nan
+                return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", BadThenClean)
+        cfg = FdConfig(n_y=30, n_t=30, t_min=0.5)
+        with pytest.raises(LinearSolveFailure, match="non-finite"):
+            fd_price(desk_model, 1.0, cfg)
 
     def test_read_before_the_first_level_is_refused(self, desk_model):
         surf = fd_price(desk_model, 1.0, FdConfig(n_y=40, n_t=40, t_min=0.5))

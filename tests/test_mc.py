@@ -159,6 +159,10 @@ _PIN_MODELS = {
                                   gen=((-1.5, 1.0, 0.5), (0.3, -0.7, 0.4), (2.0, 1.0, -3.0)),
                                   q=(0.01, 0.0, 0.02)),
                       MarketState(t=0.25, s=95.0, a=20.0, regime=2)),
+    # regime 1 absorbs: its paths carry an infinite clock through the switch step
+    "absorbing": (RegimeModel(r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((-2.0, 2.0), (0.0, 0.0)),
+                              q=(0.01, 0.0)),
+                  INCEPTION),
 }
 _PIN_STRIKES = {"floating_put": None, "floating_call": None, "fixed_put": 100.0,
                 "european_put": 100.0}
@@ -260,6 +264,14 @@ _PINNED = {
         "McEstimate(price=12.949585488494757, std_error=0.5774867485994242, n_paths=200, "
         "terminal_price=(5.193204827872513, 5.7741575704241725, 1.9822230901980702), "
         "terminal_se=(0.7758702447781323, 0.677626087523678, 0.5633043212623612))"),
+    ("absorbing", "floating_put", False, 200, None): (
+        "McEstimate(price=4.613915158596071, std_error=0.4229455800054029, n_paths=200, "
+        "terminal_price=(0.6816185298179722, 3.9322966287780985), "
+        "terminal_se=(0.22600211771744264, 0.3933750864806366))"),
+    ("absorbing", "floating_put", True, 200, None): (
+        "McEstimate(price=3.8513727887244418, std_error=0.28438136795771835, n_paths=200, "
+        "terminal_price=(0.285192054701757, 3.5661807340226868), "
+        "terminal_se=(0.10932992108690928, 0.299108881408622))"),
     ("desk", "floating_put", True, 300, 64): (
         "McEstimate(price=4.9831369965147365, std_error=0.28857573823289306, n_paths=300, "
         "terminal_price=(2.9132846504451906, 2.069852346069546), "
