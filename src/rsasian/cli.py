@@ -29,7 +29,8 @@ the surface lookup or build.
 Every run first writes ``<report path>.effective.json``: the config with
 all defaults materialized, so each number in a report is reproducible
 from that one file. ``PRICER_THREADS`` caps the Monte Carlo worker pool
-without changing any result (batches own their seeds).
+without changing any result (batches own their seeds); a value that is
+not a positive integer exits 2.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ block at a time, so its memory stays flat however many a short maturity needs.
 :func:`price_european_put_rs` refines that rule until its error estimate
 meets the :class:`QuadratureSpec` tolerance, or refuses, and clips the result
 to the no-arbitrage bounds. :func:`european_put_grid`, the bulk path of the
-series guess, makes one pass on the grid sized from the default ``n_rho``.
+series guess, makes one pass on the first grid of that refinement.
 """
 
 from __future__ import annotations
@@ -34,24 +34,22 @@ from .model import PriceResult, RegimeModel, require_two_states, validate_model
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_BLOCK = 256
+_MIN_PANELS = 100  # a first grid has at least 2000 nodes, 20 per panel
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the spectral integral.
+    """Accuracy contract of the spectral integral.
 
-    The frequency grid is sized from the model; ``n_rho`` is a floor on its
-    node count. :func:`price_european_put_rs` refines the grid until its
-    error estimate is within ``max(abs_tol, rel_tol * |price|)``.
+    The frequency grid is sized from the model, with at least
+    ``_MIN_PANELS`` panels. :func:`price_european_put_rs` refines the grid
+    until its error estimate is within ``max(abs_tol, rel_tol * |price|)``.
     """
 
-    n_rho: int = 2000
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.n_rho < 16:
-            raise ValidationError("n_rho not >= 16")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValidationError("quadrature tolerances must be > 0")
 
@@ -118,11 +116,11 @@ def _spectral_terms(model: RegimeModel, omega: np.ndarray, ttm: float) -> np.nda
     return np.stack([e1, e2])
 
 
-def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float, n_min: int):
+def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float):
     sig_min_sq = float(np.min(model.sigma_array()) ** 2)
     omega_max = max(50.0, math.sqrt(80.0 / (sig_min_sq * ttm)))
     width = min(3.0 * 2.0 * math.pi / (abs(x_max) + 1.0), omega_max / 8.0)
-    n_panels = max(int(math.ceil(omega_max / width)), (n_min + 19) // 20)
+    n_panels = max(int(math.ceil(omega_max / width)), _MIN_PANELS)
     return omega_max, n_panels
 
 
@@ -163,7 +161,7 @@ def european_put_grid(model: RegimeModel, s_values, k: float, ttm: float) -> np.
         pay = np.maximum(k - s_values, 0.0)
         return np.stack([pay, pay])
     x = np.log(s_values / k)
-    sizes = _exact_grid_sizes(model, ttm, float(np.max(np.abs(x))), QuadratureSpec.n_rho)
+    sizes = _exact_grid_sizes(model, ttm, float(np.max(np.abs(x))))
     w, _ = _put_transform(model, x, ttm, *sizes)
     return discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k)[None, :] * w
 
@@ -205,7 +203,7 @@ def price_european_put_rs(
     x = np.log(np.array([s]) / k)
     scale = math.sqrt(s * k)
     d = discounted_strike_vector(model, k, ttm)[regime]
-    omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)), quad.n_rho)
+    omega_max, n_panels = _exact_grid_sizes(model, ttm, abs(math.log(s / k)))
     attempts = 0
     while True:
         fine, last = _put_transform(model, x, ttm, omega_max, n_panels)

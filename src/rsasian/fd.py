@@ -8,13 +8,14 @@ are ``s * V_i(t, y)``. Each regime's operator is
 and the regimes couple through the generator row. Marching is backward
 from the terminal payoff ``(y/T - 1)^+``. A Crank-Nicolson level is one
 sparse solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
-a few fully implicit startup steps damp the payoff kink (the kink
-ordinate ``y = T`` is snapped onto the grid for clean second-order
-convergence). The time domain is ``[t_min, T]``: the march stops at the
-level at or below ``t_min``; callers holding a state pass ``state.t``, as
-they do for ``y_max``. A state read keeps only the two levels that bracket
-``t_min``, so memory does not grow with ``n_t``, and reads there match a
-full march bit for bit; ``t_min=None`` keeps every level of ``[0, T]``.
+the first ``_STARTUP_STEPS`` steps are each two fully implicit half-steps,
+which damp the payoff kink (the kink ordinate ``y = T`` is snapped onto
+the grid for clean second-order convergence). The time domain is
+``[t_min, T]``: the march stops at the level at or below ``t_min``;
+callers holding a state pass ``state.t``, as they do for ``y_max``. A
+state read keeps only the two levels that bracket ``t_min``, so memory
+does not grow with ``n_t``, and reads there match a full march bit for
+bit; ``t_min=None`` keeps every level of ``[0, T]``.
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
@@ -33,6 +34,8 @@ import numpy as np
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
 from .model import MarketState, RegimeModel, bilinear, validate_model
 
+_STARTUP_STEPS = 2  # Rannacher steps: each is two backward-Euler half-steps
+
 
 @dataclass(frozen=True)
 class FdConfig:
@@ -50,7 +53,6 @@ class FdConfig:
     y_max: float | None = None
     n_y: int = 800
     n_t: int = 800
-    rannacher_steps: int = 2
     t_min: float | None = None
 
     def __post_init__(self):
@@ -58,8 +60,6 @@ class FdConfig:
             raise ValidationError("y_max not > 0")
         if self.n_y < 3 or self.n_t < 3:
             raise ValidationError("n_y and n_t must be >= 3")
-        if self.rannacher_steps < 0:
-            raise ValidationError("rannacher_steps not >= 0")
         if self.t_min is not None and not (self.t_min >= 0.0):
             raise ValidationError("t_min not >= 0")
 
@@ -90,14 +90,12 @@ class FdSurfaces:
 
     def dollar_price(self, state: MarketState) -> float:
         """Price in currency units: ``s * V_i(t, a/s)``."""
-        if state.s <= 0.0:
-            raise ValidationError("spot must be > 0")
         return state.s * self.value(state.t, state.a / state.s, state.regime)
 
-    def monotone_in_y(self, tol: float = 1e-9) -> bool:
-        """True when every retained level is nondecreasing in y."""
+    def monotone_in_y(self) -> bool:
+        """True when every retained level is nondecreasing in y, to within 1e-9."""
         diffs = np.diff(self.values, axis=2)
-        return bool((diffs >= -tol).all())
+        return bool((diffs >= -1e-9).all())
 
 
 def _spatial_operator(model: RegimeModel, y: np.ndarray):
@@ -198,7 +196,7 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     ring[(cfg.n_t - first) % kept] = v.reshape(-1, n_states)
     for level in range(cfg.n_t - 1, first - 1, -1):
         out = ring[(level - first) % kept].reshape(-1)
-        if cfg.n_t - 1 - level < cfg.rannacher_steps:
+        if cfg.n_t - 1 - level < _STARTUP_STEPS:
             out[:] = solve_imp.solve(solve_imp.solve(v))
         else:
             np.multiply(solve_imp.solve(v), 2.0, out=out)

@@ -84,28 +84,18 @@ def greens_function(tau: float, z, xi, gamma: float, variant: str = "tau_scaled"
     return out if out.ndim else float(out)
 
 
-def heat_residual(
-    tau: float,
-    z: float,
-    xi: float,
-    gamma: float,
-    variant: str = "tau_scaled",
-    dz: float | None = None,
-    dtau: float | None = None,
-) -> float:
+def heat_residual(tau: float, z: float, xi: float, gamma: float,
+                  variant: str = "tau_scaled") -> float:
     """|dG/dtau - d2G/dz2| by fourth-order central differences.
 
-    Step sizes default to ``sqrt(tau)/70`` in space and ``tau/200`` in
-    time, small enough that the finite-difference truncation error sits
-    well below the 1e-6 acceptance band for moderate ``(z, xi)`` while
-    staying far above the roundoff floor of the stencils.
+    The steps are ``sqrt(tau)/70`` in space and ``tau/200`` in time, small
+    enough that the finite-difference truncation error sits well below the
+    1e-6 acceptance band for moderate ``(z, xi)`` while staying far above
+    the roundoff floor of the stencils.
     """
     if tau <= 0.0:
         raise ValidationError("tau not > 0 in heat_residual")
-    if dz is None:
-        dz = math.sqrt(tau) / 70.0
-    if dtau is None:
-        dtau = tau / 200.0
+    dz, dtau = math.sqrt(tau) / 70.0, tau / 200.0
 
     def g(tt, zz):
         return greens_function(tt, zz, xi, gamma, variant)
@@ -123,8 +113,8 @@ def heat_residual(
     return abs(g_tau - g_zz)
 
 
-def delta_property_error(tau: float, z: float, phi, gamma: float, variant: str = "tau_scaled") -> float:
-    """|Integral of G(tau, z, xi) phi(xi) dxi - phi(z)|.
+def delta_property_error(tau: float, z: float, phi, gamma: float) -> float:
+    """|Integral of G(tau, z, xi) phi(xi) dxi - phi(z)| for the solving kernel.
 
     For smooth ``phi`` supported away from the boundary the error decays
     like ``tau`` (leading term ``tau * phi''(z)``); used by the tests to
@@ -134,29 +124,25 @@ def delta_property_error(tau: float, z: float, phi, gamma: float, variant: str =
         raise ValidationError("tau not > 0 in delta_property_error")
     upper = z + 15.0 * math.sqrt(tau) + 6.0
     xi = np.linspace(0.0, upper, 40001)
-    vals = greens_function(tau, z, xi, gamma, variant) * phi(xi)
+    vals = greens_function(tau, z, xi, gamma) * phi(xi)
     return abs(float(np.trapezoid(vals, xi)) - float(phi(z)))
 
 
-def select_exponent_variant(
-    gammas=(0.5, 1.0, 2.5),
-    taus=(0.01, 0.1),
-    samples=((0.3, 0.5), (1.0, 0.4), (0.8, 1.2)),
-    tol: float = 1e-6,
-) -> str:
-    """Return the variant whose heat residual passes everywhere.
+def select_exponent_variant() -> str:
+    """Return the variant whose heat residual is below 1e-6 everywhere sampled.
 
-    Both variants coincide at ``gamma = 1`` (the correction vanishes),
-    so ties break toward ``"tau_scaled"``. Raises if neither variant
-    passes the residual band on the sampled set.
+    The samples are ``gamma`` in 0.5, 1 and 2.5, ``tau`` in 0.01 and 0.1,
+    and ``(z, xi)`` in (0.3, 0.5), (1, 0.4) and (0.8, 1.2). Both variants
+    coincide at ``gamma = 1`` (the correction vanishes), so ties break
+    toward ``"tau_scaled"``. Raises if neither variant passes.
     """
     for variant in _VARIANTS:
         worst = max(
             heat_residual(tau, z, xi, gamma, variant)
-            for gamma in gammas
-            for tau in taus
-            for (z, xi) in samples
+            for gamma in (0.5, 1.0, 2.5)
+            for tau in (0.01, 0.1)
+            for (z, xi) in ((0.3, 0.5), (1.0, 0.4), (0.8, 1.2))
         )
-        if worst < tol:
+        if worst < 1e-6:
             return variant
     raise ValidationError("no exponent variant passes the heat-equation residual check")

@@ -183,7 +183,7 @@ def _reduced_payoff(z: np.ndarray, T: float) -> np.ndarray:
     return np.maximum(np.exp(-z) / T - 1.0, 0.0)
 
 
-def _floor_far_field(vals: np.ndarray, j0: int, rel: float = 1e-12) -> None:
+def _floor_far_field(vals: np.ndarray, j0: int) -> None:
     """Zero sub-noise magnitudes on the half-line part of each regime's field.
 
     The recursion feeds each term through an ``e^{z}``-weighted source,
@@ -191,13 +191,13 @@ def _floor_far_field(vals: np.ndarray, j0: int, rel: float = 1e-12) -> None:
     floor of the European guess, ~1e-10 absolute) would grow by roughly
     ``e^{z_max}`` per term and dominate the far field within a few
     terms. True terms decay superexponentially out there, so entries
-    below ``rel`` of the field's half-line magnitude are dust, not
+    below 1e-12 of the field's half-line magnitude are dust, not
     signal; zeroing them is well inside the scheme's error budget. One
     threshold per regime serves all its time rows because the noise
     floor is absolute while early rows have small genuine content.
     """
     half = vals[..., j0:]
-    cut = rel * np.max(np.abs(half), axis=(-2, -1), keepdims=True)
+    cut = 1e-12 * np.max(np.abs(half), axis=(-2, -1), keepdims=True)
     np.copyto(half, 0.0, where=np.abs(half) < cut)
 
 
@@ -374,19 +374,19 @@ def _source_fields(prev: TermGrid, model: RegimeModel) -> np.ndarray:
     return lam * (v - v[::-1]) - (1.0 / sig_half) * np.exp(z) * _deriv_z(v, float(z[1] - z[0]))
 
 
-def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict | None = None) -> TermGrid:
+def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict) -> TermGrid:
     """Series term ``m`` from term ``m - 1``.
 
     Solves the transformed heat problem by the kernel double integral:
     trapezoid over source levels in physical time (the zero-lag endpoint
     is the delta identity), exact-plus-panel hat weights over ``xi``.
     The returned term is zero at ``u = 0`` by construction. ``kernel`` is
-    :func:`_lag_generators` of this grid and model (built if not given).
+    :func:`_lag_generators` of this grid and model; one built for another
+    grid or model is refused.
     """
     require_two_states(model)
     z, u = prev.z_nodes, prev.u_nodes
     key = _kernel_key(z, u, model)
-    kernel = _lag_generators(z, u, model) if kernel is None else kernel
     for name, wanted in key.items():
         if kernel[name] != wanted:
             raise ValidationError(f"lag kernel built for {name}={kernel[name]}, not {wanted}")
@@ -423,15 +423,14 @@ def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict | None = None) -> 
     return TermGrid(m=prev.m + 1, z_nodes=z, u_nodes=u, values=new_vals)
 
 
-def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
-                       z_margin: float = 0.5, u_margin: int = 2) -> dict:
+def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel) -> dict:
     """Relative interior residual of the recursion PDE for both regimes.
 
     Applies the transformed operator to the computed term by finite
     differences and compares with the source built from ``prev``,
     normalized by the source sup-norm. The window keeps the interior
-    ``z_margin <= z <= z_max - z_margin`` (``z_margin`` is a distance,
-    not a node count) and drops the first/last time rows.
+    ``0.5 <= z <= z_max - 0.5`` (a distance, at least three nodes) and
+    drops the first two and the last two time rows.
 
     The margin at the reflecting end matters: the terminal payoff has a
     kink at ``z = 0`` whose early-time image in the source is narrower
@@ -445,11 +444,11 @@ def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
     h = float(z[1] - z[0])
     du = float(u[1] - u[0])
     j0 = int(np.argmin(np.abs(z)))
-    skip = max(3, int(math.ceil(z_margin / h)))
+    skip = max(3, int(math.ceil(0.5 / h)))
     lo = j0 + skip
     hi = len(z) - skip
     if hi - lo < 5:
-        raise ValidationError("z_margin leaves no interior window")
+        raise ValidationError("the 0.5 z margin leaves no interior window")
     _, gamma, sig_half = _regime_axes(model)
     sources = _source_fields(prev, model)
     v = term.values[:, 1:-1]
@@ -459,7 +458,7 @@ def recursion_residual(term: TermGrid, prev: TermGrid, model: RegimeModel,
         -v[..., :-4] + 16.0 * v[..., 1:-3] - 30.0 * v[..., 2:-2] + 16.0 * v[..., 3:-1] - v[..., 4:]
     ) / (12.0 * h * h)
     lhs = dv_du / sig_half - d2 - (1.0 + gamma) * _deriv_z(v, h)
-    window = (lhs - sources[:, 1:-1])[:, u_margin - 1 : len(u) - 1 - u_margin, lo:hi]
+    window = (lhs - sources[:, 1:-1])[:, 1 : len(u) - 3, lo:hi]
     scale = np.max(np.abs(sources), axis=(1, 2))
     return {i: float(np.max(np.abs(window[i]))) / (float(scale[i]) if scale[i] > 0.0 else 1.0)
             for i in (0, 1)}
@@ -606,11 +605,8 @@ def price_floating_put_ham(state: MarketState, model: RegimeModel,
     )
 
 
-def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
-                     config: HamConfig | None = None,
-                     fd_config=None,
-                     probes: tuple = ((0.5, 0.25), (0.5, 0.5), (0.5, 0.75)),
-                     ) -> dict:
+def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig | None = None,
+                     fd_config=None) -> dict:
     """Series-vs-grid comparison across all mode combinations.
 
     For each terminal mode crossed with each initial-guess mode, reads
@@ -620,10 +616,11 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
     the far column, which the construction treats as the small-``y``
     boundary value) after 0..m_trunc terms, the successive price deltas,
     the factorial-weighted term norms, and the gap to the Crank-Nicolson
-    grid price. ``probes`` adds mid-life rows ``(t, y)`` where the
-    surfaces carry genuine content. The gap is informational: the two
-    methods resolve the small-``y`` boundary differently, so agreement
-    is not asserted here, only measured.
+    grid price, all at spot ``s = 100``. The probes add mid-life rows at
+    ``t = 0.5`` and ``y`` in 0.25, 0.5 and 0.75, where the surfaces carry
+    genuine content. The gap is informational: the two methods resolve
+    the small-``y`` boundary differently, so agreement is not asserted
+    here, only measured.
 
     Everything returned is plain Python (floats, lists, dicts), ready
     for JSON serialization.
@@ -632,6 +629,7 @@ def ham_vs_fd_report(model: RegimeModel, T: float, s: float = 100.0,
 
     validate_model(model)
     require_two_states(model)
+    s, probes = 100.0, ((0.5, 0.25), (0.5, 0.5), (0.5, 0.75))
     base = config if config is not None else HamConfig(m_trunc=4)
     fd_cfg = fd_config if fd_config is not None else FdConfig(n_y=800, n_t=800)
     fd_surf = fd_price(model, T, fd_cfg)

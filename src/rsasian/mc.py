@@ -19,7 +19,8 @@ Reproducibility contract: each fixed-size batch of paths draws from its
 own counter-based stream keyed by ``(seed, batch_index)``, and batch
 results are reduced in index order. Estimates are therefore
 bit-identical for a given seed regardless of how many worker threads
-run the batches (``PRICER_THREADS`` caps the pool size).
+run the batches (``PRICER_THREADS``, a positive integer, caps the pool
+size).
 """
 
 from __future__ import annotations
@@ -209,6 +210,10 @@ def mc_price(
     zero standard error.
     """
     validate_model(model)
+    threads = os.environ.get("PRICER_THREADS", "1")
+    if not (threads.isdecimal() and int(threads) > 0):
+        raise ValidationError(f"PRICER_THREADS={threads!r} is not a positive integer")
+    n_workers = int(threads)
     if state.regime >= model.n_states:
         raise ValidationError(f"regime index {state.regime} out of range")
     if state.t > spec.T:
@@ -232,7 +237,6 @@ def mc_price(
         i, b = args
         return _price_batch(model, spec, state, cfg, i, b)
 
-    n_workers = max(1, int(os.environ.get("PRICER_THREADS", "1")))
     jobs = list(enumerate(sizes))
     if n_workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -122,11 +122,12 @@ def two_state_model(
     )
 
 
-def validate_model(model: RegimeModel, atol: float = 1e-12) -> RegimeModel:
+def validate_model(model: RegimeModel) -> RegimeModel:
     """Check the structural invariants of a :class:`RegimeModel`.
 
     Returns the model unchanged when valid; raises
-    :class:`ValidationError` naming the first violated condition.
+    :class:`ValidationError` naming the first violated condition. Signs
+    of generator entries are checked to within 1e-12.
     """
     n = model.n_states
     if n < 1:
@@ -152,9 +153,9 @@ def validate_model(model: RegimeModel, atol: float = 1e-12) -> RegimeModel:
         for j, a in enumerate(row):
             if not math.isfinite(a):
                 raise ValidationError(f"generator entry [{i}][{j}] not finite")
-            if i != j and a < -atol:
+            if i != j and a < -1e-12:
                 raise ValidationError(f"generator entry [{i}][{j}] negative ({a!r})")
-        if row[i] > atol:
+        if row[i] > 1e-12:
             raise ValidationError(f"generator diagonal [{i}][{i}] positive ({row[i]!r})")
         s = math.fsum(row)
         if abs(s) > 1e-9 * max(1.0, max(abs(a) for a in row)):

@@ -17,9 +17,10 @@ and the floating call at spot ``s0`` matches the fixed put struck at
 
 The equivalence rests on running the model backwards in time. Reversal
 preserves the law of the modulating chain only when the chain starts
-from its stationary distribution ``pi`` (two-state chains always satisfy
-the required balance condition), and it exchanges the chain's start for
-its end. Two statements follow:
+from its stationary distribution ``pi`` and satisfies detailed balance,
+``pi_i g_ij = pi_j g_ji``; every two-state chain does, and a chain that
+does not is refused. Reversal exchanges the chain's start for its end.
+Two statements follow:
 
 * stationary: with the starting regime drawn from ``pi`` on both sides,
   ``E_pi[lhs] = mu * E_pi[rhs]``;
@@ -73,14 +74,16 @@ def symmetric_counterpart(
 
     ``state`` supplies the inception spot (needed to convert between
     cash strikes and floating multipliers) and is validated: the
-    equivalence is only claimed at ``t = 0`` with ``a = 0``, anything
-    else raises ``NotApplicable``. The input contract priced under the
-    input model equals ``scale`` times the returned contract priced at
-    the same spot under the returned model, with the starting regime
-    drawn from the chain's stationary law on both sides. Per regime, the
-    input contract started in ``i`` equals ``scale`` times the returned
-    contract started stationarily and ending in ``i``, divided by the
-    stationary weight of ``i`` (see the module docstring).
+    equivalence is only claimed at ``t = 0`` with ``a = 0``, and only for
+    a chain in detailed balance under its stationary law ``pi`` (to within
+    ``1e-9`` of the largest generator entry); anything else raises
+    ``NotApplicable``. The input contract priced under the input model
+    equals ``scale`` times the returned contract priced at the same spot
+    under the returned model, with the starting regime drawn from the
+    chain's stationary law on both sides. Per regime, the input contract
+    started in ``i`` equals ``scale`` times the returned contract started
+    stationarily and ending in ``i``, divided by the stationary weight of
+    ``i`` (see the module docstring).
     """
     validate_model(model)
     if state.t != 0.0 or state.a != 0.0:
@@ -89,6 +92,11 @@ def symmetric_counterpart(
         )
     if spec.style not in _PAIRED:
         raise NotApplicable(f"no fixed/floating counterpart for {spec.style.value}")
+    gen = model.gen_array()
+    flow = _stationary_law(model)[:, None] * gen
+    if np.abs(flow - flow.T).max() > 1e-9 * np.abs(gen).max():
+        raise NotApplicable(f"generator {[list(row) for row in model.gen]} is not in detailed "
+                            "balance, so the time reversal the symmetry rests on fails")
     s0 = state.s
     mu = _moneyness(spec, s0)
     if not (mu > 0.0):

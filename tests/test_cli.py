@@ -241,6 +241,19 @@ class TestSymmetryCommand:
         assert doc["case"]["scale"] == pytest.approx(1.2)
         assert doc["case"]["lhs"][0] == doc["case"]["rhs"][0] == 100.0
 
+    @pytest.mark.parametrize("gen,code", [
+        ([[-3.0, 3.0, 0.0], [0.0, -3.0, 3.0], [3.0, 0.0, -3.0]], 2),
+        ([[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5], [2.0, 0.5, -2.5]], 0),
+    ], ids=["cyclic", "reversible"])
+    def test_three_state_chain_needs_detailed_balance(self, tmp_path, capsys, gen, code):
+        cfg = base_config(tmp_path, TINY_MC)
+        cfg["model"] = {"r": [0.05, 0.03, 0.04], "sigma": [0.3, 0.2, 0.25], "gen": gen}
+        got, report = run(tmp_path, "symmetry-check", cfg)
+        assert got == code
+        if code:
+            assert "config invalid: generator [[-3.0, 3.0, 0.0]" in capsys.readouterr().err
+            assert not os.path.exists(report)
+
 
 def _field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
@@ -297,6 +310,9 @@ class TestMethodBlocks:
             ({"european_rs": {"quad": {"rule": "adaptive"}}}, "european_put", 100.0,
              "method.european_rs.quad"),
             ({"ham": {"guess_quad": {"n_rho": 2000}}}, "floating_put", None, "method.ham"),
+            ({"fd": {"rannacher_steps": 2}}, "floating_put", None, "method.fd"),
+            ({"european_rs": {"quad": {"n_rho": 2000}}}, "european_put", 100.0,
+             "method.european_rs.quad"),
         ],
     )
     def test_removed_knobs_are_rejected(self, tmp_path, capsys, method, style, k, path):
@@ -372,6 +388,13 @@ class TestFailureModes:
         code, report = run(tmp_path, "price", cfg, name="european")
         assert code == 3
         assert "numerical failure: error estimate" in capsys.readouterr().err
+        assert not os.path.exists(report)
+
+    def test_malformed_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PRICER_THREADS", "two")
+        code, report = run(tmp_path, "price", base_config(tmp_path, TINY_MC))
+        assert code == 2
+        assert "config invalid: PRICER_THREADS='two' is not" in capsys.readouterr().err
         assert not os.path.exists(report)
 
     def test_missing_config_file(self, tmp_path, capsys):

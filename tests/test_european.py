@@ -134,26 +134,19 @@ class TestStructuralLimits:
 
 
 class TestQuadrature:
-    def test_price_stable_under_refinement(self, desk_model):
+    def test_price_stable_under_refinement(self, desk_model, monkeypatch):
         res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
         assert set(res.diagnostics) == {"nodes"}, "an in-bound price records no clip"
         base = res.price
-        fine = price_european_put_rs(
-            desk_model,
-            S0,
-            K,
-            0.0,
-            T,
-            0,
-            quad=QuadratureSpec(n_rho=4000),
-        ).price
+        monkeypatch.setattr(european, "_MIN_PANELS", 2 * european._MIN_PANELS)
+        fine = price_european_put_rs(desk_model, S0, K, 0.0, T, 0).price
         assert np.isclose(base, fine, rtol=1e-8), f"{base} vs {fine}"
 
     @pytest.mark.parametrize("moneyness", [0.9, 1.1])
     def test_short_maturity_meets_the_tolerance(self, desk_model, moneyness):
-        # the first pass on the grid sized from n_rho misses here by far (its
-        # estimate is 0.16-0.18, and at s/k = 1.1 it reads -0.007); the price
-        # refines until the estimate is within tolerance, then sits in its bounds
+        # the first pass misses here by far (its estimate is 0.16-0.18, and at
+        # s/k = 1.1 it reads -0.007); the price refines until the estimate is
+        # within tolerance, then sits in its bounds
         quad, ttm = QuadratureSpec(), 1e-3
         res = price_european_put_rs(desk_model, moneyness * K, K, 0.0, ttm, 0, quad=quad)
         assert res.error_estimate <= max(quad.abs_tol, quad.rel_tol * abs(res.price))
@@ -219,8 +212,7 @@ class TestPanelFactorisedSum:
         model = two_state_model(*params)
         s_values = k * np.array(moneyness)
         x = np.log(s_values / k)
-        omega_max, n_panels = european._exact_grid_sizes(
-            model, ttm, float(np.max(np.abs(x))), QuadratureSpec().n_rho)
+        omega_max, n_panels = european._exact_grid_sizes(model, ttm, float(np.max(np.abs(x))))
         dense = _dense_phase_sum(*_one_pass_rule(model, ttm, omega_max, n_panels), x)
         want = discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k) * dense
         got = european_put_grid(model, s_values, k, ttm)
@@ -244,10 +236,10 @@ class TestPanelFactorisedSum:
         # maturity, u = 0.01, takes the most panels and the longest running
         # product, and still fits one block
         z, u = ham_grid(HamConfig(), 1.0)
-        s_values, n_rho = np.exp(z), QuadratureSpec().n_rho
+        s_values = np.exp(z)
         panels = []
         for ttm in u[1:]:
-            omega_max, n_panels = european._exact_grid_sizes(desk_model, ttm, z[-1], n_rho)
+            omega_max, n_panels = european._exact_grid_sizes(desk_model, ttm, z[-1])
             mid, offsets, terms = _one_pass_rule(desk_model, ttm, omega_max, n_panels)
             inner = terms @ np.exp(1j * np.outer(offsets, z))
             direct = (inner * np.exp(1j * np.outer(mid, z))).real.sum(axis=1) / math.pi

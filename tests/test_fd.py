@@ -100,8 +100,10 @@ class TestPriceQuality:
 
 
 class TestVariants:
-    def test_startup_smoothing_is_a_small_correction(self, desk_model, desk_surface):
-        raw = fd_price(desk_model, 1.0, FdConfig(n_y=200, n_t=200, rannacher_steps=0))
+    def test_startup_smoothing_is_a_small_correction(self, desk_model, desk_surface,
+                                                     monkeypatch):
+        monkeypatch.setattr(fd, "_STARTUP_STEPS", 0)
+        raw = fd_price(desk_model, 1.0, FdConfig(n_y=200, n_t=200))
         a = raw.dollar_price(INCEPTION)
         b = desk_surface.dollar_price(INCEPTION)
         assert np.isclose(a, b, rtol=2e-3), f"no-smoothing {a} vs default {b}"
@@ -227,7 +229,7 @@ class TestScheme:
         v = np.repeat(np.maximum(y / T - 1.0, 0.0), any_model.n_states)
         levels = [v]
         for step in range(cfg.n_t):
-            if step < cfg.rannacher_steps:
+            if step < fd._STARTUP_STEPS:
                 v = lu.solve(lu.solve(v))
             else:
                 v = lu.solve(v + 0.5 * dt * (a @ v))

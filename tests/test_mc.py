@@ -141,6 +141,12 @@ class TestDeterminism:
         assert repr(serial) == repr(threaded)
         assert len(serial.terminal_price) == 2
 
+    @pytest.mark.parametrize("threads", ["two", "", "0", "-1", "1.5", " 2"])
+    def test_malformed_thread_count_is_refused(self, desk_model, monkeypatch, threads):
+        monkeypatch.setenv("PRICER_THREADS", threads)
+        with pytest.raises(ValidationError, match=rf"PRICER_THREADS={threads!r} is not"):
+            mc_price(FLOATING_PUT, INCEPTION, desk_model, McConfig(n_paths=100, n_steps=2))
+
     def test_different_seeds_differ(self, desk_model):
         a = mc_price(FLOATING_PUT, INCEPTION, desk_model, McConfig(n_paths=4000, seed=1))
         b = mc_price(FLOATING_PUT, INCEPTION, desk_model, McConfig(n_paths=4000, seed=2))
@@ -422,3 +428,45 @@ class TestChainLaw:
         for j in range(model.n_states):
             zs.append((est.terminal_price[j] - want[j]) / est.terminal_se[j])
         assert max(abs(z) for z in zs) < 4.0, f"z = {np.round(zs, 2)}"
+
+
+class TestPutCallParity:
+    """Put minus call on one seed prices a linear payoff, whose discounted
+    value is exact: floating ``E[D (A/T - S_T)]``, fixed ``E[D (K - A/T)]``.
+    Given the chain, ``E[D S_t] = s exp(-integral of q over [0, t] - integral
+    of r over [t, T])``, so ``E[D S_t | X_0 = i]`` is
+    ``s [expm((G - diag q) t) expm((G - diag r)(T - t)) 1]_i``, and the
+    trapezoid rule on the MC base grid gives ``E[D A]`` with no bias."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        rates=st.tuples(st.floats(0.0, 0.1), st.floats(0.0, 0.1)),
+        vols=st.tuples(st.floats(0.1, 0.5), st.floats(0.1, 0.5)),
+        switches=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+        dividends=st.tuples(st.floats(0.005, 0.08), st.floats(0.005, 0.08)),
+        strike=st.floats(80.0, 120.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_put_minus_call_is_the_exact_linear_price(self, rates, vols, switches,
+                                                        dividends, strike, seed):
+        model = two_state_model(*rates, *vols, *switches, *dividends)
+        s0, T, n_steps = 100.0, 1.0, 16
+        gen = model.gen_array()
+        to_expiry = expm((gen - np.diag(model.r_array())) * T) @ np.ones(2)
+        weights = np.full(n_steps + 1, T / n_steps)
+        weights[[0, -1]] *= 0.5
+        spot_law = [s0 * expm((gen - np.diag(model.q_array())) * t)
+                    @ expm((gen - np.diag(model.r_array())) * (T - t)) @ np.ones(2)
+                    for t in np.linspace(0.0, T, n_steps + 1)]
+        avg = sum(w * v for w, v in zip(weights, spot_law)) / T
+        exact = {"floating": avg - spot_law[-1], "fixed": strike * to_expiry - avg}
+        cfg = McConfig(n_paths=20_000, n_steps=n_steps, seed=seed)
+        for kind, want in exact.items():
+            put = AsianOptionSpec(style=f"{kind}_put", T=T, K=strike if kind == "fixed" else None)
+            call = AsianOptionSpec(style=f"{kind}_call", T=T, K=put.K)
+            for regime in (0, 1):
+                state = MarketState(t=0.0, s=s0, a=0.0, regime=regime)
+                p, c = mc_price(put, state, model, cfg), mc_price(call, state, model, cfg)
+                gap = p.price - c.price - want[regime]
+                bound = 4.0 * math.hypot(p.std_error, c.std_error)
+                assert abs(gap) <= bound, f"{kind} regime {regime}: gap {gap:.4g} > {bound:.4g}"

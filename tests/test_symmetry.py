@@ -20,6 +20,7 @@ from rsasian import (
     McConfig,
     NotApplicable,
     OptionStyle,
+    RegimeModel,
     symmetric_counterpart,
     symmetry_mc_check,
     two_state_model,
@@ -91,6 +92,32 @@ class TestCounterpartMap:
         spec = AsianOptionSpec(style="european_put", T=1.0, K=100.0)
         with pytest.raises(NotApplicable):
             symmetric_counterpart(spec, dividend_model, STATE)
+
+
+def _three_state(gen):
+    return RegimeModel(r=(0.05, 0.03, 0.04), sigma=(0.3, 0.2, 0.25), gen=gen)
+
+
+class TestDetailedBalance:
+    # the time reversal needs pi_i g_ij = pi_j g_ji. Unrefused, the floating put
+    # on the cyclic chain below read terminal-conditioned z = -1.4, -1.9 and
+    # +4.7 (400k antithetic paths, 52 steps, seed 3); the symmetric chain's
+    # rows all read |z| <= 0.85
+    def test_cyclic_chain_is_refused(self):
+        gen = ((-3.0, 3.0, 0.0), (0.0, -3.0, 3.0), (3.0, 0.0, -3.0))
+        spec = AsianOptionSpec(style="floating_put", T=1.0)
+        with pytest.raises(NotApplicable, match=r"generator \[\[-3\.0, 3\.0, 0\.0\]"):
+            symmetric_counterpart(spec, _three_state(gen), STATE)
+
+    @pytest.mark.parametrize("model", [
+        _three_state(((-3.0, 1.0, 2.0), (1.0, -1.5, 0.5), (2.0, 0.5, -2.5))),
+        two_state_model(0.05, 0.03, 0.3, 0.2, 2.0, 0.0),
+        two_state_model(0.05, 0.03, 0.3, 0.2, 0.0, 0.0),
+    ], ids=["symmetric_three_state", "absorbing", "zero_generator"])
+    def test_reversible_chains_are_accepted(self, model):
+        spec = AsianOptionSpec(style="floating_put", T=1.0)
+        rhs, swapped, scale = symmetric_counterpart(spec, model, STATE)
+        assert rhs.style is OptionStyle.FIXED_CALL and swapped.gen == model.gen
 
 
 class TestSymmetryCase:
