@@ -19,8 +19,9 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
 
 Exit codes: 0 success, 2 for unreadable or schema-invalid configs and
 contract violations (messages name field paths), 3 for numerical
-failures. CSV reports use ``.`` decimals, ``,`` separators, and LF line
-endings; JSON reports sort their keys. Repeated runs of one config are
+failures, a divergent series among them. CSV reports use ``.``
+decimals, ``,`` separators, and LF line endings; JSON reports sort
+their keys. Repeated runs of one config are
 byte-identical: wall-clock timings go into ``runtime_ms`` only when
 ``output.timings`` is true, otherwise the column reads 0. Each
 ``convergence`` row is timed on its own; row 0 of a guess mode carries
@@ -30,7 +31,7 @@ Every run first writes ``<report path>.effective.json``: the config with
 all defaults materialized, so each number in a report is reproducible
 from that one file. ``PRICER_THREADS`` caps the Monte Carlo worker pool
 without changing any result (batches own their seeds); a value that is
-not a positive integer exits 2.
+not a positive integer exits 2 as ``environment invalid``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ from dataclasses import asdict, fields, replace
 
 import jsonschema
 
-from .errors import ExtrapolationRefused, NotApplicable, PricingError, ValidationError
+from .errors import (
+    ExtrapolationRefused,
+    InvalidEnvironment,
+    NotApplicable,
+    PricingError,
+    ValidationError,
+)
 from .european import QuadratureSpec, price_european_put_rs
 from .fd import FdConfig, default_y_max, fd_price, richardson_order
 # build_terms and assemble_series are not called here; perfbench/spans.py wraps them on this module
@@ -67,7 +74,6 @@ from .model import (
     MarketState,
     OptionStyle,
     RegimeModel,
-    validate_model,
 )
 from .symmetry import symmetry_mc_check
 
@@ -259,7 +265,7 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
         z_min, z_max = ham_window(hc, T)
         return replace(hc, z_min=z_min, z_max=z_max)
     if name == "mc":
-        return McConfig(**{"n_paths": 100_000, **block})
+        return McConfig(**block)
     if name == "fd":
         fc = FdConfig(**block)
         if fc.y_max is None:
@@ -297,16 +303,6 @@ def _materialize(cfg: dict) -> tuple[dict, dict, MarketState]:
         "method": method,
         "output": output,
     }, engines, mstate
-
-
-def _build_model(model_block: dict) -> RegimeModel:
-    model = RegimeModel(
-        r=tuple(model_block["r"]),
-        sigma=tuple(model_block["sigma"]),
-        gen=tuple(tuple(row) for row in model_block["gen"]),
-        q=tuple(model_block["q"]),
-    )
-    return validate_model(model)
 
 
 def _build_spec(option_block: dict) -> AsianOptionSpec:
@@ -501,7 +497,7 @@ def _run(command: str, config_path: str) -> int:
         return 2
 
     effective, engines, state = _materialize(raw)
-    model = _build_model(effective["model"])
+    model = RegimeModel(**effective["model"])
     spec = _build_spec(effective["option"])
     output = effective["output"]
     timings = output["timings"]
@@ -563,6 +559,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args.command, args.config)
+    except InvalidEnvironment as e:
+        print(f"environment invalid: {e}", file=sys.stderr)
+        return 2
     except (ValidationError, NotApplicable) as e:
         print(f"config invalid: {e}", file=sys.stderr)
         return 2

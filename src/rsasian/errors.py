@@ -13,6 +13,11 @@ class ValidationError(PricingError):
     """
 
 
+class InvalidEnvironment(ValidationError):
+    """An environment variable an engine reads holds an unusable value,
+    e.g. ``"PRICER_THREADS='two' is not a positive integer"``."""
+
+
 class QuadratureNotConverged(PricingError):
     """A European price missed its quadrature tolerance after every refinement."""
 

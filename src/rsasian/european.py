@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureNotConverged, ValidationError
-from .model import PriceResult, RegimeModel, require_two_states, validate_model
+from .model import PriceResult, RegimeModel, require_two_states
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_BLOCK = 256
@@ -189,7 +189,6 @@ def price_european_put_rs(
     clip that moves the price records the unclipped value as ``unclipped_price``.
     Equal regime variances take the same path as any other two-state model.
     """
-    validate_model(model)
     require_two_states(model)
     if regime not in (0, 1):
         raise ValidationError(f"regime index {regime!r} not 0 or 1")

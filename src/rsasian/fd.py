@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
-from .model import MarketState, RegimeModel, bilinear, validate_model
+from .model import MarketState, RegimeModel, bilinear
 
 _STARTUP_STEPS = 2  # Rannacher steps: each is two backward-Euler half-steps
 
@@ -159,7 +159,6 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     from scipy.sparse import identity
     from scipy.sparse.linalg import splu
 
-    validate_model(model)
     if not (T > 0.0):
         raise ValidationError("T not > 0")
     y_max = cfg.y_max if cfg.y_max is not None else default_y_max(T)

@@ -54,8 +54,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ExtrapolationRefused, ValidationError
+from .errors import ExtrapolationRefused, PricingError, ValidationError
 from .european import european_put_grid
+from .fd import FdConfig, fd_price
 from .greens import robin_correction
 from .model import (
     MarketState,
@@ -64,7 +65,6 @@ from .model import (
     bilinear,
     rate_ratios,
     require_two_states,
-    validate_model,
 )
 
 _TERMINAL_MODES = ("payoff", "paper_zero")
@@ -76,6 +76,7 @@ _ROBIN_PANEL_X = 0.5  # see _robin_lobes
 _ROBIN_CUT_X = 8.5
 _SOURCE_TAIL_WARN = 1e-10  # ham_step warns above this share of the source peak
 _SURFACES_CACHE_SIZE = 8  # assembled surfaces kept, oldest dropped first
+_DIVERGENCE_LIMIT = 100.0  # largest later term norm a price accepts, in term-0 norms
 
 
 @dataclass(frozen=True)
@@ -201,32 +202,27 @@ def _floor_far_field(vals: np.ndarray, j0: int) -> None:
     np.copyto(half, 0.0, where=np.abs(half) < cut)
 
 
-def initial_guess(model: RegimeModel, grid, mode: str, T: float,
-                  terminal_mode: str = "payoff") -> TermGrid:
-    """Term 0 on ``grid = (z_nodes, u_nodes)``.
+def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> TermGrid:
+    """Term 0 on ``grid = (z_nodes, u_nodes)`` for ``config``'s two modes.
 
-    ``mode="european_rs"`` maps the reduced state to a European put:
+    ``initial_guess_mode="european_rs"`` maps the reduced state to a European put:
     ``(y/T - 1)^+ = e^{-z} (1/T - e^{z})^+`` is ``e^{-z}`` times a
     vanilla put payoff in ``x = e^{z} = 1/y`` with strike ``1/T``, so
     term 0 is ``e^{-z} P_i(S=e^{z}, K=1/T, ttm=u)``. This matches the
     terminal payoff exactly at ``u = 0`` and decays as ``z`` grows.
-    ``mode="zero"`` carries the terminal slice (payoff or zero per
-    ``terminal_mode``) unchanged in time.
+    ``initial_guess_mode="zero"`` carries the terminal slice (payoff or
+    zero per ``terminal_mode``) unchanged in time.
     """
     z, u = grid
-    if mode not in _GUESS_MODES:
-        raise ValidationError(f"unknown initial guess mode {mode!r}")
-    if terminal_mode not in _TERMINAL_MODES:
-        raise ValidationError(f"unknown terminal_mode {terminal_mode!r}")
     vals = np.zeros((2, len(u), len(z)))
-    if mode == "european_rs":
+    if config.initial_guess_mode == "european_rs":
         s_vals = np.exp(z)
         damp = np.exp(-z)
         for l, ttm in enumerate(u):
             vals[:, l] = damp * european_put_grid(model, s_vals, 1.0 / T, float(ttm))
-    elif terminal_mode == "payoff":
+    elif config.terminal_mode == "payoff":
         vals[:] = _reduced_payoff(z, T)
-    vals[:, 0] = _reduced_payoff(z, T) if terminal_mode == "payoff" else 0.0
+    vals[:, 0] = _reduced_payoff(z, T) if config.terminal_mode == "payoff" else 0.0
     _floor_far_field(vals, int(np.argmin(np.abs(np.asarray(z)))))
     return TermGrid(m=0, z_nodes=np.asarray(z, dtype=float),
                     u_nodes=np.asarray(u, dtype=float), values=vals)
@@ -471,13 +467,15 @@ class SeriesSurfaces:
     """Partial sums of the series with per-term diagnostics.
 
     ``partials[m]`` is the factorial-weighted sum of terms ``0..m``, so
-    ``partials[-1]`` is the truncated series.
+    ``partials[-1]`` is the truncated series. ``model`` is the model the
+    terms were built for.
     """
 
     z_nodes: np.ndarray
     u_nodes: np.ndarray
     partials: np.ndarray  # (m_trunc + 1, 2, n_u, n_z)
     term_norms: tuple[tuple[float, float], ...]  # per term, per regime, /m!
+    model: RegimeModel
 
     def __post_init__(self):
         for arr in (self.z_nodes, self.u_nodes, self.partials):
@@ -488,8 +486,8 @@ class SeriesSurfaces:
         return bilinear(self.partials[m, regime], ("u", self.u_nodes, u), ("z", self.z_nodes, z))
 
 
-def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
-    """Running factorial-weighted sums of the terms plus the norm diagnostic."""
+def assemble_series(terms: list[TermGrid], model: RegimeModel) -> SeriesSurfaces:
+    """Running factorial-weighted sums of ``model``'s terms plus the norm diagnostic."""
     if not terms:
         raise ValidationError("no terms to assemble")
     z, u = terms[0].z_nodes, terms[0].u_nodes
@@ -506,14 +504,13 @@ def assemble_series(terms: list[TermGrid]) -> SeriesSurfaces:
         partials[k] = total
         norms.append(tuple((w * np.max(np.abs(t.values), axis=(1, 2))).tolist()))
     return SeriesSurfaces(z_nodes=z, u_nodes=u, partials=partials,
-                          term_norms=tuple(norms))
+                          term_norms=tuple(norms), model=model)
 
 
 def build_terms(model: RegimeModel, T: float, config: HamConfig,
                 kernels: dict | None = None) -> list[TermGrid]:
     """Terms ``0..m_trunc`` for the configured grid and modes; ``kernels``, a memo of
     :func:`_lag_generators` by :func:`_kernel_key`, shares one kernel across builds."""
-    validate_model(model)
     require_two_states(model)
     if any(q != 0.0 for q in model.q):
         raise ValidationError(f"model.q={list(model.q)}: the series engine prices only q = 0")
@@ -523,8 +520,7 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig,
     if key not in kernels:
         kernels[key] = _lag_generators(*grid, model)
     kernel = kernels[key]
-    terms = [initial_guess(model, grid, config.initial_guess_mode, T,
-                           terminal_mode=config.terminal_mode)]
+    terms = [initial_guess(model, grid, config, T)]
     for _ in range(config.m_trunc):
         terms.append(ham_step(terms[-1], model, kernel))
     return terms
@@ -545,7 +541,7 @@ def series_surfaces(model: RegimeModel, T: float, config: HamConfig,
     key = (model, T, replace(config, z_min=z_lo, z_max=z_hi))
     hit = _SURFACES_CACHE.get(key)
     if hit is None:
-        hit = assemble_series(build_terms(model, T, config, kernels))
+        hit = assemble_series(build_terms(model, T, config, kernels), model)
         _SURFACES_CACHE[key] = hit
         if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
             del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
@@ -560,8 +556,21 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
     in for it (the construction's boundary value), flagged in the
     returned info dict. States below ``z_min`` (deep in-the-money
     averages) are refused rather than extrapolated, as are states past
-    maturity.
+    maturity. A divergent series is refused with :class:`PricingError`:
+    one whose factorial-weighted term norms after term 0 reach more than
+    ``_DIVERGENCE_LIMIT`` times term 0's in either regime.
     """
+    norms = np.array(surfaces.term_norms)
+    for i in (0, 1):
+        first, later = norms[0, i], norms[1:, i].max(initial=0.0)
+        if later > _DIVERGENCE_LIMIT * first:
+            model = surfaces.model
+            growth = later / first if first > 0.0 else math.inf
+            raise PricingError(
+                f"the series diverges: regime {i} term norms grow to {growth:.3g} times "
+                f"term 0's (limit {_DIVERGENCE_LIMIT:g}) at r={list(model.r)}, "
+                f"sigma={list(model.sigma)}"
+            )
     u = T - state.t
     if u < 0.0:
         raise ExtrapolationRefused(f"state time {state.t!r} is past maturity {T!r}")
@@ -605,8 +614,8 @@ def price_floating_put_ham(state: MarketState, model: RegimeModel,
     )
 
 
-def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig | None = None,
-                     fd_config=None) -> dict:
+def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig = HamConfig(),
+                     fd_config: FdConfig = FdConfig()) -> dict:
     """Series-vs-grid comparison across all mode combinations.
 
     For each terminal mode crossed with each initial-guess mode, reads
@@ -620,29 +629,25 @@ def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig | None = No
     ``t = 0.5`` and ``y`` in 0.25, 0.5 and 0.75, where the surfaces carry
     genuine content. The gap is informational: the two methods resolve
     the small-``y`` boundary differently, so agreement is not asserted
-    here, only measured.
+    here, only measured. The surfaces are read directly, not through
+    :func:`series_dollar_price`, so a divergent series is reported, not refused.
 
     Everything returned is plain Python (floats, lists, dicts), ready
     for JSON serialization.
     """
-    from .fd import FdConfig, fd_price
-
-    validate_model(model)
     require_two_states(model)
     s, probes = 100.0, ((0.5, 0.25), (0.5, 0.5), (0.5, 0.75))
-    base = config if config is not None else HamConfig(m_trunc=4)
-    fd_cfg = fd_config if fd_config is not None else FdConfig(n_y=800, n_t=800)
-    fd_surf = fd_price(model, T, fd_cfg)
+    fd_surf = fd_price(model, T, fd_config)
     fd_desk = [fd_surf.dollar_price(MarketState(t=0.0, s=s, a=0.0, regime=i))
                for i in (0, 1)]
 
     report = {
         "T": float(T),
         "s": float(s),
-        "m_trunc": int(base.m_trunc),
+        "m_trunc": int(config.m_trunc),
         "fd": {
-            "n_y": int(fd_cfg.n_y),
-            "n_t": int(fd_cfg.n_t),
+            "n_y": int(fd_config.n_y),
+            "n_t": int(fd_config.n_t),
             "desk_price": [float(p) for p in fd_desk],
         },
         "modes": [],
@@ -650,7 +655,7 @@ def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig | None = No
     kernels = {}
     for terminal_mode in _TERMINAL_MODES:
         for guess_mode in _GUESS_MODES:
-            cfg = replace(base, terminal_mode=terminal_mode,
+            cfg = replace(config, terminal_mode=terminal_mode,
                           initial_guess_mode=guess_mode)
             surf = series_surfaces(model, T, cfg, kernels)
             z_top = float(surf.z_nodes[-1])

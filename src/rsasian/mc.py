@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import AsianOptionSpec, MarketState, OptionStyle, RegimeModel, payoff, validate_model
+from .errors import InvalidEnvironment, ValidationError
+from .model import AsianOptionSpec, MarketState, OptionStyle, RegimeModel, payoff
 
 _BATCH_SIZE = 250_000  # fixed so that batching never depends on thread count
 
@@ -43,7 +43,7 @@ class McConfig:
     """Path count, steps per year of the averaging grid (the European put
     takes one step whatever ``n_steps``), seed, and antithetic flag."""
 
-    n_paths: int
+    n_paths: int = 100_000
     n_steps: int = 252
     seed: int = 0
     antithetic: bool = False
@@ -209,10 +209,9 @@ def mc_price(
     At ``t = T`` the payoff is deterministic and returned exactly with
     zero standard error.
     """
-    validate_model(model)
     threads = os.environ.get("PRICER_THREADS", "1")
     if not (threads.isdecimal() and int(threads) > 0):
-        raise ValidationError(f"PRICER_THREADS={threads!r} is not a positive integer")
+        raise InvalidEnvironment(f"PRICER_THREADS={threads!r} is not a positive integer")
     n_workers = int(threads)
     if state.regime >= model.n_states:
         raise ValidationError(f"regime index {state.regime} out of range")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +67,9 @@ class RegimeModel:
         Per-regime continuous dividend yields; defaults to zero. The
         series engine refuses nonzero dividends; the other engines and
         the fixed/floating symmetry price them.
+
+    Construction raises :class:`ValidationError` naming the first violated
+    condition; generator signs are checked to within 1e-12.
     """
 
     r: tuple[float, ...]
@@ -81,6 +83,37 @@ class RegimeModel:
         object.__setattr__(self, "gen", tuple(_as_tuple(row) for row in self.gen))
         q = self.q if self.q else tuple(0.0 for _ in self.r)
         object.__setattr__(self, "q", _as_tuple(q))
+        n = self.n_states
+        if n < 1:
+            raise ValidationError("model needs at least one regime")
+        if len(self.sigma) != n:
+            raise ValidationError(f"sigma has {len(self.sigma)} entries, expected {n}")
+        if len(self.q) != n:
+            raise ValidationError(f"q has {len(self.q)} entries, expected {n}")
+        if len(self.gen) != n:
+            raise ValidationError(f"generator has {len(self.gen)} rows, expected {n}")
+        for i, s in enumerate(self.sigma):
+            if not (s > 0.0) or not math.isfinite(s):
+                raise ValidationError(f"sigma[{i}] not > 0")
+        for i, rate in enumerate(self.r):
+            if not math.isfinite(rate):
+                raise ValidationError(f"r[{i}] not finite")
+        for i, dy in enumerate(self.q):
+            if not math.isfinite(dy):
+                raise ValidationError(f"q[{i}] not finite")
+        for i, row in enumerate(self.gen):
+            if len(row) != n:
+                raise ValidationError(f"generator row {i} has {len(row)} entries, expected {n}")
+            for j, a in enumerate(row):
+                if not math.isfinite(a):
+                    raise ValidationError(f"generator entry [{i}][{j}] not finite")
+                if i != j and a < -1e-12:
+                    raise ValidationError(f"generator entry [{i}][{j}] negative ({a!r})")
+            if row[i] > 1e-12:
+                raise ValidationError(f"generator diagonal [{i}][{i}] positive ({row[i]!r})")
+            s = math.fsum(row)
+            if abs(s) > 1e-9 * max(1.0, max(abs(a) for a in row)):
+                raise ValidationError(f"generator row {i} sums to {s:g}")
 
     @property
     def n_states(self) -> int:
@@ -120,47 +153,6 @@ def two_state_model(
         gen=((-a12, a12), (a21, -a21)),
         q=(q1, q2),
     )
-
-
-def validate_model(model: RegimeModel) -> RegimeModel:
-    """Check the structural invariants of a :class:`RegimeModel`.
-
-    Returns the model unchanged when valid; raises
-    :class:`ValidationError` naming the first violated condition. Signs
-    of generator entries are checked to within 1e-12.
-    """
-    n = model.n_states
-    if n < 1:
-        raise ValidationError("model needs at least one regime")
-    if len(model.sigma) != n:
-        raise ValidationError(f"sigma has {len(model.sigma)} entries, expected {n}")
-    if len(model.q) != n:
-        raise ValidationError(f"q has {len(model.q)} entries, expected {n}")
-    if len(model.gen) != n:
-        raise ValidationError(f"generator has {len(model.gen)} rows, expected {n}")
-    for i, s in enumerate(model.sigma):
-        if not (s > 0.0) or not math.isfinite(s):
-            raise ValidationError(f"sigma[{i}] not > 0")
-    for i, rate in enumerate(model.r):
-        if not math.isfinite(rate):
-            raise ValidationError(f"r[{i}] not finite")
-    for i, dy in enumerate(model.q):
-        if not math.isfinite(dy):
-            raise ValidationError(f"q[{i}] not finite")
-    for i, row in enumerate(model.gen):
-        if len(row) != n:
-            raise ValidationError(f"generator row {i} has {len(row)} entries, expected {n}")
-        for j, a in enumerate(row):
-            if not math.isfinite(a):
-                raise ValidationError(f"generator entry [{i}][{j}] not finite")
-            if i != j and a < -1e-12:
-                raise ValidationError(f"generator entry [{i}][{j}] negative ({a!r})")
-        if row[i] > 1e-12:
-            raise ValidationError(f"generator diagonal [{i}][{i}] positive ({row[i]!r})")
-        s = math.fsum(row)
-        if abs(s) > 1e-9 * max(1.0, max(abs(a) for a in row)):
-            raise ValidationError(f"generator row {i} sums to {s:g}")
-    return model
 
 
 def require_two_states(model: RegimeModel) -> None:

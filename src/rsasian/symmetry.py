@@ -40,7 +40,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import NotApplicable, ValidationError
+from .errors import NotApplicable
 from .mc import McConfig, mc_price
 from .model import (
     FIXED_STYLES,
@@ -48,7 +48,6 @@ from .model import (
     MarketState,
     OptionStyle,
     RegimeModel,
-    validate_model,
 )
 
 _PAIRED = {
@@ -85,7 +84,6 @@ def symmetric_counterpart(
     stationarily and ending in ``i``, divided by the stationary weight of
     ``i`` (see the module docstring).
     """
-    validate_model(model)
     if state.t != 0.0 or state.a != 0.0:
         raise NotApplicable(
             f"symmetry holds at inception only (t={state.t!r}, a={state.a!r})"
@@ -99,8 +97,6 @@ def symmetric_counterpart(
                             "balance, so the time reversal the symmetry rests on fails")
     s0 = state.s
     mu = _moneyness(spec, s0)
-    if not (mu > 0.0):
-        raise ValidationError(f"moneyness must be positive, got {mu!r}")
     new_style = _PAIRED[spec.style]
     if new_style in FIXED_STYLES:
         new_spec = AsianOptionSpec(style=new_style, T=spec.T, K=s0 / mu)

@@ -280,6 +280,13 @@ class TestMethodBlocks:
         cls = {"ham": HamConfig, "mc": McConfig, "fd": FdConfig}[name]
         assert set(block) == _field_names(cls)
 
+    def test_mc_path_count_defaults_to_the_config_default(self, tmp_path):
+        cfg = base_config(tmp_path, {"mc": {"n_steps": 2, "seed": 7}})
+        code, report = run(tmp_path, "price", cfg)
+        assert code == 0
+        block = json.loads(open(report + ".effective.json").read())["method"]["mc"]
+        assert block["n_paths"] == McConfig().n_paths == 100_000
+
     @pytest.mark.parametrize("command", ["price", "compare"])
     def test_fd_t_min_is_always_the_state_time(self, tmp_path, command):
         reports = []
@@ -394,7 +401,18 @@ class TestFailureModes:
         monkeypatch.setenv("PRICER_THREADS", "two")
         code, report = run(tmp_path, "price", base_config(tmp_path, TINY_MC))
         assert code == 2
-        assert "config invalid: PRICER_THREADS='two' is not" in capsys.readouterr().err
+        assert "environment invalid: PRICER_THREADS='two' is not" in capsys.readouterr().err
+        assert not os.path.exists(report)
+
+    @pytest.mark.parametrize("command", ["price", "compare", "convergence"])
+    def test_divergent_series_exits_three(self, tmp_path, capsys, command):
+        method = TINY_HAM if command != "compare" else {"compare": TINY_HAM}
+        cfg = base_config(tmp_path, method)
+        cfg["model"] = {"r": [0.08, 0.01], "sigma": [0.1, 0.5], "gen": [[-3.0, 3.0], [0.5, -0.5]]}
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 3
+        assert "numerical failure: the series diverges: regime 0" in capsys.readouterr().err
         assert not os.path.exists(report)
 
     def test_missing_config_file(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from rsasian import (
     FdConfig,
     HamConfig,
     MarketState,
+    PricingError,
     RegimeModel,
     ValidationError,
     assemble_series,
@@ -195,7 +196,8 @@ class TestStructure:
         # the window is fixed, so a kernel for T = 2 differs from the step's
         # grid only in du, the spacing of its lag times
         cfg = dataclasses.replace(COARSE, z_min=-3.0, z_max=9.0)
-        prev = ham.initial_guess(desk_model, ham_grid(cfg, 1.0), "zero", 1.0)
+        guess = dataclasses.replace(cfg, initial_guess_mode="zero")
+        prev = ham.initial_guess(desk_model, ham_grid(cfg, 1.0), guess, 1.0)
         built = dict(T=1.0, n_z=cfg.n_z, n_u=cfg.n_u, model=desk_model) | other
         grid = ham_grid(dataclasses.replace(cfg, n_z=built["n_z"], n_u=built["n_u"]), built["T"])
         kernel = ham._lag_generators(*grid, built["model"])
@@ -244,7 +246,7 @@ class TestPricing:
         z_node = z[20]  # in the money: average above spot
         a = 100.0 * np.exp(-z_node) * 1.0
         state = MarketState(t=1.0, s=100.0, a=a, regime=0)
-        surfaces = assemble_series(desk_terms)
+        surfaces = assemble_series(desk_terms, desk_model)
         price, diag = series_dollar_price(surfaces, state, 1.0)
         want = max(a / 1.0 - 100.0, 0.0)
         assert price == pytest.approx(want, rel=1e-12), f"{price} vs {want}"
@@ -256,7 +258,7 @@ class TestPricing:
         assert res.price == pytest.approx(20.0, rel=2e-2)
 
     def test_price_is_homogeneous(self, desk_model, desk_terms):
-        surfaces = assemble_series(desk_terms)
+        surfaces = assemble_series(desk_terms, desk_model)
         base, _ = series_dollar_price(
             surfaces, MarketState(t=0.5, s=100.0, a=50.0, regime=0), 1.0
         )
@@ -279,11 +281,11 @@ class TestPricing:
             assert key in res.diagnostics, key
         assert res.price >= 0.0 and np.isfinite(res.price)
 
-    def test_partials_are_the_running_sums(self, desk_terms):
-        surfaces = assemble_series(desk_terms)
+    def test_partials_are_the_running_sums(self, desk_model, desk_terms):
+        surfaces = assemble_series(desk_terms, desk_model)
         assert surfaces.partials.shape == (3, 2, 21, 101)
         for k in range(len(desk_terms)):
-            alone = assemble_series(desk_terms[: k + 1])
+            alone = assemble_series(desk_terms[: k + 1], desk_model)
             assert np.array_equal(surfaces.partials[k], alone.partials[-1]), f"m = {k}"
         assert np.array_equal(surfaces.partials[0][0], desk_terms[0].values[0])
 
@@ -321,6 +323,29 @@ class TestPricing:
         state = MarketState(t=1.5, s=100.0, a=100.0, regime=0)
         with pytest.raises(ExtrapolationRefused):
             price_floating_put_ham(state, desk_model, COARSE, 1.0)
+
+    @pytest.mark.parametrize("model", [
+        (0.05, 0.03, 0.3, 0.2, 1.0, 1.0),
+        (0.06, 0.03, 0.3, 0.2, 1.0, 1.0),
+        (0.05, 0.03, 0.3, 0.2, 0.5, 2.0),
+        (0.75, 0.75, 1.0, 1.0, 1.0, 1.0),
+    ])
+    @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
+    def test_convergent_series_still_prices(self, model, cfg):
+        state = MarketState(t=0.5, s=100.0, a=50.0, regime=1)
+        # not refused; the paper form's own error can leave the read slightly negative
+        assert np.isfinite(price_floating_put_ham(state, two_state_model(*model), cfg, 1.0).price)
+
+    @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
+    def test_divergent_series_is_refused(self, cfg):
+        # gamma = 2 r / sigma^2 = 16 in regime 0: the paper-form term norms grow to
+        # 1e11 (coarse) and 9e12 (default) times term 0's; regime 1 reads the same sum
+        model = two_state_model(0.08, 0.01, 0.1, 0.5, 3.0, 0.5)
+        for regime in (0, 1):
+            state = MarketState(t=0.5, s=100.0, a=50.0, regime=regime)
+            with pytest.raises(PricingError, match=r"series diverges: regime 0 term norms grow "
+                               r"to .* at r=\[0\.08, 0\.01\], sigma=\[0\.1, 0\.5\]"):
+                price_floating_put_ham(state, model, cfg, 1.0)
 
     def test_regime_out_of_range_refused_before_a_build(self, desk_model, build_calls):
         # unchecked, the whole surface was built before the regime indexed past it

@@ -39,6 +39,9 @@ class TestConfig:
         with pytest.raises(ValidationError):
             McConfig(n_paths=1)
 
+    def test_default_path_count(self):
+        assert McConfig().n_paths == 100_000
+
     def test_antithetic_needs_even_paths(self):
         with pytest.raises(ValidationError):
             McConfig(n_paths=101, antithetic=True)

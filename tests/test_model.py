@@ -1,5 +1,6 @@
 """Tests for the market model, option spec, state, and payoff primitives."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -16,7 +17,6 @@ from rsasian import (
     payoff,
     rate_ratios,
     two_state_model,
-    validate_model,
 )
 
 
@@ -31,43 +31,55 @@ class TestRegimeModel:
         assert model.gen[1] == (0.5, -0.5)
 
     def test_validate_accepts_well_formed_model(self, desk_model):
-        validate_model(desk_model)
+        # construction is the check: rebuilding the desk model from its fields passes
+        assert RegimeModel(**dataclasses.asdict(desk_model)) == desk_model
 
     def test_generator_row_must_sum_to_zero(self):
-        model = RegimeModel(
-            r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((-1.0, 0.5), (1.0, -1.0))
-        )
         with pytest.raises(ValidationError, match="row 0"):
-            validate_model(model)
+            RegimeModel(r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((-1.0, 0.5), (1.0, -1.0)))
 
     def test_generator_off_diagonal_must_be_nonnegative(self):
-        model = RegimeModel(
-            r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((0.5, -0.5), (1.0, -1.0))
-        )
         with pytest.raises(ValidationError):
-            validate_model(model)
+            RegimeModel(r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((0.5, -0.5), (1.0, -1.0)))
 
     @pytest.mark.parametrize("bad_sigma", [(0.0, 0.2), (0.3, -0.1)])
     def test_volatilities_must_be_positive(self, bad_sigma):
-        model = RegimeModel(
-            r=(0.05, 0.03), sigma=bad_sigma, gen=((-1.0, 1.0), (1.0, -1.0))
-        )
         with pytest.raises(ValidationError):
-            validate_model(model)
+            RegimeModel(r=(0.05, 0.03), sigma=bad_sigma, gen=((-1.0, 1.0), (1.0, -1.0)))
 
     def test_nonfinite_rate_rejected(self):
-        model = RegimeModel(
-            r=(np.nan, 0.03), sigma=(0.3, 0.2), gen=((-1.0, 1.0), (1.0, -1.0))
-        )
         with pytest.raises(ValidationError):
-            validate_model(model)
+            RegimeModel(r=(np.nan, 0.03), sigma=(0.3, 0.2), gen=((-1.0, 1.0), (1.0, -1.0)))
 
     def test_length_mismatch_rejected(self):
-        model = RegimeModel(
-            r=(0.05, 0.03, 0.04), sigma=(0.3, 0.2), gen=((-1.0, 1.0), (1.0, -1.0))
-        )
         with pytest.raises(ValidationError):
-            validate_model(model)
+            RegimeModel(r=(0.05, 0.03, 0.04), sigma=(0.3, 0.2), gen=((-1.0, 1.0), (1.0, -1.0)))
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(r=(), sigma=(), gen=()), "model needs at least one regime"),
+        (dict(sigma=(0.3,)), "sigma has 1 entries, expected 2"),
+        (dict(q=(0.0, 0.0, 0.0)), "q has 3 entries, expected 2"),
+        (dict(gen=((-1.0, 1.0),)), "generator has 1 rows, expected 2"),
+        (dict(sigma=(0.3, np.inf)), "sigma[1] not > 0"),
+        (dict(r=(0.05, np.inf)), "r[1] not finite"),
+        (dict(q=(np.nan, 0.0)), "q[0] not finite"),
+        (dict(gen=((-1.0, 1.0), (1.0,))), "generator row 1 has 1 entries, expected 2"),
+        (dict(gen=((-1.0, 1.0), (np.nan, -1.0))), "generator entry [1][0] not finite"),
+        (dict(gen=((1.0, -1.0), (1.0, -1.0))), "generator entry [0][1] negative (-1.0)"),
+        (dict(gen=((0.5, 0.0), (1.0, -1.0))), "generator diagonal [0][0] positive (0.5)"),
+        (dict(gen=((-1.0, 1.0), (1.0, -0.5))), "generator row 1 sums to 0.5"),
+    ])
+    def test_construction_names_the_first_violation(self, desk_model, change, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            dataclasses.replace(desk_model, **change)
+
+    def test_no_invalid_model_can_be_built(self, desk_model):
+        with pytest.raises(ValidationError, match=re.escape("generator row 0 sums to -0.5")):
+            RegimeModel(r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((-1.0, 0.5), (1.0, -1.0)))
+        with pytest.raises(ValidationError, match=re.escape("sigma[0] not > 0")):
+            dataclasses.replace(desk_model, sigma=(0.0, 0.2))
+        with pytest.raises(ValidationError, match=re.escape("generator entry [0][1] negative")):
+            two_state_model(0.05, 0.03, 0.3, 0.2, a12=-1.0, a21=1.0)
 
     def test_dividends_default_to_zero(self):
         model = RegimeModel(r=(0.05, 0.03), sigma=(0.3, 0.2), gen=((0.0, 0.0), (0.0, 0.0)))
@@ -118,9 +130,8 @@ class TestMalformedGenerators:
     @given(case=_malformed_generator())
     def test_rejection_names_the_entry(self, case):
         gen, message = case
-        model = RegimeModel(r=(0.05,) * len(gen), sigma=(0.3,) * len(gen), gen=gen)
         with pytest.raises(ValidationError, match=re.escape(message)):
-            validate_model(model)
+            RegimeModel(r=(0.05,) * len(gen), sigma=(0.3,) * len(gen), gen=gen)
 
 
 class TestOptionSpec:
