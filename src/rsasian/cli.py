@@ -45,8 +45,6 @@ import time
 import typing
 from dataclasses import asdict, fields, replace
 
-import jsonschema
-
 from .errors import (
     ExtrapolationRefused,
     InvalidEnvironment,
@@ -78,8 +76,6 @@ from .model import (
 from .symmetry import symmetry_mc_check
 
 _NUM = {"type": "number"}
-_NUM_OR_NULL = {"type": ["number", "null"]}
-_BOOL = {"type": "boolean"}
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", type(None): "null"}
 
@@ -139,7 +135,7 @@ _CONFIG_SCHEMA = {
             "properties": {
                 "style": {"enum": [style.value for style in OptionStyle]},
                 "T": {"type": "number", "exclusiveMinimum": 0},
-                "K": _NUM_OR_NULL,
+                "K": {"type": ["number", "null"]},
                 "multiplier": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -183,7 +179,7 @@ _CONFIG_SCHEMA = {
             "properties": {
                 "format": {"enum": ["csv", "json"]},
                 "path": {"type": "string", "minLength": 1},
-                "timings": _BOOL,
+                "timings": {"type": "boolean"},
             },
         },
     },
@@ -197,7 +193,7 @@ _COMMAND_METHODS = {
 }
 
 
-def _json_path(error: jsonschema.ValidationError) -> str:
+def _json_path(error) -> str:
     parts = []
     for piece in error.absolute_path:
         if isinstance(piece, int):
@@ -208,6 +204,7 @@ def _json_path(error: jsonschema.ValidationError) -> str:
 
 
 def _schema_violations(cfg: dict) -> list[str]:
+    import jsonschema  # about 50 ms, so importing this module does not load it
     validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
     found = [f"{_json_path(e)}: {e.message}" for e in validator.iter_errors(cfg)]
     return sorted(found)

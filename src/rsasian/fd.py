@@ -7,7 +7,7 @@ are ``s * V_i(t, y)``. Each regime's operator is
 
 and the regimes couple through the generator row. Marching is backward
 from the terminal payoff ``(y/T - 1)^+``. A Crank-Nicolson level is one
-sparse solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
+banded LU solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
 the first ``_STARTUP_STEPS`` steps are each two fully implicit half-steps,
 which damp the payoff kink (the kink ordinate ``y = T`` is snapped onto
 the grid for clean second-order convergence). The time domain is
@@ -21,7 +21,7 @@ At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
 row, since the characteristic there flows into the domain and the value
 at zero average is positive (pinning it to zero would misprice). The
-regime coupling is treated implicitly, inside the same sparse system.
+regime coupling is treated implicitly, inside the same banded system.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class FdSurfaces:
 def _spatial_operator(model: RegimeModel, y: np.ndarray):
     """Sparse generator of the coupled semigroup, interleaved ordering.
 
-    Unknown ``2 j + i`` is regime ``i`` at node ``j``; the interleaving
-    keeps the bandwidth at two, so the factorization stays cheap. Entries
+    Unknown ``n_states j + i`` is regime ``i`` at node ``j``: ``n_states`` sub- and
+    ``2 n_states`` superdiagonals, as the y = 0 row reaches two nodes ahead. Entries
     are listed in one fixed order, so duplicates always sum the same way.
     """
     from scipy.sparse import coo_matrix
@@ -145,6 +145,24 @@ def _spatial_operator(model: RegimeModel, y: np.ndarray):
     return coo_matrix((data, (rows, cols)), shape=(n_states * n,) * 2).tocsr()
 
 
+def _banded_lu(band: np.ndarray, kl: int, ku: int):
+    """Factor ``band`` (entry (i, j) in row kl + ku + i - j; overwritten); ``solve(x)``
+    overwrites ``x``: two BLAS triangular band solves, or ``dgbtrs`` if rows were exchanged."""
+    from scipy.linalg import blas, lapack
+
+    lu, piv, info = lapack.dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise LinearSolveFailure(f"factorization failed: pivot {info - 1} is zero")
+    if (piv != np.arange(piv.size)).any():
+        return lambda x: lapack.dgbtrs(lu, kl, ku, x, piv, overwrite_b=1)
+    lower, upper = np.asfortranarray(lu[kl + ku:]), np.asfortranarray(lu[kl:kl + ku + 1])
+
+    def solve(x):
+        blas.dtbsv(kl, lower, x, lower=1, diag=1, overwrite_x=1)
+        blas.dtbsv(ku, upper, x, overwrite_x=1)
+    return solve
+
+
 def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurfaces:
     """Backward Crank-Nicolson solve over ``[t_min, T]``; returns the levels kept.
 
@@ -156,9 +174,6 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     ``2 (I - dt/2 A)^-1 v - v``, which is ``(I - dt/2 A)^-1 (I + dt/2 A) v``;
     ``A`` only enters the factorisation.
     """
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
     if not (T > 0.0):
         raise ValidationError("T not > 0")
     y_max = cfg.y_max if cfg.y_max is not None else default_y_max(T)
@@ -185,20 +200,23 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     # one factorization serves both stages: (I - dt/2 A) is the implicit
     # matrix of the Crank-Nicolson step and of a backward-Euler half-step,
     # so the kink-damping startup (two half-steps per step) reuses it
-    implicit = identity(v.size, format="csr") - 0.5 * dt * _spatial_operator(model, y)
-    try:
-        solve_imp = splu(implicit.tocsc())
-    except RuntimeError as exc:  # pragma: no cover - singular operator
-        raise LinearSolveFailure(f"factorization failed: {exc}") from exc
+    op = _spatial_operator(model, y).tocoo()
+    kl, ku = int((op.row - op.col).max()), int((op.col - op.row).max())
+    band = np.zeros((2 * kl + ku + 1, v.size), order="F")
+    band[kl + ku] = 1.0
+    band[kl + ku + op.row - op.col, op.col] -= 0.5 * dt * op.data
+    solve = _banded_lu(band, kl, ku)
 
     ring = np.empty((kept, y.size, n_states))
     ring[(cfg.n_t - first) % kept] = v.reshape(-1, n_states)
     for level in range(cfg.n_t - 1, first - 1, -1):
         out = ring[(level - first) % kept].reshape(-1)
+        out[:] = v
+        solve(out)
         if cfg.n_t - 1 - level < _STARTUP_STEPS:
-            out[:] = solve_imp.solve(solve_imp.solve(v))
+            solve(out)
         else:
-            np.multiply(solve_imp.solve(v), 2.0, out=out)
+            out *= 2.0
             out -= v
         # checked as written: with two slots, a bad level may be overwritten later
         if not np.isfinite(out).all():

@@ -431,20 +431,23 @@ class TestFailureModes:
 class TestColdStart:
     """Only the series, FD and European engines need scipy, and they import
     it where they call it: importing it costs a cold MC ``price`` about
-    0.4 s. A fresh interpreter shows whether anything pulls it in."""
+    0.4 s. Config validation imports jsonschema (about 50 ms) when it runs,
+    so importing the CLI module loads neither. A fresh interpreter shows
+    whether anything pulls them in."""
 
     @staticmethod
-    def _scipy_modules_after(code):
+    def _scipy_modules_after(code, package="scipy"):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        probe = code + "; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        probe = code + f"; print(sorted(m for m in sys.modules if m.startswith({package!r})))"
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=env, check=True)
         return proc.stdout.strip().splitlines()[-1]
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         assert self._scipy_modules_after("import sys, rsasian.cli") == "[]"
+        assert self._scipy_modules_after("import sys, rsasian.cli", "jsonschema") == "[]"
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("style", ["floating_put", "european_put"])

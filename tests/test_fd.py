@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -154,18 +154,18 @@ class TestEarlyStop:
 
     def test_non_finite_level_is_refused(self, desk_model, monkeypatch):
         # one mid-march solve returns a NaN
-        class OneBadSolve:
-            def __init__(self, matrix):
-                self.lu, self.calls = splu(matrix), 0
+        def one_bad_solve(band, kl, ku):
+            solve, calls = banded_lu(band, kl, ku), []
 
-            def solve(self, rhs):
-                self.calls += 1
-                out = self.lu.solve(rhs)
-                if self.calls == 8:
-                    out[3] = np.nan
-                return out
+            def bad(x):
+                calls.append(1)
+                solve(x)
+                if len(calls) == 8:
+                    x[3] = np.nan
+            return bad
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", OneBadSolve)
+        banded_lu = fd._banded_lu
+        monkeypatch.setattr(fd, "_banded_lu", one_bad_solve)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
             fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30, t_min=0.5))
 
@@ -174,18 +174,19 @@ class TestEarlyStop:
         # solve is handed a cleaned right-hand side, so no later level inherits
         # it; a read at 0.5 keeps levels 15 and 16, so the NaN is caught only
         # if each level is checked as it is written
-        class BadThenClean:
-            def __init__(self, matrix):
-                self.lu, self.calls = splu(matrix), 0
+        def bad_then_clean(band, kl, ku):
+            solve, calls = banded_lu(band, kl, ku), []
 
-            def solve(self, rhs):
-                self.calls += 1
-                out = self.lu.solve(np.nan_to_num(rhs))
-                if self.calls == 2:
-                    out[3] = np.nan
-                return out
+            def bad(x):
+                calls.append(1)
+                x[:] = np.nan_to_num(x)
+                solve(x)
+                if len(calls) == 2:
+                    x[3] = np.nan
+            return bad
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", BadThenClean)
+        banded_lu = fd._banded_lu
+        monkeypatch.setattr(fd, "_banded_lu", bad_then_clean)
         cfg = FdConfig(n_y=30, n_t=30, t_min=0.5)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
             fd_price(desk_model, 1.0, cfg)
@@ -211,33 +212,67 @@ class TestEarlyStop:
         assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
 
 
+def explicit_rhs_levels(model, T, cfg, y):
+    """Every level of the march, each right-hand side formed as ``v + dt/2 (A v)``
+    and solved with SuperLU; shaped like ``FdSurfaces.values``."""
+    dt = T / cfg.n_t
+    a = fd._spatial_operator(model, y)
+    lu = splu((sp.identity(a.shape[0]) - 0.5 * dt * a).tocsc())
+    v = np.repeat(np.maximum(y / T - 1.0, 0.0), model.n_states)
+    levels = [v]
+    for step in range(cfg.n_t):
+        if step < fd._STARTUP_STEPS:
+            v = lu.solve(lu.solve(v))
+        else:
+            v = lu.solve(v + 0.5 * dt * (a @ v))
+        levels.append(v)
+    return np.reshape(levels[::-1], (cfg.n_t + 1, y.size, -1)).transpose(0, 2, 1)
+
+
 class TestScheme:
     """The march is Crank-Nicolson with the Rannacher startup.
 
     The reference forms each level's right-hand side explicitly,
-    ``v + dt/2 (A v)``, and solves with ``I - dt/2 A``; ``fd_price`` makes
-    the same level as one solve, ``2 (I - dt/2 A)^-1 v - v``.
+    ``v + dt/2 (A v)``, and solves with ``I - dt/2 A`` by SuperLU;
+    ``fd_price`` makes the same level as one banded LU solve,
+    ``2 (I - dt/2 A)^-1 v - v``.
     """
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_levels_match_the_explicit_right_hand_side(self, any_model, n):
         cfg, T = FdConfig(n_y=n, n_t=n), 1.0
         surf = fd_price(any_model, T, cfg)
-        y, dt = surf.y_nodes, T / cfg.n_t
-        a = fd._spatial_operator(any_model, y)
-        lu = splu((sp.identity(a.shape[0]) - 0.5 * dt * a).tocsc())
-        v = np.repeat(np.maximum(y / T - 1.0, 0.0), any_model.n_states)
-        levels = [v]
-        for step in range(cfg.n_t):
-            if step < fd._STARTUP_STEPS:
-                v = lu.solve(lu.solve(v))
-            else:
-                v = lu.solve(v + 0.5 * dt * (a @ v))
-            levels.append(v)
-        want = np.reshape(levels[::-1], (cfg.n_t + 1, y.size, -1)).transpose(0, 2, 1)
+        want = explicit_rhs_levels(any_model, T, cfg, surf.y_nodes)
         assert surf.values.shape == want.shape
         gap = np.abs(surf.values - want).max()
         assert gap <= 1e-11 * np.abs(want).max(), f"max gap {gap:.3e}"
+
+    def test_row_exchanges_take_the_pivoted_solve(self, monkeypatch):
+        # fast switching at high volatility on a coarse time grid: dgbtrf
+        # exchanges rows, so every level goes through dgbtrs and its pivots
+        model = two_state_model(0.05, 0.4, 0.69, 0.95, 8.5, 18.8)
+        cfg, T = FdConfig(y_max=4.0, n_y=41, n_t=6), 1.0
+        pivots, dgbtrf = [], scipy.linalg.lapack.dgbtrf
+
+        def spy(*args, **kwargs):
+            lu, piv, info = dgbtrf(*args, **kwargs)
+            pivots.append(piv.copy())
+            return lu, piv, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", spy)
+        surf = fd_price(model, T, cfg)
+        (piv,) = pivots
+        assert (piv != np.arange(piv.size)).any(), "no rows exchanged"
+        want = explicit_rhs_levels(model, T, cfg, surf.y_nodes)
+        gap = np.abs(surf.values - want).max()
+        assert gap <= 1e-11 * np.abs(want).max(), f"max gap {gap:.3e}"
+
+    def test_zero_pivot_is_refused(self, desk_model, monkeypatch):
+        dgbtrf = scipy.linalg.lapack.dgbtrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",
+                            lambda *args, **kwargs: (*dgbtrf(*args, **kwargs)[:2], 5))
+        with pytest.raises(LinearSolveFailure, match="pivot 4 is zero"):
+            fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30))
 
 
 class TestOperator:
