@@ -436,7 +436,7 @@ class TestColdStart:
     whether anything pulls them in."""
 
     @staticmethod
-    def _scipy_modules_after(code, package="scipy"):
+    def _modules_after(code, package="scipy"):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -446,8 +446,8 @@ class TestColdStart:
         return proc.stdout.strip().splitlines()[-1]
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        assert self._scipy_modules_after("import sys, rsasian.cli") == "[]"
-        assert self._scipy_modules_after("import sys, rsasian.cli", "jsonschema") == "[]"
+        assert self._modules_after("import sys, rsasian.cli") == "[]"
+        assert self._modules_after("import sys, rsasian.cli", "jsonschema") == "[]"
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("style", ["floating_put", "european_put"])
@@ -459,4 +459,4 @@ class TestColdStart:
         path.write_text(json.dumps(cfg))
         code = ("import sys, rsasian.cli; "
                 f"assert rsasian.cli.main(['price', '--config', {str(path)!r}]) == 0")
-        assert self._scipy_modules_after(code) == "[]"
+        assert self._modules_after(code) == "[]"

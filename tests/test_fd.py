@@ -154,6 +154,8 @@ class TestEarlyStop:
 
     def test_non_finite_level_is_refused(self, desk_model, monkeypatch):
         # one mid-march solve returns a NaN
+        banded_lu = fd._banded_lu
+
         def one_bad_solve(band, kl, ku):
             solve, calls = banded_lu(band, kl, ku), []
 
@@ -164,7 +166,6 @@ class TestEarlyStop:
                     x[3] = np.nan
             return bad
 
-        banded_lu = fd._banded_lu
         monkeypatch.setattr(fd, "_banded_lu", one_bad_solve)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
             fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30, t_min=0.5))
@@ -174,6 +175,8 @@ class TestEarlyStop:
         # solve is handed a cleaned right-hand side, so no later level inherits
         # it; a read at 0.5 keeps levels 15 and 16, so the NaN is caught only
         # if each level is checked as it is written
+        banded_lu = fd._banded_lu
+
         def bad_then_clean(band, kl, ku):
             solve, calls = banded_lu(band, kl, ku), []
 
@@ -185,7 +188,6 @@ class TestEarlyStop:
                     x[3] = np.nan
             return bad
 
-        banded_lu = fd._banded_lu
         monkeypatch.setattr(fd, "_banded_lu", bad_then_clean)
         cfg = FdConfig(n_y=30, n_t=30, t_min=0.5)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
