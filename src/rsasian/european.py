@@ -103,13 +103,12 @@ def _spectral_terms(model: RegimeModel, omega: np.ndarray, ttm: float) -> np.nda
     e_plus = np.exp((rad - h) * ttm)
     e_minus = np.exp(-(rad + h) * ttm)
     cosh_term = 0.5 * (e_plus + e_minus)
+    # sinh(rad ttm) / rad; its series where rad ttm is too small to divide by
     small = np.abs(rad) * ttm < 1e-8
-    safe = np.where(small, 1.0, rad)
-    sinh_term = np.where(
-        small,
-        ttm * np.exp(-h * ttm) * (1.0 + (rad * ttm) ** 2 / 6.0),
-        0.5 * (e_plus - e_minus) / safe,
-    )
+    sinh_term = 0.5 * (e_plus - e_minus) / np.where(small, 1.0, rad)
+    if small.any():
+        h_s, rad_s = h[small], rad[small]
+        sinh_term[small] = ttm * np.exp(-h_s * ttm) * (1.0 + (rad_s * ttm) ** 2 / 6.0)
     payoff_hat = -1.0 / om_sq
     e1 = (cosh_term + (a1 - delta) * sinh_term) * payoff_hat
     e2 = (cosh_term + (a2 + delta) * sinh_term) * payoff_hat

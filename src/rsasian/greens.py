@@ -38,30 +38,31 @@ def _require_variant(variant: str) -> None:
         raise ValidationError(f"unknown exponent variant {variant!r}; expected one of {_VARIANTS}")
 
 
-def robin_correction(v, tau: float, gamma: float, variant: str = "tau_scaled") -> np.ndarray:
+def robin_correction(v, tau, gamma: float, variant: str = "tau_scaled") -> np.ndarray:
     """The erfc correction piece of the kernel at ``v = z + xi``.
 
     Returns ``(1-g) sqrt(pi tau) e^{b^2 - 2 b s} erfc(s - b)`` with
     ``s = v / (2 sqrt(tau))`` and ``b = (1-g) sqrt(tau) / 2``, before the
-    kernel's common ``1 / (2 sqrt(pi tau))`` normalization. ``tau`` is a
-    positive scalar; ``v`` may be any array.
+    kernel's common ``1 / (2 sqrt(pi tau))`` normalization. ``tau`` is
+    positive, a scalar or an array that broadcasts against ``v``.
     """
     from scipy.special import erfcx
 
     one_mg = 1.0 - gamma
-    root = math.sqrt(tau)
+    root = np.sqrt(tau)
     s = np.asarray(v, dtype=float) / (2.0 * root)
-    b = 0.5 * one_mg * root
+    b = np.broadcast_to(0.5 * one_mg * root, s.shape)
     arg = s - b
     out = np.empty_like(s)
     low = arg < -25.0
     # erfc saturates at 2 on the far left; fold the Gaussian in
     # analytically there since erfcx(arg) would overflow.
-    out[low] = 2.0 * np.exp(b * b - 2.0 * b * s[low])
+    b_low = b[low]
+    out[low] = 2.0 * np.exp(b_low * b_low - 2.0 * b_low * s[low])
     out[~low] = erfcx(arg[~low]) * np.exp(-s[~low] ** 2)
     out *= one_mg * math.sqrt(math.pi) * root
     if variant == "paper_printed":
-        out *= math.exp(one_mg * one_mg * (1.0 - tau) / 4.0)
+        out *= np.exp(one_mg * one_mg * (1.0 - tau) / 4.0)
     return out
 
 

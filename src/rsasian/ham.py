@@ -28,9 +28,14 @@ at one kernel time come from hat lobes on two offset lattices, and the
 lobes the two edge hats lose are slices of the same lobes. Stacked by
 lag, the resulting generators (Toeplitz ``w1``, Hankel ``w2``, one clip
 per edge hat) make the sum over source nodes and levels linear 2-D
-convolutions in ``(xi, u)``. :func:`build_terms` transforms them once;
-a step costs two forward and one inverse 2-D ``numpy.fft`` transform per
-regime, and its roundoff stays below the ``1e-12`` far-field floor. The
+convolutions in ``(xi, u)``, the FFT history sum of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). :func:`build_terms`
+makes every lag of a regime in one pass and transforms the stacks once.
+The spectrum of the ``xi``-reversed source is the forward spectrum's rows
+in reverse order times a phase, which the ``w2`` spectrum carries, so a
+step costs one forward 2-D ``numpy.fft`` transform of both regimes'
+sources and one inverse that runs its ``u`` transform only on the rows
+it keeps; its roundoff stays below the ``1e-12`` far-field floor. The
 time integral is a trapezoid over grid levels; its ``tau -> 0`` end is
 the delta identity.
 
@@ -74,6 +79,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _ROBIN_PANEL_X = 0.5  # see _robin_lobes
 _ROBIN_CUT_X = 8.5
+_ROBIN_BLOCK = 2048  # active lobes evaluated at once, which bounds the temporaries
 _SOURCE_TAIL_WARN = 1e-10  # ham_step warns above this share of the source peak
 _SURFACES_CACHE_SIZE = 8  # assembled surfaces kept, oldest dropped first
 _DIVERGENCE_LIMIT = 100.0  # largest later term norm a price accepts, in term-0 norms
@@ -230,80 +236,83 @@ def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> Term
 
 # --- kernel weight tables -------------------------------------------------
 
-def _gauss_lobes(v: np.ndarray, h: float, tau: float):
-    """Exact left/right hat-lobe integrals of ``exp(-t^2/4 tau)``.
+def _gauss_lobes(v: np.ndarray, h: float, tau: np.ndarray):
+    """Exact left/right hat-lobe integrals of ``exp(-t^2/4 tau)``, one row per kernel time.
 
     At each inner node ``d`` of the step-``h`` lattice ``v``, ``lobe_l(d)`` integrates the
     rising half over ``[d-h, d]`` and ``lobe_r(d)`` the falling half over ``[d, d+h]``.
     """
     from scipy.special import erf
 
-    root = math.sqrt(tau)
+    tau = tau[:, None]
+    root = np.sqrt(tau)
     f = math.sqrt(math.pi) * root * erf(v / (2.0 * root))
     g = -2.0 * tau * np.exp(-(v * v) / (4.0 * tau))
     df, dg = np.diff(f), np.diff(g)
-    lobe_l = (dg[:-1] - v[:-2] * df[:-1]) / h
-    lobe_r = (v[2:] * df[1:] - dg[1:]) / h
+    lobe_l = (dg[:, :-1] - v[:-2] * df[:, :-1]) / h
+    lobe_r = (v[2:] * df[:, 1:] - dg[:, 1:]) / h
     return lobe_l, lobe_r
 
 
-def _robin_lobes(d: np.ndarray, h: float, tau: float, gamma: float):
-    """Hat-lobe integrals of the correction piece by scaled GL panels.
+def _robin_lobes(d: np.ndarray, h: float, tau: np.ndarray, gamma: float):
+    """Hat-lobe integrals of the correction piece by scaled GL panels, one row per kernel time.
 
     Panels are at most ``_ROBIN_PANEL_X`` wide in the similarity
     variable ``v / (2 sqrt(tau))`` so short kernel times stay resolved;
     lobes entirely beyond ``_ROBIN_CUT_X`` on the decaying side are zero.
+    Kernel times with the same panel count share the panel offsets, so
+    their active lobes are evaluated together, ``_ROBIN_BLOCK`` at a time.
     """
-    d = np.asarray(d, dtype=float)
-    lobe_l = np.zeros_like(d)
-    lobe_r = np.zeros_like(d)
+    lobe_l = np.zeros((len(tau), len(d)))
+    lobe_r = np.zeros_like(lobe_l)
     if gamma == 1.0:
         return lobe_l, lobe_r
-    root2 = 2.0 * math.sqrt(tau)
-    v_cut = _ROBIN_CUT_X * root2
-    width = min(h, _ROBIN_PANEL_X * root2)
-    n_pan = max(1, int(math.ceil(h / width)))
-    edges = np.linspace(0.0, h, n_pan + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    # offsets (n_pan, 8) within [0, h], shared across lobes
-    t_off = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-    w_off = half[:, None] * _GL_WEIGHTS[None, :]
-
-    active = d - h < v_cut
-    if not np.any(active):
-        return lobe_l, lobe_r
-    da = d[active]
-    # left lobe spans [d-h, d] with weight (t - (d - h))/h
-    t_l = (da[:, None, None] - h) + t_off[None, :, :]
-    vals_l = robin_correction(t_l, tau, gamma) * (t_off[None, :, :] / h)
-    lobe_l[active] = np.sum(vals_l * w_off[None, :, :], axis=(1, 2))
-    # right lobe spans [d, d+h] with weight ((d + h) - t)/h
-    t_r = da[:, None, None] + t_off[None, :, :]
-    vals_r = robin_correction(t_r, tau, gamma) * (1.0 - t_off[None, :, :] / h)
-    lobe_r[active] = np.sum(vals_r * w_off[None, :, :], axis=(1, 2))
+    root2 = 2.0 * np.sqrt(tau)
+    width = np.minimum(h, _ROBIN_PANEL_X * root2)
+    n_pans = np.maximum(1, np.ceil(h / width)).astype(int)
+    active = d - h < (_ROBIN_CUT_X * root2)[:, None]
+    for n_pan in np.unique(n_pans):
+        edges = np.linspace(0.0, h, n_pan + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        # offsets (n_pan, 8) within [0, h], shared across lobes
+        t_off = mids[:, None] + half[:, None] * _GL_NODES[None, :]
+        w_off = half[:, None] * _GL_WEIGHTS[None, :]
+        rows, cols = np.nonzero(active & (n_pans == n_pan)[:, None])
+        for start in range(0, len(rows), _ROBIN_BLOCK):
+            r, c = rows[start:start + _ROBIN_BLOCK], cols[start:start + _ROBIN_BLOCK]
+            da, tau_a = d[c], tau[r, None, None]
+            # left lobe spans [d-h, d] with weight (t - (d - h))/h
+            t_l = (da[:, None, None] - h) + t_off[None, :, :]
+            vals_l = robin_correction(t_l, tau_a, gamma) * (t_off[None, :, :] / h)
+            lobe_l[r, c] = np.sum(vals_l * w_off[None, :, :], axis=(1, 2))
+            # right lobe spans [d, d+h] with weight ((d + h) - t)/h
+            t_r = da[:, None, None] + t_off[None, :, :]
+            vals_r = robin_correction(t_r, tau_a, gamma) * (1.0 - t_off[None, :, :] / h)
+            lobe_r[r, c] = np.sum(vals_r * w_off[None, :, :], axis=(1, 2))
     return lobe_l, lobe_r
 
 
-def _kernel_generators(z: np.ndarray, j0: int, tau: float, gamma: float):
-    """Weights at one kernel time: ``w1`` (direct piece, offsets ``(k - j0 - n) h``),
-    ``w2`` (image plus correction, ``(k - j0 + n) h``) and, per output node,
-    the lobe each edge hat loses (``xi = 0`` keeps its right half, ``xi_max`` its left)."""
+def _kernel_generators(z: np.ndarray, j0: int, tau: np.ndarray, gamma: float):
+    """Weights at the kernel times ``tau``, one row per time: ``w1`` (direct piece,
+    offsets ``(k - j0 - n) h``), ``w2`` (image plus correction, ``(k - j0 + n) h``) and,
+    per output node, the lobe each edge hat loses (``xi = 0`` keeps its right half,
+    ``xi_max`` its left)."""
     n_z = len(z)
     n_xi = n_z - j0
     h = float(z[1] - z[0])
-    norm = 1.0 / (2.0 * math.sqrt(math.pi * tau))
+    norm = 1.0 / (2.0 * np.sqrt(np.pi * tau))[:, None]
     # p = (-(n_z - 1) .. n_xi - 1) h and q = (-j0 .. n_z - 2 + n_xi - j0) h lie on
     # one lattice: q starts a = n_z - 1 - j0 nodes after p
     a, b = n_z - 1 - j0, n_xi - 1
     ll_u, rr_u = _gauss_lobes(np.arange(-n_z, n_z + n_xi - j0) * h, h, tau)
-    ll, rr, ll_g, rr_g = ll_u[:n_z + b], rr_u[:n_z + b], ll_u[a:], rr_u[a:]
+    ll, rr, ll_g, rr_g = ll_u[:, :n_z + b], rr_u[:, :n_z + b], ll_u[:, a:], rr_u[:, a:]
     ll_r, rr_r = _robin_lobes(np.arange(-j0, n_z - 1 + n_xi - j0) * h, h, tau, gamma)
     # the clips are slices of the same lobes: z - xi_0 = z is p[a:], z - xi_max
     # is p[:n_z], z + xi_0 is q[:n_z] and z + xi_max is q[b:]
     return ((ll + rr) * norm, (ll_g + rr_g + ll_r + rr_r) * norm,
-            (rr[a:] + ll_g[:n_z] + ll_r[:n_z]) * norm,
-            (ll[:n_z] + rr_g[b:] + rr_r[b:]) * norm)
+            (rr[:, a:] + ll_g[:, :n_z] + ll_r[:, :n_z]) * norm,
+            (ll[:, :n_z] + rr_g[:, b:] + rr_r[:, b:]) * norm)
 
 
 def _fast_len(n: int) -> int:
@@ -325,33 +334,55 @@ def _kernel_key(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
 
 def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
     """:func:`_kernel_key` plus, per regime, the ``spectra`` of the lag-stacked ``w1``,
-    ``w2`` and negated clips (these shifted to the rows read); column ``j`` is lag ``j``."""
+    ``w2`` and negated clips (these shifted to the rows read); column ``j`` is lag ``j``.
+
+    All lags of a regime come from one :func:`_kernel_generators` call. The ``w2``
+    spectrum carries the phase that lets :func:`_kernel_integral` read the
+    ``xi``-reversed source's spectrum off the forward one.
+    """
     kernel = _kernel_key(z, u, model)
     n_z, n_u, j0, du = kernel["n_z"], kernel["n_u"], kernel["j0"], kernel["du"]
     n_xi = n_z - j0
     kernel["shape"] = (_fast_len(n_z + n_xi - 1), _fast_len(2 * n_u - 1))
-    kernel["spectra"] = np.empty((2, 4, kernel["shape"][0], kernel["shape"][1] // 2 + 1), complex)
+    n0, n1 = kernel["shape"]
+    kernel["spectra"] = np.empty((2, 4, n0, n1 // 2 + 1), complex)
+    # the xi-reversed source's spectrum at row k0 is the source's at row (-k0) mod n0
+    # times this phase
+    phase = np.exp(-2j * np.pi * (np.arange(n0) * (n_xi - 1) % n0) / n0)[:, None]
+    lags = np.arange(1, n_u)
+    stack = np.zeros((4, n_z + n_xi - 1, n_u))  # lag 0 and the rows no clip reads stay zero
     for i, (sig_half, gamma) in enumerate(zip(kernel["sigma^2/2"], kernel["gamma"])):
-        stack = np.zeros((4, n_z + n_xi - 1, n_u))
-        for j in range(1, n_u):
-            w = _kernel_generators(z, j0, sig_half * j * du, gamma)
-            stack[:2, :, j], stack[2:, n_xi - 1:, j] = w[:2], np.negative(w[2:])
-        for p in range(4):  # one plane at a time keeps the padded transform buffers small
-            kernel["spectra"][i, p] = np.fft.rfft2(stack[p], kernel["shape"])
+        w1, w2, c0, c_n = _kernel_generators(z, j0, sig_half * lags * du, gamma)
+        stack[0, :, 1:], stack[1, :, 1:] = w1.T, w2.T
+        stack[2, n_xi - 1:, 1:], stack[3, n_xi - 1:, 1:] = np.negative(c0.T), np.negative(c_n.T)
+        del w1, w2, c0, c_n
+        for p in range(4):  # rfft2 of one plane at a time, straight into its slot
+            np.fft.fft(np.fft.rfft(stack[p], n1), n0, axis=0, out=kernel["spectra"][i, p])
+        kernel["spectra"][i, 1] *= phase
     return kernel
 
 
 def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     """``sum_{j >= 1} mat_j @ s_half[i, :, t - j]`` for each regime ``i`` and level ``t``,
-    ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring."""
-    n_xi, shape = s_half.shape[1], kernel["shape"]
-    out = np.empty((2, kernel["n_z"], kernel["n_u"]))
-    for i, spec in enumerate(kernel["spectra"]):
-        planes = np.fft.rfft2(np.stack((s_half[i], s_half[i, ::-1])), shape)
-        edges = np.fft.rfft(s_half[i, (0, -1), None], shape[1])
-        total = np.sum(spec[:2] * planes, axis=0) + np.sum(spec[2:] * edges, axis=0)
-        out[i] = np.fft.irfft2(total, shape)[n_xi - 1: n_xi - 1 + kernel["n_z"], :kernel["n_u"]]
-    return out
+    ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring.
+
+    Both regimes' sources take one forward transform, whose rows in reverse order
+    serve the ``xi``-reversed source. The inverse runs the ``xi`` transform, then the
+    ``u`` transform of only the ``n_z`` rows kept.
+    """
+    n_xi, (n0, n1) = s_half.shape[1], kernel["shape"]
+    spec = kernel["spectra"]
+    planes = np.fft.rfft2(s_half, (n0, n1))
+    edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
+    # products in place: the step holds two spectrum-sized buffers
+    part = planes[:, -np.arange(n0) % n0]
+    part *= spec[:, 1]
+    planes *= spec[:, 0]
+    planes += part
+    for p in (2, 3):  # the clips against the edge rows
+        planes += np.multiply(spec[:, p], edges[:, p - 2], out=part)
+    rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + kernel["n_z"]]
+    return np.fft.irfft(rows, n1)[..., :kernel["n_u"]].copy()  # frees the padded buffer
 
 
 # --- recursion ------------------------------------------------------------

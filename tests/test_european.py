@@ -199,6 +199,46 @@ def _dense_phase_sum(mid, offsets, terms, x):
     return (terms.reshape(2, -1, 1) * phase[None, :, :]).real.sum(axis=1) / math.pi
 
 
+def _spectral_terms_both_branches(model, omega, ttm):
+    """``_spectral_terms`` with the small-``rad`` series formed at every node and
+    chosen by ``np.where``, and the mask of small nodes."""
+    sig_sq, r, q = model.sigma_array() ** 2, model.r_array(), model.q_array()
+    a1, a2 = model.gen[0][1], model.gen[1][0]
+    om_sq = omega * omega + 0.25
+    phi = (0.5 * sig_sq[:, None] * om_sq[None, :] - 1j * omega[None, :] * (r - q)[:, None]
+           + 0.5 * (r + q)[:, None] + np.array([a1, a2])[:, None])
+    h, delta = 0.5 * (phi[0] + phi[1]), 0.5 * (phi[0] - phi[1])
+    rad = np.sqrt(delta * delta + a1 * a2)
+    e_plus, e_minus = np.exp((rad - h) * ttm), np.exp(-(rad + h) * ttm)
+    cosh_term = 0.5 * (e_plus + e_minus)
+    small = np.abs(rad) * ttm < 1e-8
+    sinh_term = np.where(small, ttm * np.exp(-h * ttm) * (1.0 + (rad * ttm) ** 2 / 6.0),
+                         0.5 * (e_plus - e_minus) / np.where(small, 1.0, rad))
+    payoff_hat = -1.0 / om_sq
+    return np.stack([(cosh_term + (a1 - delta) * sinh_term) * payoff_hat,
+                     (cosh_term + (a2 + delta) * sinh_term) * payoff_hat]), small
+
+
+class TestSpectralTerms:
+    @pytest.mark.parametrize("params, every_node_small", [
+        ((0.0625, 0.03125, 0.3, 0.3, 0.0, 0.03125, 0.03125, 0.0), True),
+        ((0.05, 0.03, 0.3, 0.2, 1.0, 1.0), False),
+    ], ids=["one_way_switching", "desk"])
+    def test_series_branch_where_needed_equals_both_branches(self, params, every_node_small):
+        # equal volatilities and r - q, and the one switch rate equal to half
+        # the gap in r + q, make the regimes' exponents equal (to the bit: the
+        # rates are binary fractions) and rad = 0 at every node; the series
+        # then carries regime 1's terms. The desk model leaves no node small
+        model = two_state_model(*params)
+        ttm = 0.5
+        omega_max, n_panels = european._exact_grid_sizes(model, ttm, 3.0)
+        mid, offsets, _ = _one_pass_rule(model, ttm, omega_max, n_panels)
+        omega = (mid[:, None] + offsets).ravel()
+        want, small = _spectral_terms_both_branches(model, omega, ttm)
+        assert small.all() if every_node_small else not small.any()
+        assert np.array_equal(european._spectral_terms(model, omega, ttm), want)
+
+
 class TestPanelFactorisedSum:
     @settings(max_examples=40, deadline=None)
     @given(

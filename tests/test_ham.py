@@ -112,12 +112,34 @@ class TestStructure:
 
     @pytest.mark.parametrize("m_trunc", [1, 4])
     def test_build_makes_each_lag_generator_once(self, desk_model, monkeypatch, m_trunc):
-        calls = []
+        lags = []
         make = ham._kernel_generators
         monkeypatch.setattr(ham, "_kernel_generators",
-                            lambda *args: calls.append(args) or make(*args))
+                            lambda *args: lags.append(len(args[2])) or make(*args))
         build_terms(desk_model, 1.0, HamConfig(m_trunc=m_trunc, n_z=41, n_u=5))
-        assert len(calls) == 2 * (5 - 1)
+        assert sum(lags) == 2 * (5 - 1)
+
+    @pytest.mark.parametrize("model", [
+        two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 1.0),
+        two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0),
+        two_state_model(0.045, 0.03, 0.3, 0.2, 0.5, 2.0),
+    ], ids=["desk", "asymmetric", "gamma_one"])
+    def test_all_lag_generators_equal_one_lag_calls(self, model):
+        # one call makes every lag of a regime; each row is, bit for bit, what a
+        # call for that lag alone makes. gamma_one has r = sigma^2/2 in regime 0,
+        # so its correction piece is zero there
+        z, u = ham_grid(COARSE, 1.0)
+        j0 = int(np.argmin(np.abs(z)))
+        lags = np.arange(1, len(u))
+        for i in (0, 1):
+            gamma = ham.rate_ratios(model, i)[1]
+            tau = 0.5 * model.sigma[i] ** 2 * lags * (u[1] - u[0])
+            every = ham._kernel_generators(z, j0, tau, gamma)
+            for j in range(len(lags)):
+                one = ham._kernel_generators(z, j0, tau[j:j + 1], gamma)
+                for name, all_rows, row in zip(("w1", "w2", "c0", "c_n"), every, one):
+                    assert np.array_equal(all_rows[j], row[0]), f"regime {i}, lag {j + 1}, {name}"
+        assert (ham.rate_ratios(model, 0)[1] == 1.0) == (model.r[0] == 0.045)
 
     @pytest.mark.parametrize("n", [0, 10, -1])
     def test_tables_integrate_the_shared_kernel(self, n):
@@ -159,11 +181,12 @@ class TestStructure:
         kernel = ham._lag_generators(z, u, model)
         monkeypatch.undo()
         n_z, n_u, du = len(z), len(u), u[1] - u[0]
-        for c, (args, _) in enumerate(calls):
-            i, j = divmod(c, n_u - 1)
-            tau = 0.5 * model.sigma[i] ** 2 * (j + 1) * du
-            assert args[2:] == (tau, ham.rate_ratios(model, i)[1]), f"regime {i}, lag {j + 1}"
-        gens = [[out for _, out in calls[i * (n_u - 1):(i + 1) * (n_u - 1)]] for i in (0, 1)]
+        assert len(calls) == 2, "one call per regime makes every lag"
+        for i, (args, _) in enumerate(calls):
+            tau = 0.5 * model.sigma[i] ** 2 * np.arange(1, n_u) * du
+            assert np.array_equal(args[2], tau), f"regime {i}"
+            assert args[3] == ham.rate_ratios(model, i)[1], f"regime {i}"
+        gens = [[tuple(g[j] for g in out) for j in range(n_u - 1)] for _, out in calls]
 
         def dense(_, s_half):
             n_xi = s_half.shape[1]
@@ -185,6 +208,35 @@ class TestStructure:
                 slow = ham_step(prev, model, kernel)
             gap = np.max(np.abs(fast.values - slow.values))
             assert gap <= 1e-13 * np.max(np.abs(slow.values)), f"term {fast.m}: {gap}"
+
+    @pytest.mark.parametrize("n_u", [5, 31])
+    @pytest.mark.parametrize("n_z", [41, 121])
+    def test_one_transform_step_matches_two_transforms(self, n_z, n_u):
+        # reference: the source and its xi reversal transformed apart, against
+        # the unphased w2 stack, at the exact linear-convolution size, so
+        # nothing wraps; the step's padded xi length differs from its own
+        model = two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0)
+        z, u = ham_grid(HamConfig(n_z=n_z, n_u=n_u), 1.0)
+        j0 = int(np.argmin(np.abs(z)))
+        n_xi = n_z - j0
+        kernel = ham._lag_generators(z, u, model)
+        assert kernel["shape"][0] != n_z + n_xi - 1
+        source = np.random.default_rng(n_z + n_u).standard_normal((2, n_xi, n_u))
+        shape = (n_z + 2 * n_xi - 2, 2 * n_u - 1)
+        want = np.empty((2, n_z, n_u))
+        for i in (0, 1):
+            tau = 0.5 * model.sigma[i] ** 2 * np.arange(1, n_u) * (u[1] - u[0])
+            w1, w2, c0, c_n = ham._kernel_generators(z, j0, tau, ham.rate_ratios(model, i)[1])
+            stack = np.zeros((4, n_z + n_xi - 1, n_u))
+            stack[0, :, 1:], stack[1, :, 1:] = w1.T, w2.T
+            stack[2, n_xi - 1:, 1:], stack[3, n_xi - 1:, 1:] = -c0.T, -c_n.T
+            spec = np.fft.rfft2(stack, shape)
+            planes = np.fft.rfft2(np.stack((source[i], source[i, ::-1])), shape)
+            edges = np.fft.rfft(source[i, (0, -1), None], shape[1])
+            total = np.sum(spec[:2] * planes, axis=0) + np.sum(spec[2:] * edges, axis=0)
+            want[i] = np.fft.irfft2(total, shape)[n_xi - 1: n_xi - 1 + n_z, :n_u]
+        got = ham._kernel_integral(kernel, source)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("other, name", [
         (dict(T=2.0), "du"),
