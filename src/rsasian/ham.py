@@ -28,9 +28,10 @@ at one kernel time come from hat lobes on two offset lattices, and the
 lobes the two edge hats lose are slices of the same lobes. Stacked by
 lag, the resulting generators (Toeplitz ``w1``, Hankel ``w2``, one clip
 per edge hat) make the sum over source nodes and levels linear 2-D
-convolutions in ``(xi, u)``, the FFT history sum of Hairer, Lubich and
-Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). :func:`build_terms`
-makes every lag of a regime in one pass and transforms the stacks once.
+convolutions in ``(xi, u)``, summed by FFT (Hairer, Lubich and Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985, block the same history sum for a
+march that needs it level by level). :func:`build_terms` makes every
+lag of a regime in one pass and transforms the stacks once.
 The spectrum of the ``xi``-reversed source is the forward spectrum's rows
 in reverse order times a phase, which the ``w2`` spectrum carries, so a
 step costs one forward 2-D ``numpy.fft`` transform of both regimes'
