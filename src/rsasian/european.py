@@ -12,9 +12,13 @@ so it is exact for every two-state model: equal or unequal variances, rates
 and dividend yields, and any coupling strength.
 
 The integral is a Gauss-Legendre rule of ``P`` equal panels, node ``mid_p +
-offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are a running
-product of ``e^{2 i mid_0 x}``. :func:`_put_transform` streams the panels a
-block at a time, so its memory stays flat however many a short maturity needs.
+offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are powers of
+``e^{2 i mid_0 x}``. :func:`_put_transform` forms them as a 16-row running
+product times a running product of stride 16, one complex product per block of
+panels, and streams the blocks, so its memory stays flat however many panels a
+short maturity needs. ``D_i`` of a two-state model is the 2x2 matrix
+exponential in closed form (:func:`_two_state_discount`), so pricing calls no
+``scipy.linalg`` routine.
 
 :func:`price_european_put_rs` refines that rule until its error estimate
 meets the :class:`QuadratureSpec` tolerance, or refuses, and clips the result
@@ -34,6 +38,7 @@ from .model import PriceResult, RegimeModel, require_two_states
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_BLOCK = 256
+_PHASE_ROWS = 16  # divides _PANEL_BLOCK, so a block starts a row of sub-blocks
 _MIN_PANELS = 100  # a first grid has at least 2000 nodes, 20 per panel
 
 
@@ -73,12 +78,53 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
 
     Solves ``D' = (gen - diag(r)) D`` over ``ttm`` from ``D = (k, k)``;
     this is the deep-in-the-money put limit. Collapses to
-    ``k e^{-r_i ttm}`` when the short rates coincide.
+    ``k e^{-r_i ttm}`` when the short rates coincide. A two-state model
+    takes :func:`_two_state_discount`, which needs no BLAS; other chain
+    sizes take ``scipy.linalg.expm``.
     """
+    if model.n_states == 2:
+        return float(k) * _two_state_discount(model, ttm)
     from scipy.linalg import expm
 
     g = model.gen_array() - np.diag(model.r_array())
     return expm(g * ttm) @ np.full(model.n_states, float(k))
+
+
+def _two_state_discount(model: RegimeModel, ttm: float) -> np.ndarray:
+    """``e^{A ttm} (1, 1)`` for ``A = gen - diag(r)``, by the eigen-split of
+    :func:`_spectral_terms`, every term formed without cancellation.
+
+    With row sums ``s_i``, ``A``'s eigenvalues are ``h +- rad`` and row ``i`` of
+    ``A - h I`` sums to ``b_i``, so the row is ``cosh + b_i sinh`` with
+    ``cosh = (e_+ + e_-)/2`` and ``sinh = (e_+ - e_-)/(2 rad)``. The eigenvalue
+    nearer zero is ``det(A)`` over the other; where ``2 rad ttm <= 1``, ``sinh``
+    is ``e_- expm1(2 rad ttm) / (2 rad)``, or ``ttm e_-`` at ``rad = 0``. Where ``b_i < 0`` the row is
+    ``(e_+ (rad + b_i) + e_- (rad - b_i)) / (2 rad)`` instead, ``rad + b_i`` taken
+    as ``(rad^2 - b_i^2) / (rad - b_i)`` with ``rad^2 - b_i^2 = A_ij (s_j - s_i)``;
+    both weights then lie in [0, 1], since ``|b_i| <= rad``.
+    """
+    (g00, a01), (a10, g11) = model.gen
+    s0, s1 = (g00 + a01) - model.r[0], (a10 + g11) - model.r[1]
+    h = 0.5 * (s0 + s1 - a01 - a10)
+    delta = 0.5 * (s0 - s1 - a01 + a10)
+    rad = math.hypot(delta, math.sqrt(max(a01, 0.0)) * math.sqrt(max(a10, 0.0)))
+    det = s0 * s1 - s0 * a10 - a01 * s1
+    far = h - rad if h <= 0.0 else h + rad
+    near = det / far if far != 0.0 else 0.0
+    e_far, e_near = math.exp(far * ttm), math.exp(near * ttm)
+    e_plus, e_minus = (e_near, e_far) if h <= 0.0 else (e_far, e_near)
+    if 2.0 * rad * ttm > 1.0:
+        sinh = (e_plus - e_minus) / (2.0 * rad)
+    else:
+        sinh = e_minus * (math.expm1(2.0 * rad * ttm) / (2.0 * rad) if rad > 0.0 else ttm)
+    out = np.empty(2)
+    for i, (b, g) in enumerate(((0.5 * (s0 - s1 + a01 + a10), a01 * (s1 - s0)),
+                                (0.5 * (s1 - s0 + a01 + a10), a10 * (s0 - s1)))):
+        if b < 0.0 < rad:
+            out[i] = (e_plus * g / (rad - b) + e_minus * (rad - b)) / (2.0 * rad)
+        else:
+            out[i] = 0.5 * (e_plus + e_minus) + b * sinh
+    return out
 
 
 def _spectral_terms(model: RegimeModel, omega: np.ndarray, ttm: float) -> np.ndarray:
@@ -123,29 +169,44 @@ def _exact_grid_sizes(model: RegimeModel, ttm: float, x_max: float):
     return omega_max, n_panels
 
 
+def _running_product(first: np.ndarray, factor: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``first * factor^j`` for ``j < n``, each the row before times ``factor``."""
+    rows = np.empty((n, len(first)), complex)
+    rows[0] = first
+    for j in range(1, n):
+        np.multiply(rows[j - 1], factor, out=rows[j])
+    return rows
+
+
 def _put_transform(model: RegimeModel, x: np.ndarray, ttm: float, omega_max: float,
                    n_panels: int):
     """``(w, last)``: ``w`` (2, n_x), the transform part of the put at log-moneyness
     ``x`` (the put is ``D_i + sqrt(s k) w_i``), and ``last`` (2, 20), the last
     panel's weighted terms, which the error estimate reads. The ``P`` panels of
     ``[0, omega_max]`` go ``_PANEL_BLOCK`` at a time into one ``(2, 20, n_x)``
-    sum, the running phase product carried across blocks, so nothing has length P."""
+    sum, so nothing has length P. Panel ``p = _PHASE_ROWS a + b`` has phase
+    ``sub_b run_a``, both running products: ``sub`` of ``_PHASE_ROWS`` rows, and
+    ``run`` of stride ``e^{2 i _PHASE_ROWS half x}``, carried across blocks. The
+    node offsets pair as ``+-``, so ten cosines and sines apply all twenty."""
     half = 0.5 * omega_max / n_panels
     offsets = half * _GL_NODES
-    step = np.exp(2j * half * x)
-    phase = np.exp(1j * half * x)
+    sub = _running_product(np.exp(1j * half * x), np.exp(2j * half * x), _PHASE_ROWS)
+    stride = np.exp(2j * _PHASE_ROWS * half * x)
+    run = np.ones(len(x), complex)
     panels = 0.0
     for p in range(0, n_panels, _PANEL_BLOCK):
         mid = (2.0 * np.arange(p, min(p + _PANEL_BLOCK, n_panels)) + 1.0) * half
-        terms = _spectral_terms(model, (mid[:, None] + offsets).ravel(), ttm)
-        terms = terms.reshape(2, -1, 20) * (half * _GL_WEIGHTS)
-        rows = np.empty((len(mid), len(x)), complex)
-        rows[0], rows[1:] = phase, step
-        rows = np.cumprod(rows, axis=0)
-        panels += terms.transpose(0, 2, 1) @ rows  # (2, 20, n_x)
-        phase = rows[-1] * step
-    w = (panels * np.exp(1j * np.outer(offsets, x))).real.sum(axis=1) / math.pi
-    return w, terms[:, -1]
+        terms = _spectral_terms(model, (offsets[:, None] + mid).ravel(), ttm)
+        terms = terms.reshape(2, 20, -1) * (half * _GL_WEIGHTS)[:, None]
+        runs = _running_product(run, stride, -(-len(mid) // _PHASE_ROWS))
+        rows = (runs[:, None] * sub).reshape(-1, len(x))[:len(mid)]
+        panels += (terms.reshape(40, -1) @ rows).reshape(2, 20, -1)
+        run = runs[-1] * stride
+    theta = np.outer(offsets[10:], x)
+    re, im = panels.real, panels.imag
+    w = ((re[:, 10:] + re[:, 9::-1]) * np.cos(theta)
+         - (im[:, 10:] - im[:, 9::-1]) * np.sin(theta)).sum(axis=1) / math.pi
+    return w, terms[:, :, -1]
 
 
 def european_put_grid(model: RegimeModel, s_values, k: float, ttm: float) -> np.ndarray:

@@ -25,20 +25,22 @@ scaled to ``sqrt(tau)`` for the erfc correction piece, which is
 :func:`rsasian.greens.greens_function` evaluates. Because spatial
 nodes sit on one lattice with a node exactly at ``z = 0``, the weights
 at one kernel time come from hat lobes on two offset lattices, and the
-lobes the two edge hats lose are slices of the same lobes. Stacked by
+lobes the two edge hats lose are slices of the same lobes; the two
+correction lobes that share an interval share its panel values. Stacked by
 lag, the resulting generators (Toeplitz ``w1``, Hankel ``w2``, one clip
 per edge hat) make the sum over source nodes and levels linear 2-D
 convolutions in ``(xi, u)``, summed by FFT (Hairer, Lubich and Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985, block the same history sum for a
-march that needs it level by level). :func:`build_terms` makes every
+march that needs it level by level); a clip meets one source row, so it is
+a 1-D convolution in ``u`` per output node. :func:`build_terms` makes every
 lag of a regime in one pass and transforms the stacks once.
 The spectrum of the ``xi``-reversed source is the forward spectrum's rows
 in reverse order times a phase, which the ``w2`` spectrum carries, so a
 step costs one forward 2-D ``numpy.fft`` transform of both regimes'
-sources and one inverse that runs its ``u`` transform only on the rows
-it keeps; its roundoff stays below the ``1e-12`` far-field floor. The
-time integral is a trapezoid over grid levels; its ``tau -> 0`` end is
-the delta identity.
+sources and one inverse, whose ``u`` transform runs only on the rows it
+keeps after the clips' ``u``-spectra are added to them; its roundoff
+stays below the ``1e-12`` far-field floor. The time integral is a
+trapezoid over grid levels; its ``tau -> 0`` end is the delta identity.
 
 Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
@@ -261,37 +263,37 @@ def _robin_lobes(d: np.ndarray, h: float, tau: np.ndarray, gamma: float):
     Panels are at most ``_ROBIN_PANEL_X`` wide in the similarity
     variable ``v / (2 sqrt(tau))`` so short kernel times stay resolved;
     lobes entirely beyond ``_ROBIN_CUT_X`` on the decaying side are zero.
+    The right lobe of node ``d`` and the left lobe of ``d + h`` span one
+    interval, so the correction is evaluated once per interval for both.
     Kernel times with the same panel count share the panel offsets, so
-    their active lobes are evaluated together, ``_ROBIN_BLOCK`` at a time.
+    their active intervals are evaluated together, ``_ROBIN_BLOCK`` at a time.
     """
-    lobe_l = np.zeros((len(tau), len(d)))
+    # interval c spans [start_c, start_c + h]: node c's left lobe, node c - 1's right
+    lobe_l = np.zeros((len(tau), len(d) + 1))
     lobe_r = np.zeros_like(lobe_l)
     if gamma == 1.0:
-        return lobe_l, lobe_r
+        return lobe_l[:, :-1], lobe_r[:, 1:]
+    starts = np.concatenate(([d[0] - h], d))
     root2 = 2.0 * np.sqrt(tau)
     width = np.minimum(h, _ROBIN_PANEL_X * root2)
     n_pans = np.maximum(1, np.ceil(h / width)).astype(int)
-    active = d - h < (_ROBIN_CUT_X * root2)[:, None]
+    active = starts - h < (_ROBIN_CUT_X * root2)[:, None]  # as node c - 1 is
     for n_pan in np.unique(n_pans):
         edges = np.linspace(0.0, h, n_pan + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        # offsets (n_pan, 8) within [0, h], shared across lobes
+        # offsets (n_pan, 8) within [0, h], shared across intervals, and the
+        # weights of the rising (left lobe) and falling (right lobe) hat halves
         t_off = mids[:, None] + half[:, None] * _GL_NODES[None, :]
         w_off = half[:, None] * _GL_WEIGHTS[None, :]
+        w_l, w_r = w_off * (t_off / h), w_off * (1.0 - t_off / h)
         rows, cols = np.nonzero(active & (n_pans == n_pan)[:, None])
         for start in range(0, len(rows), _ROBIN_BLOCK):
             r, c = rows[start:start + _ROBIN_BLOCK], cols[start:start + _ROBIN_BLOCK]
-            da, tau_a = d[c], tau[r, None, None]
-            # left lobe spans [d-h, d] with weight (t - (d - h))/h
-            t_l = (da[:, None, None] - h) + t_off[None, :, :]
-            vals_l = robin_correction(t_l, tau_a, gamma) * (t_off[None, :, :] / h)
-            lobe_l[r, c] = np.sum(vals_l * w_off[None, :, :], axis=(1, 2))
-            # right lobe spans [d, d+h] with weight ((d + h) - t)/h
-            t_r = da[:, None, None] + t_off[None, :, :]
-            vals_r = robin_correction(t_r, tau_a, gamma) * (1.0 - t_off[None, :, :] / h)
-            lobe_r[r, c] = np.sum(vals_r * w_off[None, :, :], axis=(1, 2))
-    return lobe_l, lobe_r
+            vals = robin_correction(starts[c, None, None] + t_off, tau[r, None, None], gamma)
+            lobe_l[r, c] = np.sum(vals * w_l, axis=(1, 2))
+            lobe_r[r, c] = np.sum(vals * w_r, axis=(1, 2))
+    return np.where(active[:, 1:], lobe_l[:, :-1], 0.0), lobe_r[:, 1:]
 
 
 def _kernel_generators(z: np.ndarray, j0: int, tau: np.ndarray, gamma: float):
@@ -334,8 +336,9 @@ def _kernel_key(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
 
 
 def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
-    """:func:`_kernel_key` plus, per regime, the ``spectra`` of the lag-stacked ``w1``,
-    ``w2`` and negated clips (these shifted to the rows read); column ``j`` is lag ``j``.
+    """:func:`_kernel_key` plus, per regime, the 2-D ``spectra`` of the lag-stacked
+    ``w1`` and ``w2`` and the ``u``-spectra ``clips`` of the two edge-hat clips, one
+    row per output node; column ``j`` of a stack is lag ``j``.
 
     All lags of a regime come from one :func:`_kernel_generators` call. The ``w2``
     spectrum carries the phase that lets :func:`_kernel_integral` read the
@@ -346,20 +349,23 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
     n_xi = n_z - j0
     kernel["shape"] = (_fast_len(n_z + n_xi - 1), _fast_len(2 * n_u - 1))
     n0, n1 = kernel["shape"]
-    kernel["spectra"] = np.empty((2, 4, n0, n1 // 2 + 1), complex)
+    kernel["spectra"] = np.empty((2, 2, n0, n1 // 2 + 1), complex)
+    kernel["clips"] = np.empty((2, 2, n_z, n1 // 2 + 1), complex)
     # the xi-reversed source's spectrum at row k0 is the source's at row (-k0) mod n0
     # times this phase
     phase = np.exp(-2j * np.pi * (np.arange(n0) * (n_xi - 1) % n0) / n0)[:, None]
     lags = np.arange(1, n_u)
-    stack = np.zeros((4, n_z + n_xi - 1, n_u))  # lag 0 and the rows no clip reads stay zero
+    stack = np.zeros((2, n_z + n_xi - 1, n_u))  # lag 0 stays zero
+    clips = np.zeros((2, n_z, n_u))
     for i, (sig_half, gamma) in enumerate(zip(kernel["sigma^2/2"], kernel["gamma"])):
         w1, w2, c0, c_n = _kernel_generators(z, j0, sig_half * lags * du, gamma)
         stack[0, :, 1:], stack[1, :, 1:] = w1.T, w2.T
-        stack[2, n_xi - 1:, 1:], stack[3, n_xi - 1:, 1:] = np.negative(c0.T), np.negative(c_n.T)
+        clips[0, :, 1:], clips[1, :, 1:] = c0.T, c_n.T
         del w1, w2, c0, c_n
-        for p in range(4):  # rfft2 of one plane at a time, straight into its slot
+        for p in range(2):  # rfft2 of one plane at a time, straight into its slot
             np.fft.fft(np.fft.rfft(stack[p], n1), n0, axis=0, out=kernel["spectra"][i, p])
         kernel["spectra"][i, 1] *= phase
+        kernel["clips"][i] = np.fft.rfft(clips, n1)
     return kernel
 
 
@@ -368,10 +374,11 @@ def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring.
 
     Both regimes' sources take one forward transform, whose rows in reverse order
-    serve the ``xi``-reversed source. The inverse runs the ``xi`` transform, then the
-    ``u`` transform of only the ``n_z`` rows kept.
+    serve the ``xi``-reversed source. The inverse runs the ``xi`` transform, subtracts
+    the clips' ``u`` convolutions with the two edge rows, then runs the ``u`` transform
+    of only the ``n_z`` rows kept.
     """
-    n_xi, (n0, n1) = s_half.shape[1], kernel["shape"]
+    n_xi, (n0, n1), n_z = s_half.shape[1], kernel["shape"], kernel["n_z"]
     spec = kernel["spectra"]
     planes = np.fft.rfft2(s_half, (n0, n1))
     edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
@@ -380,9 +387,9 @@ def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     part *= spec[:, 1]
     planes *= spec[:, 0]
     planes += part
-    for p in (2, 3):  # the clips against the edge rows
-        planes += np.multiply(spec[:, p], edges[:, p - 2], out=part)
-    rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + kernel["n_z"]]
+    rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + n_z]
+    for p in (0, 1):  # the clips against the edge rows
+        rows -= np.multiply(kernel["clips"][:, p], edges[:, p], out=part[:, :n_z])
     return np.fft.irfft(rows, n1)[..., :kernel["n_u"]].copy()  # frees the padded buffer
 
 
@@ -627,23 +634,28 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
 
 def price_floating_put_ham(state: MarketState, model: RegimeModel,
                            config: HamConfig, T: float) -> PriceResult:
-    """Dollar price of the unit-multiplier floating put via the series."""
+    """Dollar price of the unit-multiplier floating put via the series.
+
+    A negative read, which the paper form's own error can leave on a coarse
+    grid, is clipped to 0 and recorded as ``unclipped_price``, as
+    :func:`rsasian.european.price_european_put_rs` records its clips;
+    :func:`series_dollar_price` stays unclipped.
+    """
     if state.regime not in (0, 1):
         raise ValidationError(f"regime index {state.regime!r} not 0 or 1")
     surfaces = series_surfaces(model, T, config)
     price, info = series_dollar_price(surfaces, state, T)
-    return PriceResult(
-        price=price,
-        method="ham_series",
-        diagnostics={
-            "m_trunc": config.m_trunc,
-            "terminal_mode": config.terminal_mode,
-            "initial_guess_mode": config.initial_guess_mode,
-            "z": info["z"],
-            "clamped": info["clamped"],
-            "term_norms": surfaces.term_norms,
-        },
-    )
+    diagnostics = {
+        "m_trunc": config.m_trunc,
+        "terminal_mode": config.terminal_mode,
+        "initial_guess_mode": config.initial_guess_mode,
+        "z": info["z"],
+        "clamped": info["clamped"],
+        "term_norms": surfaces.term_norms,
+    }
+    if price < 0.0:
+        diagnostics["unclipped_price"], price = price, 0.0
+    return PriceResult(price=price, method="ham_series", diagnostics=diagnostics)
 
 
 def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig = HamConfig(),

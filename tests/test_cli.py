@@ -449,6 +449,14 @@ class TestColdStart:
         assert self._modules_after("import sys, rsasian.cli") == "[]"
         assert self._modules_after("import sys, rsasian.cli", "jsonschema") == "[]"
 
+    def test_two_state_european_grid_loads_no_scipy_linalg(self):
+        # the discount vector of a two-state model is a closed form; expm, which
+        # other chain sizes take, is slow when BLAS runs threads
+        code = ("import sys; from rsasian import european_put_grid, two_state_model; "
+                "european_put_grid(two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 1.0), "
+                "[90.0, 100.0, 110.0], 100.0, 0.5)")
+        assert self._modules_after(code, "scipy.linalg") == "[]"
+
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("style", ["floating_put", "european_put"])
     def test_mc_price_loads_no_scipy(self, tmp_path, style, antithetic):

@@ -7,6 +7,7 @@ exact terminal sampling, and against its own structural limits (tiny
 spot, strong mixing, expiry).
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from rsasian import (
     McConfig,
     QuadratureNotConverged,
     QuadratureSpec,
+    RegimeModel,
     ValidationError,
     black_scholes_put,
     discounted_strike_vector,
@@ -219,6 +221,99 @@ def _spectral_terms_both_branches(model, omega, ttm):
                      (cosh_term + (a2 + delta) * sinh_term) * payoff_hat]), small
 
 
+def _discount_reference(a, ttm):
+    """``e^{a ttm} (1, 1)`` by scaling and squaring in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = [[decimal.Decimal(v) * decimal.Decimal(ttm) for v in row] for row in a]
+        squarings = int(max(abs(m[0][0]) + abs(m[0][1]), abs(m[1][0]) + abs(m[1][1]))).bit_length() + 4
+        m = [[v / 2 ** squarings for v in row] for row in m]  # norm below 1/16
+
+        def times(p, q):
+            return [[p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in (0, 1)] for i in (0, 1)]
+
+        term = out = [[decimal.Decimal(i == j) for j in (0, 1)] for i in (0, 1)]
+        for n in range(1, 40):
+            term = [[v / n for v in row] for row in times(term, m)]
+            out = [[u + v for u, v in zip(*rows)] for rows in zip(out, term)]
+        for _ in range(squarings):
+            out = times(out, out)
+        return np.array([float(row[0] + row[1]) for row in out])
+
+
+@st.composite
+def _discount_models(draw):
+    """Two-state ``(r0, r1, a01, a10)``: general, or one of the families where a
+    closed form could cancel or divide by zero."""
+    kind = draw(st.sampled_from(["general", "zero_generator", "equal_rates",
+                                 "equal_eigenvalues", "one_way", "short_rate_50", "rate_50",
+                                 "rate_1000"]))
+    r0, r1 = draw(st.floats(-0.05, 0.2)), draw(st.floats(-0.05, 0.2))
+    a01, a10 = draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))
+    if kind == "zero_generator":
+        a01 = a10 = 0.0
+    elif kind == "equal_rates":
+        r1 = r0
+    elif kind == "equal_eigenvalues":
+        # A = [[-r0, 0], [a10, -a10 - r1]] with r0 = r1 + a10 exactly (binary
+        # fractions): one eigenvalue, and A is not diagonalisable
+        r1, a10 = draw(st.integers(0, 64)) / 512, draw(st.integers(1, 64)) / 64
+        r0, a01 = r1 + a10, 0.0
+    elif kind == "one_way":
+        a01 = 0.0
+    elif kind == "short_rate_50":  # one way out of a regime that discounts far faster
+        r0, a01 = 50.0, 0.0
+    elif kind == "rate_50":
+        a01 = a10 = 50.0
+    elif kind == "rate_1000":  # e^{2 rad ttm} overflows
+        a01 = a10 = 1000.0
+    return r0, r1, a01, a10
+
+
+class TestTwoStateDiscount:
+    @settings(max_examples=200, deadline=None)
+    @given(params=_discount_models(), ttm=st.floats(1e-6, 3.0), k=st.floats(0.5, 200.0))
+    def test_matches_the_exact_exponential(self, params, ttm, k):
+        # e^{A ttm} (k, k) for A = gen - diag(r), each entry to its own relative
+        # bound, so the smaller one may not cancel; the reference carries 60 digits
+        r0, r1, a01, a10 = params
+        model = two_state_model(r0, r1, 0.3, 0.2, a01, a10)
+        a = model.gen_array() - np.diag(model.r_array())
+        want = k * _discount_reference(a, ttm)
+        got = discounted_strike_vector(model, k, ttm)
+        bound = 1e-15 * (1.0 + np.abs(a).sum(axis=0).max() * ttm) * want
+        assert np.all(np.abs(got - want) <= bound), f"{got} vs {want}"
+
+    @pytest.mark.parametrize("params", [
+        (0.05, 0.03, 0.3, 0.2, 1.0, 1.0),
+        (0.05, 0.03, 0.3, 0.2, 50.0, 50.0),
+        (0.05, 0.03, 0.3, 0.2, 0.5, 2.0),
+        (0.08, 0.01, 0.1, 0.5, 3.0, 0.5),
+    ], ids=["desk", "rate_50", "asymmetric", "large_gamma"])
+    @pytest.mark.parametrize("ttm", [1e-4, 0.01, 0.5, 1.0, 3.0])
+    def test_matches_expm(self, params, ttm):
+        # the function it replaced for two states; expm itself is off by up to
+        # 1e-14 (1 + |A| ttm) where A is not diagonalisable, so the families
+        # above are checked against the decimal reference instead
+        from scipy.linalg import expm
+
+        model = two_state_model(*params)
+        a = model.gen_array() - np.diag(model.r_array())
+        want = expm(a * ttm) @ np.full(2, K)
+        got = discounted_strike_vector(model, K, ttm)
+        bound = 1e-15 * (1.0 + np.abs(a).sum(axis=0).max() * ttm) * np.max(want)
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_other_chain_sizes_take_expm(self):
+        from scipy.linalg import expm
+
+        gen = ((-1.0, 0.5, 0.5), (0.2, -0.4, 0.2), (1.0, 1.0, -2.0))
+        model = RegimeModel(r=(0.05, 0.03, 0.01), sigma=(0.3, 0.2, 0.25), gen=gen)
+        a = model.gen_array() - np.diag(model.r_array())
+        assert np.array_equal(discounted_strike_vector(model, K, 0.7),
+                              expm(a * 0.7) @ np.full(3, K))
+
+
 class TestSpectralTerms:
     @pytest.mark.parametrize("params, every_node_small", [
         ((0.0625, 0.03125, 0.3, 0.3, 0.0, 0.03125, 0.03125, 0.0), True),
@@ -270,6 +365,19 @@ class TestPanelFactorisedSum:
         assert w.shape == (2, len(x)) and last.shape == (2, 20)
         assert np.max(np.abs(np.sqrt(s_values * K) * (w - dense))) <= 1e-12 * K
         assert np.max(np.abs(last - terms[:, -1])) <= 1e-12 * np.max(np.abs(terms[:, -1]))
+
+    def test_carry_across_many_blocks_matches_the_dense_phase_sum(self, desk_model):
+        # 10_007 panels at a short maturity: 40 blocks, the last one short, and
+        # 626 sub-blocks of _PHASE_ROWS panels whose running phase is carried
+        # from block to block
+        ttm, omega_max, n_panels = 1e-6, 45_000.0, 10_007
+        s_values = np.array([99.0, 99.9, 100.0, 100.2, 101.0])
+        x = np.log(s_values / K)
+        mid, offsets, terms = _one_pass_rule(desk_model, ttm, omega_max, n_panels)
+        dense = _dense_phase_sum(mid, offsets, terms, x)
+        w, last = european._put_transform(desk_model, x, ttm, omega_max, n_panels)
+        assert np.max(np.abs(np.sqrt(s_values * K) * (w - dense))) <= 1e-12 * K
+        assert np.array_equal(last, terms[:, -1])
 
     def test_series_guess_levels_match_the_per_panel_phases(self, desk_model):
         # every level the series guess reads on the default grid; its shortest

@@ -33,6 +33,7 @@ from rsasian import (
     two_state_model,
 )
 from rsasian import ham
+from rsasian.greens import robin_correction
 
 COARSE = HamConfig(m_trunc=2, n_z=101, n_u=21)
 
@@ -40,6 +41,27 @@ COARSE = HamConfig(m_trunc=2, n_z=101, n_u=21)
 @pytest.fixture(scope="module")
 def desk_terms(desk_model):
     return build_terms(desk_model, 1.0, COARSE)
+
+
+def _robin_lobes_per_lobe(d, h, tau, gamma):
+    """Left and right hat-lobe integrals of the correction piece, each lobe by
+    its own 8-node Gauss-Legendre panels: as many panels as ``_robin_lobes``
+    gives the kernel time, and zero for a node whose left edge lies beyond the cut."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    lobes = np.zeros((2, len(tau), len(d)))
+    for r, t in enumerate(tau):
+        root2 = 2.0 * np.sqrt(t)
+        n_pan = max(1, int(np.ceil(h / min(h, ham._ROBIN_PANEL_X * root2))))
+        edges = np.linspace(0.0, h, n_pan + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            off = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes  # within the lobe
+            w = 0.5 * (hi - lo) * weights
+            left = robin_correction(d[:, None] - h + off, t, gamma) * (off / h)
+            right = robin_correction(d[:, None] + off, t, gamma) * (1.0 - off / h)
+            lobes[0, r] += left @ w
+            lobes[1, r] += right @ w
+        lobes[:, r, d - h >= ham._ROBIN_CUT_X * root2] = 0.0
+    return lobes
 
 
 class TestGrid:
@@ -215,30 +237,53 @@ class TestStructure:
     def test_one_transform_step_matches_two_transforms(self, n_z, n_u):
         # reference: the source and its xi reversal transformed apart, against
         # the unphased w2 stack, at the exact linear-convolution size, so
-        # nothing wraps. The step pads xi to a 5-smooth length, so its row
-        # reversal wraps at a length other than the source's
+        # nothing wraps; the clips as direct lag sums against the two edge rows.
+        # The step pads xi to a 5-smooth length, so its row reversal wraps at a
+        # length other than the source's, and keeps the clips as u-spectra
         model = two_state_model(0.05, 0.03, 0.3, 0.2, 0.5, 2.0)
         z, u = ham_grid(HamConfig(n_z=n_z, n_u=n_u), 1.0)
         j0 = int(np.argmin(np.abs(z)))
         n_xi = n_z - j0
         kernel = ham._lag_generators(z, u, model)
-        assert kernel["shape"][0] != n_z + n_xi - 1
+        n0, n1 = kernel["shape"]
+        assert n0 != n_z + n_xi - 1
+        assert kernel["spectra"].shape == (2, 2, n0, n1 // 2 + 1)
+        assert kernel["clips"].shape == (2, 2, n_z, n1 // 2 + 1)
         source = np.random.default_rng(n_z + n_u).standard_normal((2, n_xi, n_u))
         shape = (n_z + 2 * n_xi - 2, 2 * n_u - 1)
         want = np.empty((2, n_z, n_u))
         for i in (0, 1):
             tau = 0.5 * model.sigma[i] ** 2 * np.arange(1, n_u) * (u[1] - u[0])
             w1, w2, c0, c_n = ham._kernel_generators(z, j0, tau, ham.rate_ratios(model, i)[1])
-            stack = np.zeros((4, n_z + n_xi - 1, n_u))
+            stack = np.zeros((2, n_z + n_xi - 1, n_u))
             stack[0, :, 1:], stack[1, :, 1:] = w1.T, w2.T
-            stack[2, n_xi - 1:, 1:], stack[3, n_xi - 1:, 1:] = -c0.T, -c_n.T
             spec = np.fft.rfft2(stack, shape)
             planes = np.fft.rfft2(np.stack((source[i], source[i, ::-1])), shape)
-            edges = np.fft.rfft(source[i, (0, -1), None], shape[1])
-            total = np.sum(spec[:2] * planes, axis=0) + np.sum(spec[2:] * edges, axis=0)
-            want[i] = np.fft.irfft2(total, shape)[n_xi - 1: n_xi - 1 + n_z, :n_u]
+            want[i] = np.fft.irfft2(np.sum(spec * planes, axis=0), shape)[n_xi - 1: n_xi - 1 + n_z, :n_u]
+            for j in range(1, n_u):  # lag j's clips against the edge rows j levels back
+                want[i, :, j:] -= (np.outer(c0[j - 1], source[i, 0, :n_u - j])
+                                   + np.outer(c_n[j - 1], source[i, -1, :n_u - j]))
         got = ham._kernel_integral(kernel, source)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("gamma", [1.5, 0.2, 16.0])
+    @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
+    def test_robin_lobes_match_one_rule_per_lobe(self, cfg, gamma):
+        # reference: each lobe by its own panels, left over [d - h, d] and right
+        # over [d, d + h]; the kernel evaluates each interval once for the two
+        # lobes that share it. Lag 1 at sigma = 0.3 takes several panels per
+        # lobe, the longest lags one, and the cut zeroes the far nodes
+        z, u = ham_grid(cfg, 1.0)
+        j0, h = int(np.argmin(np.abs(z))), z[1] - z[0]
+        d = np.arange(-j0, 2 * len(z) - 2 * j0 - 1) * h
+        tau = 0.045 * np.arange(1, len(u)) * (u[1] - u[0])
+        got = ham._robin_lobes(d, h, tau, gamma)
+        want = _robin_lobes_per_lobe(d, h, tau, gamma)
+        assert (want[0][0] == 0.0).any() and (want[1][0] != 0.0).any()
+        for side, name in enumerate(("left", "right")):
+            assert np.array_equal(got[side] == 0.0, want[side] == 0.0), name
+            gap = np.max(np.abs(got[side] - want[side]))
+            assert gap <= 1e-14 * np.max(np.abs(want[side])), f"{name}: {gap}"
 
     @pytest.mark.parametrize("other, name", [
         (dict(T=2.0), "du"),
@@ -334,6 +379,16 @@ class TestPricing:
                     "term_norms"):
             assert key in res.diagnostics, key
         assert res.price >= 0.0 and np.isfinite(res.price)
+        assert "unclipped_price" not in res.diagnostics, "an in-bound price records no clip"
+
+    def test_negative_read_is_clipped_and_recorded(self, desk_model):
+        # the paper form reads -0.018187 here on the coarse grid; the price is
+        # clipped to 0 and the read kept, which series_dollar_price returns as is
+        state = MarketState(t=0.5, s=100.0, a=50.0, regime=1)
+        res = price_floating_put_ham(state, desk_model, COARSE, 1.0)
+        read, _ = series_dollar_price(ham.series_surfaces(desk_model, 1.0, COARSE), state, 1.0)
+        assert read == pytest.approx(-0.018187, abs=5e-7)
+        assert res.price == 0.0 and res.diagnostics["unclipped_price"] == read
 
     def test_partials_are_the_running_sums(self, desk_model, desk_terms):
         surfaces = assemble_series(desk_terms, desk_model)
@@ -387,7 +442,8 @@ class TestPricing:
     @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
     def test_convergent_series_still_prices(self, model, cfg):
         state = MarketState(t=0.5, s=100.0, a=50.0, regime=1)
-        # not refused; the paper form's own error can leave the read slightly negative
+        # not refused; the paper form's own error can leave the read slightly
+        # negative, which the price clips to 0
         assert np.isfinite(price_floating_put_ham(state, two_state_model(*model), cfg, 1.0).price)
 
     @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
