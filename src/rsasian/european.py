@@ -91,17 +91,16 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
 
 
 def _two_state_discount(model: RegimeModel, ttm: float) -> np.ndarray:
-    """``e^{A ttm} (1, 1)`` for ``A = gen - diag(r)``, by the eigen-split of
-    :func:`_spectral_terms`, every term formed without cancellation.
+    """``e^{A ttm} (1, 1)`` for ``A = gen - diag(r)`` by the eigen-split of
+    :func:`_spectral_terms`, with no term that cancels.
 
-    With row sums ``s_i``, ``A``'s eigenvalues are ``h +- rad`` and row ``i`` of
-    ``A - h I`` sums to ``b_i``, so the row is ``cosh + b_i sinh`` with
-    ``cosh = (e_+ + e_-)/2`` and ``sinh = (e_+ - e_-)/(2 rad)``. The eigenvalue
-    nearer zero is ``det(A)`` over the other; where ``2 rad ttm <= 1``, ``sinh``
-    is ``e_- expm1(2 rad ttm) / (2 rad)``, or ``ttm e_-`` at ``rad = 0``. Where ``b_i < 0`` the row is
-    ``(e_+ (rad + b_i) + e_- (rad - b_i)) / (2 rad)`` instead, ``rad + b_i`` taken
-    as ``(rad^2 - b_i^2) / (rad - b_i)`` with ``rad^2 - b_i^2 = A_ij (s_j - s_i)``;
-    both weights then lie in [0, 1], since ``|b_i| <= rad``.
+    ``A`` has eigenvalues ``h +- rad``, the one nearer zero taken as ``det(A)``
+    over the other, and row ``i`` of ``A - h I`` sums to ``b_i``, so entry ``i`` is
+    ``cosh + b_i sinh``: ``cosh = (e_+ + e_-)/2``, and ``sinh = (e_+ - e_-)/(2 rad)``
+    or, where ``2 rad ttm <= 1``, ``e_- expm1(2 rad ttm)/(2 rad)`` (``ttm e_-`` at
+    ``rad = 0``). An entry with ``b_i < 0`` is ``(e_+ (rad + b_i) + e_- (rad - b_i))
+    / (2 rad)`` instead, with ``rad + b_i = A_ij (s_j - s_i) / (rad - b_i)`` for the
+    row sums ``s`` of ``A``; both weights then lie in [0, 1].
     """
     (g00, a01), (a10, g11) = model.gen
     s0, s1 = (g00 + a01) - model.r[0], (a10 + g11) - model.r[1]
