@@ -39,4 +39,4 @@ class NotApplicable(PricingError):
 
 
 class LinearSolveFailure(PricingError):
-    """A banded or sparse linear solve failed inside the FD scheme."""
+    """A banded linear solve failed inside the FD scheme."""

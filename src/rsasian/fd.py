@@ -6,8 +6,10 @@ are ``s * V_i(t, y)``. Each regime's operator is
     L_i V = (1 - (r_i - q_i) y) V_y + (sigma_i^2 / 2) y^2 V_yy - q_i V,
 
 and the regimes couple through the generator row. Marching is backward
-from the terminal payoff ``(y/T - 1)^+``. A Crank-Nicolson level is one
-banded LU solve, ``2 (I - dt/2 A)^-1 v - v``, with no matrix-vector product;
+from the terminal payoff ``(y/T - 1)^+``. The generator is written straight
+into LAPACK band storage, ``I - dt/2 A`` is factored once, and a
+Crank-Nicolson level is one banded solve, ``2 (I - dt/2 A)^-1 v - v``, with
+no matrix-vector product: FD loads only scipy.linalg's BLAS and LAPACK;
 the first ``_STARTUP_STEPS`` steps are each two fully implicit half-steps,
 which damp the payoff kink (the kink ordinate ``y = T`` is snapped onto
 the grid for clean second-order convergence). The time domain is
@@ -98,51 +100,45 @@ class FdSurfaces:
         return bool((diffs >= -1e-9).all())
 
 
-def _spatial_operator(model: RegimeModel, y: np.ndarray):
-    """Sparse generator of the coupled semigroup, interleaved ordering.
+def _generator_band(model: RegimeModel, y: np.ndarray):
+    """Generator of the coupled semigroup in LAPACK band storage: ``(band, kl, ku)``.
 
-    Unknown ``n_states j + i`` is regime ``i`` at node ``j``: ``n_states`` sub- and
-    ``2 n_states`` superdiagonals, as the y = 0 row reaches two nodes ahead. Entries
-    are listed in one fixed order, so duplicates always sum the same way.
+    Unknown ``n_states j + i`` is regime ``i`` at node ``j``, and entry ``(r, c)`` is
+    ``band[kl + ku + r - c, c]``: ``kl = n_states``, and ``ku = 2 n_states`` as the
+    y = 0 row reaches two nodes ahead; the first ``kl`` rows are zero, for ``dgbtrf``'s
+    fill-in. Only a diagonal entry sums terms: the stencil, then the rates out of its
+    regime by ascending target. With two states that is two terms, whose sum has the
+    same bits in either order.
     """
-    from scipy.sparse import coo_matrix
-
     n, n_states = y.size, model.n_states
-    h = y[1] - y[0]
-    gen = model.gen_array()
-    node = n_states * np.arange(n)
-    rows, cols, data = [], [], []
+    kl, ku = n_states, 2 * n_states
+    h, gen = y[1] - y[0], model.gen_array()
+    band = np.zeros((2 * kl + ku + 1, n_states * n), order="F")
 
-    def add(row, offsets, values):
-        """Entries ``(row, row + offset)``, node by node, offsets in the given order."""
-        rows.append(np.repeat(row, len(offsets)))
-        cols.append((np.reshape(row, (-1, 1)) + offsets).ravel())
-        data.append(np.stack(np.broadcast_arrays(*values), axis=-1).ravel())
+    def diag(offset):
+        """Entries ``(r, r + offset)``, indexed ``[node, regime]`` of the column."""
+        return band[kl + ku - offset].reshape(n, n_states)
 
+    sub, main, sup, sup2 = (diag(o * n_states) for o in (-1, 0, 1, 2))
     for i in range(n_states):
         r_i, q_i, sig_i = model.r[i], model.q[i], model.sigma[i]
         adv = 1.0 - (r_i - q_i) * y
         dif = 0.5 * sig_i**2 * y**2
         a, d = adv[1:-1], dif[1:-1]
-        add(node[1:-1] + i, [-n_states, 0, n_states],
-            [d / h**2 - a / (2 * h), -2 * d / h**2 - q_i, d / h**2 + a / (2 * h)])
-        # far field: ghost node from vanishing second derivative turns the
-        # central slope into (V_N - V_{N-1}) / h
+        sub[:-2, i] = d / h**2 - a / (2 * h)
+        main[1:-1, i] = -2 * d / h**2 - q_i
+        sup[2:, i] = d / h**2 + a / (2 * h)
+        # far field: a ghost node with V_yy = 0 makes the slope (V_N - V_{N-1}) / h
         a = adv[-1]
-        add(node[-1:] + i, [-n_states, 0], [-a / h, a / h - q_i])
-        # y = 0 row, the degenerate equation V_t + adv(0) V_y - q V = 0,
-        # one-sided second order
+        sub[-2, i], main[-1, i] = -a / h, a / h - q_i
+        # y = 0 row: the degenerate V_t + adv(0) V_y - q V = 0, one-sided second order
         a = adv[0]
-        add(node[:1] + i, [0, n_states, 2 * n_states],
-            [-3 * a / (2 * h) - q_i, 4 * a / (2 * h), -a / (2 * h)])
+        main[0, i], sup[1, i], sup2[2, i] = -3 * a / (2 * h) - q_i, 4 * a / (2 * h), -a / (2 * h)
 
-    for i in range(n_states):
-        for k in range(n_states):
-            if i != k:
-                add(node + i, [0, k - i], [np.full(n, -gen[i, k]), gen[i, k]])
-
-    rows, cols, data = (np.concatenate(x) for x in (rows, cols, data))
-    return coo_matrix((data, (rows, cols)), shape=(n_states * n,) * 2).tocsr()
+    for i, k in ((i, k) for i in range(n_states) for k in range(n_states) if i != k):
+        main[:, i] -= gen[i, k]
+        diag(k - i)[:, k] = gen[i, k]
+    return band, kl, ku
 
 
 def _banded_lu(band: np.ndarray, kl: int, ku: int):
@@ -158,8 +154,9 @@ def _banded_lu(band: np.ndarray, kl: int, ku: int):
     lower, upper = np.asfortranarray(lu[kl + ku:]), np.asfortranarray(lu[kl:kl + ku + 1])
 
     def solve(x):
-        blas.dtbsv(kl, lower, x, lower=1, diag=1, overwrite_x=1)
-        blas.dtbsv(ku, upper, x, overwrite_x=1)
+        # positional (k, a, x, incx, offx, lower, trans, diag, overwrite_x): keywords cost ~0.5 us
+        blas.dtbsv(kl, lower, x, 1, 0, 1, 0, 1, 1)
+        blas.dtbsv(ku, upper, x, 1, 0, 0, 0, 0, 1)
     return solve
 
 
@@ -200,30 +197,33 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     # one factorization serves both stages: (I - dt/2 A) is the implicit
     # matrix of the Crank-Nicolson step and of a backward-Euler half-step,
     # so the kink-damping startup (two half-steps per step) reuses it
-    op = _spatial_operator(model, y).tocoo()
-    kl, ku = int((op.row - op.col).max()), int((op.col - op.row).max())
-    band = np.zeros((2 * kl + ku + 1, v.size), order="F")
-    band[kl + ku] = 1.0
-    band[kl + ku + op.row - op.col, op.col] -= 0.5 * dt * op.data
+    band, kl, ku = _generator_band(model, y)
+    band *= -0.5 * dt
+    band[kl + ku] += 1.0
     solve = _banded_lu(band, kl, ku)
 
-    ring = np.empty((kept, y.size, n_states))
-    ring[(cfg.n_t - first) % kept] = v.reshape(-1, n_states)
-    for level in range(cfg.n_t - 1, first - 1, -1):
-        out = ring[(level - first) % kept].reshape(-1)
-        out[:] = v
-        solve(out)
-        if cfg.n_t - 1 - level < _STARTUP_STEPS:
+    ring = np.empty((kept, v.size))
+    slots = list(ring)  # one flat view per slot, made once
+    slots[(cfg.n_t - first) % kept][:] = v
+    startup = cfg.n_t - _STARTUP_STEPS
+    # the sum is NaN or infinite whenever an entry is (an inf and a -inf sum to
+    # NaN, refused, not warned about); with two slots, a bad level may be
+    # overwritten later, so each is checked as written
+    with np.errstate(invalid="ignore"):
+        for level in range(cfg.n_t - 1, first - 1, -1):
+            out = slots[(level - first) % kept]
+            out[:] = v
             solve(out)
-        else:
-            out *= 2.0
-            out -= v
-        # checked as written: with two slots, a bad level may be overwritten later
-        if not np.isfinite(out).all():
-            raise LinearSolveFailure("non-finite values in the implicit solve")
-        v = out
+            if level >= startup:
+                solve(out)
+            else:
+                out *= 2.0
+                out -= v
+            if not math.isfinite(out.sum()):
+                raise LinearSolveFailure("non-finite values in the implicit solve")
+            v = out
 
-    values = ring.transpose(0, 2, 1)
+    values = ring.reshape(kept, y.size, n_states).transpose(0, 2, 1)
     values.setflags(write=False)
     return FdSurfaces(t_nodes=t_nodes[first:first + kept], y_nodes=y, values=values)
 

@@ -457,6 +457,16 @@ class TestColdStart:
                 "[90.0, 100.0, 110.0], 100.0, 0.5)")
         assert self._modules_after(code, "scipy.linalg") == "[]"
 
+    def test_fd_compare_loads_no_scipy_sparse(self, tmp_path):
+        # the FD operator is written straight into LAPACK band storage, so FD
+        # needs only scipy.linalg's BLAS and LAPACK wrappers
+        cfg = base_config(tmp_path, {"compare": {"fd": {"n_y": 32, "n_t": 32}}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = ("import sys, rsasian.cli; "
+                f"assert rsasian.cli.main(['compare', '--config', {str(path)!r}]) == 0")
+        assert self._modules_after(code, "scipy.sparse") == "[]"
+
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("style", ["floating_put", "european_put"])
     def test_mc_price_loads_no_scipy(self, tmp_path, style, antithetic):

@@ -152,23 +152,29 @@ class TestEarlyStop:
         want = richardson_order(any_model, 1.0, cfg, state)
         assert got == want
 
-    def test_non_finite_level_is_refused(self, desk_model, monkeypatch):
-        # one mid-march solve returns a NaN
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf_and_-inf"])
+    def test_non_finite_level_is_refused(self, desk_model, monkeypatch, bad):
+        # the last solve of the march returns the injected entries, so no later
+        # level can catch them; an inf and a -inf sum to NaN
         banded_lu = fd._banded_lu
+        cfg = FdConfig(n_y=30, n_t=30, t_min=0.5)
+        # levels 29 down to 15, plus one more solve per startup step
+        last = 15 + fd._STARTUP_STEPS
 
         def one_bad_solve(band, kl, ku):
             solve, calls = banded_lu(band, kl, ku), []
 
-            def bad(x):
+            def bad_solve(x):
                 calls.append(1)
                 solve(x)
-                if len(calls) == 8:
-                    x[3] = np.nan
-            return bad
+                if len(calls) == last:
+                    x[3:3 + len(bad)] = bad
+            return bad_solve
 
         monkeypatch.setattr(fd, "_banded_lu", one_bad_solve)
         with pytest.raises(LinearSolveFailure, match="non-finite"):
-            fd_price(desk_model, 1.0, FdConfig(n_y=30, n_t=30, t_min=0.5))
+            fd_price(desk_model, 1.0, cfg)
 
     def test_nan_in_an_overwritten_level_is_refused(self, desk_model, monkeypatch):
         # the second startup half-step puts a NaN into level n_t - 1, and every
@@ -214,11 +220,19 @@ class TestEarlyStop:
         assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
 
 
+def generator_matrix(model, y):
+    """``fd._generator_band`` expanded into a sparse matrix: band row ``kl + ku - o``
+    holds diagonal ``o``, indexed by column."""
+    band, kl, ku = fd._generator_band(model, y)
+    offsets = np.arange(ku, -kl - 1, -1)
+    return sp.dia_matrix((band[kl:], offsets), shape=(band.shape[1],) * 2).tocsr()
+
+
 def explicit_rhs_levels(model, T, cfg, y):
     """Every level of the march, each right-hand side formed as ``v + dt/2 (A v)``
     and solved with SuperLU; shaped like ``FdSurfaces.values``."""
     dt = T / cfg.n_t
-    a = fd._spatial_operator(model, y)
+    a = generator_matrix(model, y)
     lu = splu((sp.identity(a.shape[0]) - 0.5 * dt * a).tocsc())
     v = np.repeat(np.maximum(y / T - 1.0, 0.0), model.n_states)
     levels = [v]
@@ -278,7 +292,8 @@ class TestScheme:
 
 
 class TestOperator:
-    """``_spatial_operator`` applied to a quadratic in y in each regime.
+    """The generator band, expanded by ``generator_matrix``, applied to a
+    quadratic in y in each regime.
 
     Central differences are exact on quadratics, so the interior rows
     give the generator itself; the edges give their one-sided formulas.
@@ -291,7 +306,7 @@ class TestOperator:
         c = np.array([[0.7, -0.4, 1.3], [0.2, 0.9, -0.5], [1.1, 0.3, 0.25]])[:n_states]
         v = c[:, :1] + c[:, 1:2] * y + c[:, 2:] * y**2  # (n_states, n)
         dv, d2v = c[:, 1:2] + 2 * c[:, 2:] * y, 2 * c[:, 2:] * np.ones_like(y)
-        got = (fd._spatial_operator(any_model, y) @ v.T.reshape(-1)).reshape(n, n_states).T
+        got = (generator_matrix(any_model, y) @ v.T.reshape(-1)).reshape(n, n_states).T
         r, q, sig = (np.array(x)[:, None] for x in (any_model.r, any_model.q, any_model.sigma))
         gen = any_model.gen_array()
         coupling = np.array([sum(gen[i, k] * (v[k] - v[i]) for k in range(n_states) if k != i)
