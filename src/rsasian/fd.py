@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -123,8 +124,7 @@ def _generator_band(model: RegimeModel, y: np.ndarray):
     for i in range(n_states):
         r_i, q_i, sig_i = model.r[i], model.q[i], model.sigma[i]
         adv = 1.0 - (r_i - q_i) * y
-        dif = 0.5 * sig_i**2 * y**2
-        a, d = adv[1:-1], dif[1:-1]
+        a, d = adv[1:-1], 0.5 * sig_i**2 * y[1:-1]**2
         sub[:-2, i] = d / h**2 - a / (2 * h)
         main[1:-1, i] = -2 * d / h**2 - q_i
         sup[2:, i] = d / h**2 + a / (2 * h)
@@ -135,7 +135,7 @@ def _generator_band(model: RegimeModel, y: np.ndarray):
         a = adv[0]
         main[0, i], sup[1, i], sup2[2, i] = -3 * a / (2 * h) - q_i, 4 * a / (2 * h), -a / (2 * h)
 
-    for i, k in ((i, k) for i in range(n_states) for k in range(n_states) if i != k):
+    for i, k in permutations(range(n_states), 2):  # i ascending, then k
         main[:, i] -= gen[i, k]
         diag(k - i)[:, k] = gen[i, k]
     return band, kl, ku
