@@ -71,7 +71,7 @@ class FdConfig:
 
 def default_y_max(T: float, y0: float = 0.0) -> float:
     """``4 max(T, y0)``: inception's buffer, 4x the kink ``y = T``, put around the state;
-    a wider domain moved no mid-life price by over 1.5e-10 dollars, and coarsened the step."""
+    a wider domain only coarsens the step (it moved no mid-life price by over 1.5e-10)."""
     return 4.0 * max(T, y0)
 
 
