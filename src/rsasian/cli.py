@@ -53,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .european import QuadratureSpec, price_european_put_rs
-from .fd import FdConfig, default_y_max, fd_price, richardson_order
+from .fd import FdConfig, fd_price, richardson_order
 # build_terms and assemble_series are not called here; perfbench/spans.py wraps them on this module
 from .ham import (
     HamConfig,
@@ -264,11 +264,7 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
     if name == "mc":
         return McConfig(**block)
     if name == "fd":
-        fc = FdConfig(**block)
-        if fc.y_max is None:
-            y0 = state.a / state.s if state.t > 0.0 else 0.0
-            fc = replace(fc, y_max=default_y_max(T, y0))
-        return replace(fc, t_min=state.t)
+        return FdConfig(**block).for_state(T, state)
     return QuadratureSpec(**block.get("quad", {}))
 
 
@@ -322,71 +318,41 @@ def _timer(enabled: bool):
 
 def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
                 state: MarketState, timings: bool, in_compare: bool) -> dict:
+    """One ``price`` or ``compare`` row: each engine yields its price, error
+    estimate and diagnostics."""
     T = spec.T
     done = _timer(timings)
     if name == "mc":
         est = mc_price(spec, state, model, cfg)
-        return {
-            "method": "mc",
-            "price": est.price,
-            "error_estimate": est.std_error,
-            "runtime_ms": done(),
-            "diagnostics": {"std_error": est.std_error, **asdict(cfg)},
+        price, error = est.price, est.std_error
+        diagnostics = {"std_error": est.std_error, **asdict(cfg)}
+    elif name == "fd" and in_compare:
+        base = replace(cfg, n_y=max(3, cfg.n_y // 4), n_t=max(3, cfg.n_t // 4))
+        order, prices = richardson_order(model, T, base, state)
+        price, error = prices[-1], abs(prices[-1] - prices[-2])
+        diagnostics = {
+            "richardson_order": order,
+            "grid_prices": [float(p) for p in prices],
+            "finest_n_y": base.n_y * 4,
+            "finest_n_t": base.n_t * 4,
+            "y_max": cfg.y_max,
         }
-    if name == "fd":
-        if in_compare:
-            base = replace(cfg, n_y=max(3, cfg.n_y // 4), n_t=max(3, cfg.n_t // 4))
-            order, prices = richardson_order(model, T, base, state)
-            return {
-                "method": "fd",
-                "price": prices[-1],
-                "error_estimate": abs(prices[-1] - prices[-2]),
-                "runtime_ms": done(),
-                "diagnostics": {
-                    "richardson_order": order,
-                    "grid_prices": [float(p) for p in prices],
-                    "finest_n_y": base.n_y * 4,
-                    "finest_n_t": base.n_t * 4,
-                    "y_max": cfg.y_max,
-                },
-            }
-        surf = fd_price(model, T, cfg)
-        return {
-            "method": "fd",
-            "price": surf.dollar_price(state),
-            "error_estimate": None,
-            "runtime_ms": done(),
-            "diagnostics": {
-                "n_y": cfg.n_y,
-                "n_t": cfg.n_t,
-                "y_max": cfg.y_max,
-            },
-        }
-    if name == "ham":
-        res = price_floating_put_ham(state, model, cfg, T)
-        return {
-            "method": "ham",
-            "price": res.price,
-            "error_estimate": None,
-            "runtime_ms": done(),
-            "diagnostics": res.diagnostics,
-        }
-    # european_rs
-    res = price_european_put_rs(
-        model,
-        s=state.s,
-        k=spec.K,
-        t=state.t,
-        T=T,
-        regime=state.regime,
-        quad=cfg,
-    )
+    elif name == "fd":
+        price, error = fd_price(model, T, cfg).dollar_price(state), None
+        diagnostics = {"n_y": cfg.n_y, "n_t": cfg.n_t, "y_max": cfg.y_max}
+    else:
+        if name == "ham":
+            res = price_floating_put_ham(state, model, cfg, T)
+        else:  # european_rs
+            res = price_european_put_rs(model, s=state.s, k=spec.K, t=state.t, T=T,
+                                        regime=state.regime, quad=cfg)
+        price, error, diagnostics = res.price, res.error_estimate, res.diagnostics
     return {
-        "method": "european_rs",
-        "price": res.price,
-        "error_estimate": res.error_estimate,
+        "method": name,
+        "price": price,
+        "error_estimate": error,
         "runtime_ms": done(),
-        "diagnostics": res.diagnostics,
+        "diagnostics": diagnostics,
     }
 
 
@@ -504,14 +470,10 @@ def _run(command: str, config_path: str) -> int:
         f.write(json.dumps(effective, indent=2, sort_keys=True) + "\n")
 
     extra = None
-    if command == "price":
-        (name, cfg), = engines.items()
-        rows = [_engine_row(name, cfg, model, spec, state, timings, False)]
-        columns = ["method", "price", "error_estimate", "runtime_ms", "diagnostics"]
-    elif command == "compare":
+    if command in ("price", "compare"):
         rows = [
-            _engine_row(name, engines[name], model, spec, state, timings, True)
-            for name in ("ham", "mc", "fd") if name in engines
+            _engine_row(name, engines[name], model, spec, state, timings, command == "compare")
+            for name in ("ham", "mc", "fd", "european_rs") if name in engines
         ]
         columns = ["method", "price", "error_estimate", "runtime_ms", "diagnostics"]
     elif command == "convergence":

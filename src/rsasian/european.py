@@ -16,9 +16,10 @@ offset_g``; as ``mid_p = (2p + 1) mid_0``, the panel phases are powers of
 ``e^{2 i mid_0 x}``. :func:`_put_transform` forms them as a 16-row running
 product times a running product of stride 16, one complex product per block of
 panels, and streams the blocks, so its memory stays flat however many panels a
-short maturity needs. ``D_i`` of a two-state model is the 2x2 matrix
-exponential in closed form (:func:`_two_state_discount`), so pricing calls no
-``scipy.linalg`` routine.
+short maturity needs. ``D_i`` is the 2x2 matrix exponential in closed form
+(:func:`discounted_strike_vector`), so pricing calls no ``scipy.linalg``
+routine. Every function here that takes a model refuses one without exactly two
+states.
 
 :func:`price_european_put_rs` refines that rule until its error estimate
 meets the :class:`QuadratureSpec` tolerance, or refuses, and clips the result
@@ -74,25 +75,13 @@ def black_scholes_put(
 
 
 def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.ndarray:
-    """Expected discounted strike per starting regime.
+    """Expected discounted strike per starting regime of a two-state model.
 
     Solves ``D' = (gen - diag(r)) D`` over ``ttm`` from ``D = (k, k)``;
     this is the deep-in-the-money put limit. Collapses to
-    ``k e^{-r_i ttm}`` when the short rates coincide. A two-state model
-    takes :func:`_two_state_discount`, which needs no BLAS; other chain
-    sizes take ``scipy.linalg.expm``.
-    """
-    if model.n_states == 2:
-        return float(k) * _two_state_discount(model, ttm)
-    from scipy.linalg import expm
-
-    g = model.gen_array() - np.diag(model.r_array())
-    return expm(g * ttm) @ np.full(model.n_states, float(k))
-
-
-def _two_state_discount(model: RegimeModel, ttm: float) -> np.ndarray:
-    """``e^{A ttm} (1, 1)`` for ``A = gen - diag(r)`` by the eigen-split of
-    :func:`_spectral_terms`, with no term that cancels.
+    ``k e^{-r_i ttm}`` when the short rates coincide. ``D = k e^{A ttm} (1, 1)``
+    for ``A = gen - diag(r)`` comes from the eigen-split of
+    :func:`_spectral_terms`, with no term that cancels and no BLAS call.
 
     ``A`` has eigenvalues ``h +- rad``, the one nearer zero taken as ``det(A)``
     over the other, and row ``i`` of ``A - h I`` sums to ``b_i``, so entry ``i`` is
@@ -102,6 +91,7 @@ def _two_state_discount(model: RegimeModel, ttm: float) -> np.ndarray:
     / (2 rad)`` instead, with ``rad + b_i = A_ij (s_j - s_i) / (rad - b_i)`` for the
     row sums ``s`` of ``A``; both weights then lie in [0, 1].
     """
+    require_two_states(model)
     (g00, a01), (a10, g11) = model.gen
     s0, s1 = (g00 + a01) - model.r[0], (a10 + g11) - model.r[1]
     h = 0.5 * (s0 + s1 - a01 - a10)
@@ -123,7 +113,7 @@ def _two_state_discount(model: RegimeModel, ttm: float) -> np.ndarray:
             out[i] = (e_plus * g / (rad - b) + e_minus * (rad - b)) / (2.0 * rad)
         else:
             out[i] = 0.5 * (e_plus + e_minus) + b * sinh
-    return out
+    return float(k) * out
 
 
 def _spectral_terms(model: RegimeModel, omega: np.ndarray, ttm: float) -> np.ndarray:

@@ -14,10 +14,11 @@ the first ``_STARTUP_STEPS`` steps are each two fully implicit half-steps,
 which damp the payoff kink (the kink ordinate ``y = T`` is snapped onto
 the grid for clean second-order convergence). The time domain is
 ``[t_min, T]``: the march stops at the level at or below ``t_min``;
-callers holding a state pass ``state.t``, as they do for ``y_max``. A
-state read keeps only the two levels that bracket ``t_min``, so memory
-does not grow with ``n_t``, and reads there match a full march bit for
-bit; ``t_min=None`` keeps every level of ``[0, T]``.
+callers holding a state take ``t_min`` and ``y_max`` from
+:meth:`FdConfig.for_state`. A state read keeps only the two levels that
+bracket ``t_min``, so memory does not grow with ``n_t``, and reads there
+match a full march bit for bit; ``t_min=None`` keeps every level of
+``[0, T]``.
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
@@ -45,14 +46,11 @@ class FdConfig:
     """Grid controls.
 
     ``n_y`` and ``n_t`` count intervals, so doubling them exactly
-    refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time;
-    callers holding a state should pass ``default_y_max(T, y0)``, which
-    keeps that buffer around ``max(T, y0)`` and no wider, so the same
-    ``n_y`` gives a mid-life state a finer step.
+    refines the grid. ``y_max=None`` resolves to ``4 T`` at solve time.
     ``t_min`` is the calendar time a state read needs: the surface keeps
     only the two levels that bracket it. ``None`` keeps every level of
-    ``[0, T]``, for callers that read many times. The CLI always sets it
-    to ``state.t``, whatever a config holds.
+    ``[0, T]``, for callers that read many times. Callers holding a state
+    call :meth:`for_state`, which sets both to fit it.
     """
 
     y_max: float | None = None
@@ -68,10 +66,24 @@ class FdConfig:
         if self.t_min is not None and not (self.t_min >= 0.0):
             raise ValidationError("t_min not >= 0")
 
+    def for_state(self, T: float, state: MarketState) -> FdConfig:
+        """This grid for a read at ``state``: ``t_min = state.t``, and an unset
+        ``y_max`` is ``default_y_max(T, a/s)``; a set one is kept, and refused
+        if ``a/s`` lies past the last node the march builds."""
+        y0 = state.a / state.s
+        y_max = self.y_max if self.y_max is not None else default_y_max(T, y0)
+        cfg = replace(self, y_max=y_max, t_min=state.t)
+        last = float(_y_nodes(T, cfg)[-1])
+        if y0 > last:
+            raise ValidationError(
+                f"a/s={y0} lies past the last grid node y={last} (y_max={y_max})")
+        return cfg
+
 
 def default_y_max(T: float, y0: float = 0.0) -> float:
-    """``4 max(T, y0)``: inception's buffer, 4x the kink ``y = T``, put around the state;
-    a wider domain only coarsens the step (it moved no mid-life price by over 1.5e-10)."""
+    """``4 max(T, y0)``: inception's buffer, 4x the kink ``y = T``, put around the state
+    ``y0 = a/s``; a wider domain only coarsens the step (it moved no mid-life price by
+    over 1.5e-10). :meth:`FdConfig.for_state` applies it to an unset ``y_max``."""
     return 4.0 * max(T, y0)
 
 
@@ -102,6 +114,18 @@ class FdSurfaces:
         """True when every retained level is nondecreasing in y, to within 1e-9."""
         diffs = np.diff(self.values, axis=2)
         return bool((diffs >= -1e-9).all())
+
+
+def _y_nodes(T: float, cfg: FdConfig) -> np.ndarray:
+    """The march's y nodes: ``n_y`` steps of about ``y_max / n_y``, snapped so
+    the payoff kink ``y = T`` is a node."""
+    if not (T > 0.0):
+        raise ValidationError("T not > 0")
+    y_max = cfg.y_max if cfg.y_max is not None else default_y_max(T)
+    if not (y_max > T):
+        raise ValidationError(f"y_max={y_max!r} not > T={T!r}")
+    k = max(1, round(T / (y_max / cfg.n_y)))
+    return np.arange(cfg.n_y + 1) * (T / k)
 
 
 def _generator_band(model: RegimeModel, y: np.ndarray):
@@ -174,20 +198,10 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     ``2 (I - dt/2 A)^-1 v - v``, which is ``(I - dt/2 A)^-1 (I + dt/2 A) v``;
     ``A`` only enters the factorisation.
     """
-    if not (T > 0.0):
-        raise ValidationError("T not > 0")
-    y_max = cfg.y_max if cfg.y_max is not None else default_y_max(T)
-    if not (y_max > T):
-        raise ValidationError(f"y_max={y_max!r} not > T={T!r}")
+    y = _y_nodes(T, cfg)
     t_min = cfg.t_min if cfg.t_min is not None else 0.0
     if not (t_min <= T):
         raise ValidationError(f"t_min={t_min!r} not <= T={T!r}")
-
-    # snap the payoff kink y = T onto the grid
-    h0 = y_max / cfg.n_y
-    k = max(1, round(T / h0))
-    h = T / k
-    y = np.arange(cfg.n_y + 1) * h
 
     n_states = model.n_states
     t_nodes = np.linspace(0.0, T, cfg.n_t + 1)
@@ -240,13 +254,13 @@ def richardson_order(
     """Empirical convergence order from the grids n, 2n and 4n.
 
     Returns ``(order, prices)`` with the three grids' prices, coarsest
-    first. Each grid marches down to ``state.t`` only and keeps the two
-    levels that bracket it.
+    first. Each grid is fitted to ``state`` by :meth:`FdConfig.for_state`,
+    all three before the first march, so it marches down to ``state.t``
+    only and keeps the two levels that bracket it.
     """
-    prices = []
-    for level in range(3):
-        scaled = replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level, t_min=state.t)
-        prices.append(fd_price(model, T, scaled).dollar_price(state))
+    grids = [replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level).for_state(T, state)
+             for level in range(3)]
+    prices = [fd_price(model, T, grid).dollar_price(state) for grid in grids]
     d1 = prices[1] - prices[0]
     d2 = prices[2] - prices[1]
     if d2 == 0.0:

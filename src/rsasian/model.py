@@ -255,7 +255,8 @@ def bilinear(surface: np.ndarray, rows: tuple, cols: tuple) -> float:
     at, frac = [], []
     for name, nodes, x in (rows, cols):
         if not (nodes[0] <= x <= nodes[-1]):
-            raise InterpolationOutOfRange(f"{name}={x!r} outside [{nodes[0]!r}, {nodes[-1]!r}]")
+            raise InterpolationOutOfRange(
+                f"{name}={float(x)} outside [{float(nodes[0])}, {float(nodes[-1])}]")
         k = min(int(np.searchsorted(nodes, x, side="right")) - 1, len(nodes) - 2)
         at.append(k)
         frac.append((x - nodes[k]) / (nodes[k + 1] - nodes[k]))

@@ -414,6 +414,21 @@ class TestFailureModes:
         assert "numerical failure: error estimate" in capsys.readouterr().err
         assert not os.path.exists(report)
 
+    @pytest.mark.parametrize("command", ["price", "compare"])
+    def test_fd_grid_short_of_the_state_exits_two(self, tmp_path, capsys, command):
+        # a/s = 3 past y_max = 2: refused with the config, before the
+        # effective config is written or any grid is marched
+        fd = {"n_y": 32, "n_t": 32, "y_max": 2.0}
+        method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
+        cfg = base_config(tmp_path, method)
+        cfg["state"] = dict(MID_LIFE, a=300.0)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config invalid: a/s=3.0 lies past the last grid node y=2.0 (y_max=2.0)" in err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
+
     def test_malformed_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PRICER_THREADS", "two")
         code, report = run(tmp_path, "price", base_config(tmp_path, TINY_MC))

@@ -304,14 +304,11 @@ class TestTwoStateDiscount:
         bound = 1e-15 * (1.0 + np.abs(a).sum(axis=0).max() * ttm) * np.max(want)
         assert np.max(np.abs(got - want)) <= bound
 
-    def test_other_chain_sizes_take_expm(self):
-        from scipy.linalg import expm
-
+    def test_other_chain_sizes_are_refused(self):
         gen = ((-1.0, 0.5, 0.5), (0.2, -0.4, 0.2), (1.0, 1.0, -2.0))
         model = RegimeModel(r=(0.05, 0.03, 0.01), sigma=(0.3, 0.2, 0.25), gen=gen)
-        a = model.gen_array() - np.diag(model.r_array())
-        assert np.array_equal(discounted_strike_vector(model, K, 0.7),
-                              expm(a * 0.7) @ np.full(3, K))
+        with pytest.raises(ValidationError, match="exactly 2 regimes, model has 3"):
+            discounted_strike_vector(model, K, 0.7)
 
 
 class TestSpectralTerms:

@@ -5,6 +5,7 @@ over spot). The characteristic at y = 0 flows into the domain, so the
 treatment there is pure transport.
 """
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +30,7 @@ from rsasian import (
     richardson_order,
     two_state_model,
 )
-from rsasian import fd
+from rsasian import cli, fd
 
 INCEPTION = MarketState(t=0.0, s=100.0, a=0.0, regime=0)
 
@@ -244,6 +245,53 @@ class TestEarlyStop:
         assert len(surf.t_nodes) == 2
         state = MarketState(t=1.0, s=100.0, a=150.0, regime=0)
         assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
+
+
+class TestForState:
+    """``FdConfig.for_state`` fits a grid to a state: the march stops at
+    ``state.t``, an unset ``y_max`` is ``default_y_max(T, a/s)``, and a state
+    past the last node the march builds is refused before any march."""
+
+    PAST_4T = MarketState(t=0.5, s=100.0, a=500.0, regime=0)  # a/s = 5
+
+    def test_time_and_domain_follow_the_state(self):
+        cfg = FdConfig(n_y=50, n_t=50, t_min=0.9).for_state(1.0, self.PAST_4T)
+        assert (cfg.t_min, cfg.y_max, cfg.n_y, cfg.n_t) == (0.5, 20.0, 50, 50)
+        assert FdConfig(y_max=5.5).for_state(1.0, self.PAST_4T).y_max == 5.5
+        assert FdConfig(t_min=0.3).for_state(1.0, INCEPTION) == FdConfig(y_max=4.0, t_min=0.0)
+
+    def test_richardson_prices_a_state_past_four_t_as_the_cli_does(self, desk_model,
+                                                                   tmp_path):
+        # the library once left an unset y_max at 4T, short of a/s = 5, and refused
+        _, prices = richardson_order(desk_model, 1.0, FdConfig(n_y=50, n_t=50), self.PAST_4T)
+        report = tmp_path / "compare.json"
+        config = {
+            "schema_version": 1,
+            "model": {"r": [0.05, 0.03], "sigma": [0.3, 0.2], "gen": [[-1.0, 1.0], [1.0, -1.0]]},
+            "option": {"style": "floating_put", "T": 1.0},
+            "state": {"t": 0.5, "s": 100.0, "a": 500.0, "regime": 0},
+            "method": {"compare": {"fd": {"n_y": 200, "n_t": 200}}},
+            "output": {"format": "json", "path": str(report)},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(["compare", "--config", str(tmp_path / "cfg.json")]) == 0
+        (row,) = json.loads(report.read_text())["rows"]
+        assert prices == row["diagnostics"]["grid_prices"]
+
+    @pytest.mark.parametrize("y_max,a,last", [(2.0, 300.0, 2.0), (4.2, 418.0, 50 * (1 / 12))],
+                             ids=["past_y_max", "past_the_snapped_node"])
+    def test_a_state_past_the_last_node_is_refused(self, desk_model, y_max, a, last):
+        # at y_max = 4.2 and n_y = 50 the kink y = 1 snaps onto node 12, so the
+        # last node is 50 h = 4.1667 with h = 1/12, below y_max and below a/s = 4.18
+        cfg = FdConfig(y_max=y_max, n_y=50, n_t=50)
+        assert fd_price(desk_model, 1.0, cfg).y_nodes[-1] == last
+        state = MarketState(t=0.5, s=100.0, a=a, regime=0)
+        with pytest.raises(ValidationError,
+                           match=rf"^a/s={a / 100.0} lies past the last grid node "
+                                 rf"y={last} \(y_max={y_max}\)$"):
+            cfg.for_state(1.0, state)
+        at_last = MarketState(t=0.5, s=1.0, a=last, regime=0)
+        assert cfg.for_state(1.0, at_last).y_max == y_max
 
 
 def generator_matrix(model, y):

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from rsasian import (
     AsianOptionSpec,
+    FdConfig,
+    HamConfig,
+    InterpolationOutOfRange,
     MarketState,
     OptionStyle,
     RegimeModel,
     ValidationError,
+    fd_price,
+    ham,
     payoff,
     rate_ratios,
     two_state_model,
@@ -223,3 +228,17 @@ class TestPayoff:
         ]:
             spec = AsianOptionSpec(style=style, T=1.0, K=k)
             assert (payoff(spec, s, a) >= 0.0).all(), style
+
+
+class TestBilinear:
+    def test_refusal_prints_plain_floats(self, desk_model):
+        # the nodes are numpy scalars, which numpy 2 would print as np.float64(...)
+        fd_surface = fd_price(desk_model, 1.0, FdConfig(n_y=50, n_t=50))
+        with pytest.raises(InterpolationOutOfRange) as fd_refusal:
+            fd_surface.value(0.5, 5.0, 0)
+        assert str(fd_refusal.value) == "y=5.0 outside [0.0, 4.166666666666666]"
+        series = ham.series_surfaces(desk_model, 1.0, HamConfig(m_trunc=2, n_z=101, n_u=21))
+        with pytest.raises(InterpolationOutOfRange) as series_refusal:
+            series.value(0.5, np.float64(20.0), 0)
+        assert str(series_refusal.value) == (
+            "z=20.0 outside [-3.051518161382543, 9.15455448414763]")
