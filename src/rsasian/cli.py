@@ -17,6 +17,10 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
                      equivalence, per starting regime and combined with
                      the chain's stationary weights
 
+An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
+``n_y`` x ``n_t`` (each a multiple of 4, at least 12) and reports their
+order-2 Richardson limit, with its error estimate (:func:`rsasian.fd.richardson_limit`).
+
 Exit codes: 0 success, 2 for unreadable or schema-invalid configs and
 contract violations (messages name field paths), 3 for numerical
 failures, a divergent series among them. CSV reports use ``.``
@@ -53,8 +57,9 @@ from .errors import (
     ValidationError,
 )
 from .european import QuadratureSpec, price_european_put_rs
-from .fd import FdConfig, fd_price, richardson_order
-# build_terms and assemble_series are not called here; perfbench/spans.py wraps them on this module
+# fd_price, build_terms and assemble_series are not called here; perfbench/spans.py wraps them
+# on this module
+from .fd import FdConfig, fd_price, richardson_limit, richardson_order
 from .ham import (
     HamConfig,
     assemble_series,
@@ -245,6 +250,11 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
                 f"option.style: method '{method_name}' prices the floating_put "
                 "with multiplier 1.0"
             )
+    fd_at = "method.compare.fd" if method_name == "compare" else "method.fd"
+    fd = (cfg["method"]["compare"] if method_name == "compare" else cfg["method"]).get("fd", {})
+    for key in ("n_y", "n_t"):  # FD marches n/4, n/2 and n: its finest grid is the configured one
+        if key in fd and (fd[key] % 4 or fd[key] < 12):
+            bad.append(f"{fd_at}.{key}: {fd[key]} is not a multiple of 4 of at least 12")
     if method_name == "european_rs" and style != "european_put":
         bad.append("option.style: method 'european_rs' prices european_put only")
     if command == "symmetry-check":
@@ -263,8 +273,11 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
         return replace(hc, z_min=z_min, z_max=z_max)
     if name == "mc":
         return McConfig(**block)
-    if name == "fd":
-        return FdConfig(**block).for_state(T, state)
+    if name == "fd":  # the Richardson grids n/4 and n/2 must fit the state too
+        cfg = FdConfig(**block)
+        for k in (4, 2):
+            replace(cfg, n_y=cfg.n_y // k, n_t=cfg.n_t // k).for_state(T, state)
+        return cfg.for_state(T, state)
     return QuadratureSpec(**block.get("quad", {}))
 
 
@@ -317,7 +330,7 @@ def _timer(enabled: bool):
 
 
 def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
-                state: MarketState, timings: bool, in_compare: bool) -> dict:
+                state: MarketState, timings: bool) -> dict:
     """One ``price`` or ``compare`` row: each engine yields its price, error
     estimate and diagnostics."""
     T = spec.T
@@ -326,20 +339,17 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
         est = mc_price(spec, state, model, cfg)
         price, error = est.price, est.std_error
         diagnostics = {"std_error": est.std_error, **asdict(cfg)}
-    elif name == "fd" and in_compare:
-        base = replace(cfg, n_y=max(3, cfg.n_y // 4), n_t=max(3, cfg.n_t // 4))
+    elif name == "fd":
+        base = replace(cfg, n_y=cfg.n_y // 4, n_t=cfg.n_t // 4)
         order, prices = richardson_order(model, T, base, state)
-        price, error = prices[-1], abs(prices[-1] - prices[-2])
+        price, error = richardson_limit(prices)
         diagnostics = {
             "richardson_order": order,
             "grid_prices": [float(p) for p in prices],
-            "finest_n_y": base.n_y * 4,
-            "finest_n_t": base.n_t * 4,
+            "finest_n_y": cfg.n_y,
+            "finest_n_t": cfg.n_t,
             "y_max": cfg.y_max,
         }
-    elif name == "fd":
-        price, error = fd_price(model, T, cfg).dollar_price(state), None
-        diagnostics = {"n_y": cfg.n_y, "n_t": cfg.n_t, "y_max": cfg.y_max}
     else:
         if name == "ham":
             res = price_floating_put_ham(state, model, cfg, T)
@@ -472,7 +482,7 @@ def _run(command: str, config_path: str) -> int:
     extra = None
     if command in ("price", "compare"):
         rows = [
-            _engine_row(name, engines[name], model, spec, state, timings, command == "compare")
+            _engine_row(name, engines[name], model, spec, state, timings)
             for name in ("ham", "mc", "fd", "european_rs") if name in engines
         ]
         columns = ["method", "price", "error_estimate", "runtime_ms", "diagnostics"]

@@ -18,7 +18,8 @@ callers holding a state take ``t_min`` and ``y_max`` from
 :meth:`FdConfig.for_state`. A state read keeps only the two levels that
 bracket ``t_min``, so memory does not grow with ``n_t``, and reads there
 match a full march bit for bit; ``t_min=None`` keeps every level of
-``[0, T]``.
+``[0, T]``. :func:`richardson_order` marches three grids, each twice as fine as
+the last, and :func:`richardson_limit` makes their prices one order-2 limit.
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
@@ -254,9 +255,10 @@ def richardson_order(
     """Empirical convergence order from the grids n, 2n and 4n.
 
     Returns ``(order, prices)`` with the three grids' prices, coarsest
-    first. Each grid is fitted to ``state`` by :meth:`FdConfig.for_state`,
-    all three before the first march, so it marches down to ``state.t``
-    only and keeps the two levels that bracket it.
+    first, which :func:`richardson_limit` extrapolates. Each grid is fitted
+    to ``state`` by :meth:`FdConfig.for_state`, all three before the first
+    march, so it marches down to ``state.t`` only and keeps the two levels
+    that bracket it.
     """
     grids = [replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level).for_state(T, state)
              for level in range(3)]
@@ -269,3 +271,15 @@ def richardson_order(
     if ratio <= 0.0:
         return 0.0, prices
     return math.log2(ratio), prices
+
+
+def richardson_limit(prices: list[float]) -> tuple[float, float]:
+    """The order-2 limit of three grid prices, coarsest first, and its error estimate.
+
+    With ``P_n`` the finest, ``E = P_n + (P_n - P_{n/2}) / 3`` removes the ``h^2`` term
+    of the scheme's fixed order 2 (the measured order stays a diagnostic), and the
+    estimate is ``|E - E_lo|``, with ``E_lo`` the same step one grid coarser.
+    """
+    coarse, mid, fine = prices
+    limit = fine + (fine - mid) / 3.0
+    return limit, abs(limit - (mid + (mid - coarse) / 3.0))

@@ -9,6 +9,7 @@ caller's working directory.
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import types
 
 import pytest
 
-from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli, ham
+from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli, fd, ham
 from rsasian.cli import main
 
 MODEL = {
@@ -166,6 +167,24 @@ class TestCompareCommand:
         assert "std_error" in rows["mc"]["diagnostics"]
         assert "richardson_order" in rows["fd"]["diagnostics"]
         assert rows["fd"]["diagnostics"]["finest_n_y"] == 64
+
+    def test_fd_price_row_is_the_compare_row(self, tmp_path):
+        # both commands march n/4, n/2 and n and report the extrapolated limit
+        rows = []
+        for command, method in (("price", {"fd": {"n_y": 64, "n_t": 48}}),
+                                ("compare", {"compare": {"fd": {"n_y": 64, "n_t": 48}}})):
+            cfg = base_config(tmp_path, method, fmt="json", name=command)
+            cfg["state"] = dict(MID_LIFE)
+            code, report = run(tmp_path, command, cfg, name=command)
+            assert code == 0
+            (row,) = json.loads(open(report).read())["rows"]
+            rows.append(row)
+        assert math.isfinite(rows[0]["error_estimate"]) and rows[0]["error_estimate"] > 0.0
+        assert rows[0] == rows[1]
+        diagnostics = rows[0]["diagnostics"]
+        assert (diagnostics["finest_n_y"], diagnostics["finest_n_t"]) == (64, 48)
+        want = fd.richardson_limit(diagnostics["grid_prices"])
+        assert (rows[0]["price"], rows[0]["error_estimate"]) == want
 
 
 class TestConvergenceCommand:
@@ -415,18 +434,41 @@ class TestFailureModes:
         assert not os.path.exists(report)
 
     @pytest.mark.parametrize("command", ["price", "compare"])
-    def test_fd_grid_short_of_the_state_exits_two(self, tmp_path, capsys, command):
-        # a/s = 3 past y_max = 2: refused with the config, before the
-        # effective config is written or any grid is marched
-        fd = {"n_y": 32, "n_t": 32, "y_max": 2.0}
-        method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
-        cfg = base_config(tmp_path, method)
-        cfg["state"] = dict(MID_LIFE, a=300.0)
-        code, report = run(tmp_path, command, cfg)
+    def test_fd_grid_short_of_the_state_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # refused with the config, before the effective config is written or any
+        # grid is marched: a/s = 3 lies past y_max = 2 on every grid; at a/s = 4.2
+        # the configured grid ends at 200/47 = 4.255, but the n/4 grid snaps its
+        # kink onto node 12 and ends at 50/12
+        monkeypatch.setattr(fd, "fd_price", lambda *args: pytest.fail("a grid was marched"))
+        for name, block, a, last in (
+            ("every_grid", {"n_y": 32, "n_t": 32, "y_max": 2.0}, 300.0, 2.0),
+            ("coarsest_grid", {"n_y": 200, "n_t": 200, "y_max": 4.25}, 420.0, 4.166666666666666),
+        ):
+            method = {"compare": {"fd": block}} if command == "compare" else {"fd": block}
+            cfg = base_config(tmp_path, method, name=name)
+            cfg["state"] = dict(MID_LIFE, a=a)
+            code, report = run(tmp_path, command, cfg, name=name)
+            assert code == 2, name
+            err = capsys.readouterr().err
+            assert (f"config invalid: a/s={a / 100.0} lies past the last grid node y={last} "
+                    f"(y_max={block['y_max']})") in err
+            assert not os.path.exists(report)
+            assert not os.path.exists(report + ".effective.json"), name
+
+    @pytest.mark.parametrize("command,key,n", [("price", "n_y", 801), ("price", "n_t", 10),
+                                               ("compare", "n_y", 10), ("compare", "n_t", 801)])
+    def test_fd_grid_must_be_a_multiple_of_four_of_at_least_twelve(self, tmp_path, capsys,
+                                                                  monkeypatch, command, key, n):
+        # FD marches n/4, n/2 and n exactly, so n must split into quarters of at least 3
+        monkeypatch.setattr(fd, "fd_price", lambda *args: pytest.fail("a grid was marched"))
+        block = {"n_y": 32, "n_t": 32, key: n}
+        method = {"compare": {"fd": block}} if command == "compare" else {"fd": block}
+        code, report = run(tmp_path, command, base_config(tmp_path, method))
         assert code == 2
+        path = "method.compare.fd" if command == "compare" else "method.fd"
         err = capsys.readouterr().err
-        assert "config invalid: a/s=3.0 lies past the last grid node y=2.0 (y_max=2.0)" in err
-        assert not os.path.exists(report)
+        assert f"config invalid: {path}.{key}: {n} is not a multiple of 4 of at least 12" in err
         assert not os.path.exists(report + ".effective.json")
 
     def test_malformed_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):

@@ -41,8 +41,9 @@ THREE_STATE = RegimeModel(
     q=(0.01, 0.0, 0.02),
 )
 
-# converged desk-model reference from a 3200 x 3200 grid
-DESK_REFERENCE = 4.977686
+# desk inception, regime 0: the order-2 Richardson limit P + (P - P_3200) / 3 of the
+# 1600, 3200 and 6400 grids (n_y = n_t, y_max = 4), P = P_6400; P_3200 reads 4.977686
+DESK_REFERENCE = 4.977741
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,31 @@ class TestPriceQuality:
             desk_model, 1.0, FdConfig(n_y=400, n_t=400), state
         )
         assert order > 1.7, f"order {order:.3f} from prices {prices}"
+
+    @pytest.mark.parametrize("c,k", [(5.0, 3.0), (4.977741, -0.7), (-2.5, 1e3)])
+    def test_richardson_limit_is_exact_on_an_h_squared_sequence(self, c, k):
+        prices = [c + k * h**2 for h in (0.1, 0.05, 0.025)]
+        limit, estimate = fd.richardson_limit(prices)
+        assert limit == pytest.approx(c, abs=1e-12 * max(1.0, abs(k)))
+        assert estimate <= 1e-12 * max(1.0, abs(k))
+
+    def test_default_compare_row_lies_within_its_estimate(self, tmp_path):
+        # n = 800 (grids 200, 400, 800): the limit sits 8.2e-5 off the reference,
+        # inside an estimate of 1.26e-3; the finest grid alone sits 8.7e-4 off
+        report = tmp_path / "compare.json"
+        config = {
+            "schema_version": 1,
+            "model": {"r": [0.05, 0.03], "sigma": [0.3, 0.2], "gen": [[-1.0, 1.0], [1.0, -1.0]]},
+            "option": {"style": "floating_put", "T": 1.0},
+            "state": {"t": 0.0, "s": 100.0, "a": 0.0, "regime": 0},
+            "method": {"compare": {"fd": {}}},
+            "output": {"format": "json", "path": str(report)},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert cli.main(["compare", "--config", str(tmp_path / "cfg.json")]) == 0
+        (row,) = json.loads(report.read_text())["rows"]
+        assert row["diagnostics"]["finest_n_y"] == row["diagnostics"]["finest_n_t"] == 800
+        assert abs(row["price"] - DESK_REFERENCE) <= row["error_estimate"], row
 
     def test_dollar_price_is_homogeneous(self, desk_surface):
         base = desk_surface.dollar_price(MarketState(t=0.5, s=100.0, a=50.0, regime=0))
