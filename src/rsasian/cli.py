@@ -14,8 +14,8 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
                      series surface (:func:`rsasian.ham.series_surfaces`);
                      refused (exit 3) where the series clamps at z_max
 * ``symmetry-check`` Monte Carlo on both sides of the fixed/floating
-                     equivalence, per starting regime and combined with
-                     the chain's stationary weights
+                     equivalence: one row per terminal regime the chain
+                     visits and one combined with its stationary weights
 
 An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
 ``n_y`` x ``n_t`` (each a multiple of 4, at least 12) and reports their
@@ -31,11 +31,12 @@ byte-identical: wall-clock timings go into ``runtime_ms`` only when
 ``convergence`` row is timed on its own; row 0 of a guess mode carries
 the surface lookup or build.
 
-Every run first writes ``<report path>.effective.json``: the config with
-all defaults materialized, so each number in a report is reproducible
-from that one file. ``PRICER_THREADS`` caps the Monte Carlo worker pool
-without changing any result (batches own their seeds); a value that is
-not a positive integer exits 2 as ``environment invalid``.
+Each report is written with ``<report path>.effective.json``: the config
+with all defaults materialized, so each number in a report is
+reproducible from that one file. A refused or failed run writes
+neither. ``PRICER_THREADS`` caps the Monte Carlo worker pool without
+changing any result (batches own their seeds); a value that is not a
+positive integer exits 2 as ``environment invalid``.
 """
 
 from __future__ import annotations
@@ -394,31 +395,15 @@ def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
     return rows
 
 
+_SYMMETRY_COLUMNS = ["section", "lhs_price", "rhs_price_scaled", "gap", "se", "z"]
+
+
 def _symmetry_rows(check: dict) -> list[dict]:
-    rows = []
-    for row in check["per_regime"]:
-        rows.append(
-            {
-                "section": f"regime{row['regime']}",
-                "lhs_price": row["lhs_price"],
-                "rhs_price_scaled": row["rhs_price_scaled"],
-                "gap": row["gap"],
-                "se": math.hypot(row["lhs_se"], row["rhs_se_scaled"]),
-                "z": row["z"],
-            }
-        )
-    st = check["stationary"]
-    rows.append(
-        {
-            "section": "stationary",
-            "lhs_price": st["lhs_price"],
-            "rhs_price_scaled": st["rhs_price_scaled"],
-            "gap": st["gap"],
-            "se": st["se"],
-            "z": st["z"],
-        }
-    )
-    return rows
+    """The terminal-conditioned records as ``regime{i}`` rows, then the stationary record."""
+    named = [(f"regime{row['regime']}", row) for row in check["terminal_conditioned"]]
+    named.append(("stationary", check["stationary"]))
+    return [{"section": name, **{c: row[c] for c in _SYMMETRY_COLUMNS[1:]}}
+            for name, row in named]
 
 
 def _cell(value) -> str:
@@ -476,9 +461,6 @@ def _run(command: str, config_path: str) -> int:
     output = effective["output"]
     timings = output["timings"]
 
-    with open(output["path"] + ".effective.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(effective, indent=2, sort_keys=True) + "\n")
-
     extra = None
     if command in ("price", "compare"):
         rows = [
@@ -492,7 +474,7 @@ def _run(command: str, config_path: str) -> int:
     else:  # symmetry-check
         check = symmetry_mc_check(spec, model, state, engines["mc"])
         rows = _symmetry_rows(check)
-        columns = ["section", "lhs_price", "rhs_price_scaled", "gap", "se", "z"]
+        columns = _SYMMETRY_COLUMNS
         extra = {
             "case": {
                 "lhs": list(check["lhs"]),
@@ -507,6 +489,8 @@ def _run(command: str, config_path: str) -> int:
             print(f"numerical failure: non-finite price in row {row}", file=sys.stderr)
             return 3
 
+    with open(output["path"] + ".effective.json", "w", encoding="utf-8") as f:
+        f.write(json.dumps(effective, indent=2, sort_keys=True) + "\n")
     _write_report(output["path"], output["format"], command, columns, rows, extra)
     return 0
 

@@ -131,18 +131,25 @@ def _stationary_law(model: RegimeModel) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _comparison(regime, lhs_price, lhs_se, rhs_price, rhs_se) -> dict:
-    """One report row: both sides, the gap, and its z-score."""
-    se = float(np.hypot(lhs_se, rhs_se))
+def _comparison(lhs_price, lhs_var, rhs_price, rhs_var, **label) -> dict:
+    """One record of a view, after the ``label`` keys; the sides are independent,
+    so the gap's variance is the sum of theirs."""
+    se = float(np.sqrt(lhs_var + rhs_var))
     return {
-        "regime": regime,
+        **label,
         "lhs_price": lhs_price,
-        "lhs_se": lhs_se,
+        "lhs_se": float(np.sqrt(lhs_var)),
         "rhs_price_scaled": rhs_price,
-        "rhs_se_scaled": rhs_se,
+        "rhs_se_scaled": float(np.sqrt(rhs_var)),
         "gap": lhs_price - rhs_price,
+        "se": se,
         "z": (lhs_price - rhs_price) / se,
     }
+
+
+def _mix(weights, prices, ses) -> tuple[float, float]:
+    """Weighted sum of independent estimates and its variance."""
+    return float(np.dot(weights, prices)), float(np.dot(np.square(weights), np.square(ses)))
 
 
 def symmetry_mc_check(
@@ -168,7 +175,11 @@ def symmetry_mc_check(
       Regimes with zero stationary weight get no row.
 
     Returns a plain dict (JSON-ready) with the case record and the three
-    views.
+    views. Every record holds ``lhs_price``, ``lhs_se``,
+    ``rhs_price_scaled``, ``rhs_se_scaled``, ``gap``, ``se`` (the two
+    side errors in quadrature) and ``z = gap / se``; per-regime and
+    terminal-conditioned records add ``regime``, the stationary record
+    ``weights``.
     """
     other_spec, other_model, scale = symmetric_counterpart(spec, model, state)
     pi = _stationary_law(model)
@@ -180,43 +191,30 @@ def symmetry_mc_check(
         rhs = mc_price(
             other_spec, st, other_model, replace(cfg, seed=cfg.seed + 2 * regime + 1)
         )
-        rows.append(
-            _comparison(
-                regime, lhs.price, lhs.std_error, scale * rhs.price, scale * rhs.std_error
-            )
-        )
+        rows.append(_comparison(lhs.price, lhs.std_error**2, scale * rhs.price,
+                                (scale * rhs.std_error) ** 2, regime=regime))
         rhs_runs.append(rhs)
-    lhs_mix = float(np.dot(pi, [row["lhs_price"] for row in rows]))
-    rhs_mix = float(np.dot(pi, [row["rhs_price_scaled"] for row in rows]))
-    se_mix = float(
-        np.sqrt(
-            np.dot(pi**2, np.square([row["lhs_se"] for row in rows]))
-            + np.dot(pi**2, np.square([row["rhs_se_scaled"] for row in rows]))
-        )
-    )
     terminal = []
     for i in range(model.n_states):
         if pi[i] <= 0.0:
             continue
         weight = scale / float(pi[i])
-        rhs_price = weight * float(np.dot(pi, [run.terminal_price[i] for run in rhs_runs]))
-        rhs_se = weight * float(
-            np.sqrt(np.dot(pi**2, np.square([run.terminal_se[i] for run in rhs_runs])))
-        )
+        rhs_price, rhs_var = _mix(pi, [run.terminal_price[i] for run in rhs_runs],
+                                  [run.terminal_se[i] for run in rhs_runs])
         row = rows[i]
-        terminal.append(_comparison(i, row["lhs_price"], row["lhs_se"], rhs_price, rhs_se))
+        terminal.append(_comparison(row["lhs_price"], row["lhs_se"] ** 2, weight * rhs_price,
+                                    weight**2 * rhs_var, regime=i))
+    stationary = _comparison(
+        *_mix(pi, [row["lhs_price"] for row in rows], [row["lhs_se"] for row in rows]),
+        *_mix(pi, [row["rhs_price_scaled"] for row in rows],
+              [row["rhs_se_scaled"] for row in rows]),
+        weights=[float(w) for w in pi],
+    )
     return {
         "lhs": _side_tuple(spec, model, state.s),
         "rhs": _side_tuple(other_spec, other_model, state.s),
         "scale": scale,
         "per_regime": rows,
-        "stationary": {
-            "weights": [float(w) for w in pi],
-            "lhs_price": lhs_mix,
-            "rhs_price_scaled": rhs_mix,
-            "gap": lhs_mix - rhs_mix,
-            "se": se_mix,
-            "z": (lhs_mix - rhs_mix) / se_mix,
-        },
+        "stationary": stationary,
         "terminal_conditioned": terminal,
     }

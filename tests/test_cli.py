@@ -17,7 +17,8 @@ import types
 
 import pytest
 
-from rsasian import FdConfig, HamConfig, McConfig, QuadratureSpec, cli, fd, ham
+from rsasian import (AsianOptionSpec, FdConfig, HamConfig, MarketState, McConfig,
+                     QuadratureSpec, RegimeModel, cli, fd, ham, symmetry_mc_check)
 from rsasian.cli import main
 
 MODEL = {
@@ -47,6 +48,12 @@ def run(tmp_path, command, cfg, name="cfg"):
     code = main([command, "--config", str(path)])
     return code, cfg["output"]["path"]
 
+
+THREE_STATE = {
+    "r": [0.05, 0.03, 0.04],
+    "sigma": [0.3, 0.2, 0.25],
+    "gen": [[-3.0, 1.0, 2.0], [1.0, -1.5, 0.5], [2.0, 0.5, -2.5]],
+}
 
 TINY_MC = {"mc": {"n_paths": 2000, "n_steps": 16, "seed": 7, "antithetic": True}}
 TINY_HAM = {"ham": {"m_trunc": 2, "n_z": 101, "n_u": 21}}
@@ -249,6 +256,14 @@ class TestConvergenceCommand:
         assert not os.path.exists(report), "a refused table writes no report"
 
 
+def _library_check(cfg):
+    model = RegimeModel(**cfg["model"])
+    spec = AsianOptionSpec(style=cfg["option"]["style"], T=cfg["option"]["T"],
+                           K=cfg["option"].get("K"))
+    return symmetry_mc_check(spec, model, MarketState(**cfg["state"]),
+                             McConfig(**cfg["method"]["mc"]))
+
+
 class TestSymmetryCommand:
     def test_sections_and_case_block(self, tmp_path):
         cfg = base_config(tmp_path, TINY_MC, style="fixed_put", K=120.0, fmt="json")
@@ -259,6 +274,20 @@ class TestSymmetryCommand:
         assert sections == ["regime0", "regime1", "stationary"]
         assert doc["case"]["scale"] == pytest.approx(1.2)
         assert doc["case"]["lhs"][0] == doc["case"]["rhs"][0] == 100.0
+        # the rows are the library's terminal-conditioned and stationary records
+        check = _library_check(cfg)
+        keys = ["lhs_price", "rhs_price_scaled", "gap", "se", "z"]
+        for row, record in zip(doc["rows"], check["terminal_conditioned"] + [check["stationary"]]):
+            assert {k: row[k] for k in keys} == {k: record[k] for k in keys}, row["section"]
+
+    def test_absorbing_chain_reports_the_visited_regime(self, tmp_path):
+        # regime 0 has no stationary weight, so it gets no terminal-conditioned row
+        cfg = base_config(tmp_path, TINY_MC, fmt="json")
+        cfg["model"]["gen"] = [[-2.0, 2.0], [0.0, 0.0]]
+        code, report = run(tmp_path, "symmetry-check", cfg)
+        assert code == 0
+        doc = json.loads(open(report).read())
+        assert [row["section"] for row in doc["rows"]] == ["regime1", "stationary"]
 
     @pytest.mark.parametrize("gen,code", [
         ([[-3.0, 3.0, 0.0], [0.0, -3.0, 3.0], [3.0, 0.0, -3.0]], 2),
@@ -272,6 +301,7 @@ class TestSymmetryCommand:
         if code:
             assert "config invalid: generator [[-3.0, 3.0, 0.0]" in capsys.readouterr().err
             assert not os.path.exists(report)
+            assert not os.path.exists(report + ".effective.json")
 
 
 def _field_names(cls):
@@ -405,9 +435,9 @@ class TestFailureModes:
         assert code == 2
         assert "t = 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["convergence", "compare"])
+    @pytest.mark.parametrize("command", ["price", "convergence", "compare"])
     def test_series_engine_refuses_dividends(self, tmp_path, capsys, command):
-        method = TINY_HAM if command == "convergence" else {"compare": TINY_HAM}
+        method = {"compare": TINY_HAM} if command == "compare" else TINY_HAM
         cfg = base_config(tmp_path, method)
         cfg["model"]["q"] = [0.04, 0.02]
         cfg["state"] = dict(MID_LIFE)
@@ -415,13 +445,35 @@ class TestFailureModes:
         assert code == 2
         assert "config invalid: model.q=[0.04, 0.02]" in capsys.readouterr().err
         assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
+
+    @pytest.mark.parametrize("method,style,model,message", [
+        (TINY_HAM, "floating_put", THREE_STATE, "this pricer requires exactly 2 regimes"),
+        ({"european_rs": {}}, "european_put", THREE_STATE,
+         "this pricer requires exactly 2 regimes"),
+        ({"ham": dict(TINY_HAM["ham"], z_min=0.5)}, "floating_put", MODEL,
+         "z window [0.5, 9.210340371976182] must satisfy z_min <= 0 < z_max"),
+    ], ids=["ham_three_state", "european_three_state", "ham_z_window"])
+    def test_engine_refusal_writes_no_file(self, tmp_path, capsys, method, style, model,
+                                           message):
+        cfg = base_config(tmp_path, method, style=style,
+                          **({"K": 100.0} if style == "european_put" else {}))
+        cfg["model"] = copy.deepcopy(model)
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, "price", cfg)
+        assert code == 2
+        assert f"config invalid: {message}" in capsys.readouterr().err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
 
     def test_numerical_refusal_exits_three(self, tmp_path, capsys):
         cfg = base_config(tmp_path, TINY_HAM)
         cfg["state"] = {"t": 0.9, "s": 10.0, "a": 300.0, "regime": 0}
-        code, _ = run(tmp_path, "price", cfg)
+        code, report = run(tmp_path, "price", cfg)
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
         # a European price that cannot refine to its tolerance writes no report;
         # at ttm = 1e-3 the estimate stalls near 1e-10
         quad = {"abs_tol": 1e-16, "rel_tol": 1e-16}
@@ -432,6 +484,7 @@ class TestFailureModes:
         assert code == 3
         assert "numerical failure: error estimate" in capsys.readouterr().err
         assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
 
     @pytest.mark.parametrize("command", ["price", "compare"])
     def test_fd_grid_short_of_the_state_exits_two(self, tmp_path, capsys, monkeypatch,

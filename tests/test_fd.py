@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
+import rsasian
 from rsasian import (
     FdConfig,
     InterpolationOutOfRange,
@@ -119,6 +120,10 @@ class TestPriceQuality:
         limit, estimate = fd.richardson_limit(prices)
         assert limit == pytest.approx(c, abs=1e-12 * max(1.0, abs(k)))
         assert estimate <= 1e-12 * max(1.0, abs(k))
+
+    def test_richardson_limit_is_exported(self):
+        assert rsasian.richardson_limit is fd.richardson_limit
+        assert "richardson_limit" in rsasian.__all__
 
     def test_default_compare_row_lies_within_its_estimate(self, tmp_path):
         # n = 800 (grids 200, 400, 800): the limit sits 8.2e-5 off the reference,

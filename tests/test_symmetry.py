@@ -173,6 +173,16 @@ class TestMonteCarloAgreement:
         for row in rows:
             assert abs(row["z"]) < 3.5, f"regime {row['regime']}: z = {row['z']:.2f}"
 
+    def test_every_record_divides_its_gap_by_its_se(self, desk_check):
+        # the same-start, terminal-conditioned and stationary views share one record shape
+        views = [*desk_check["per_regime"], *desk_check["terminal_conditioned"],
+                 desk_check["stationary"]]
+        for record in views:
+            assert record["gap"] == record["lhs_price"] - record["rhs_price_scaled"]
+            assert record["se"] == pytest.approx(np.hypot(record["lhs_se"],
+                                                          record["rhs_se_scaled"]), rel=1e-15)
+            assert record["z"] == record["gap"] / record["se"]
+
     def test_stationary_weights(self, inception_state):
         model = two_state_model(0.05, 0.03, 0.3, 0.2, 2.0, 0.5)
         cfg = McConfig(n_paths=2_000, n_steps=8, seed=3)
