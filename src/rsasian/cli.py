@@ -22,8 +22,9 @@ An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
 order-2 Richardson limit, with its error estimate (:func:`rsasian.fd.richardson_limit`).
 
 Exit codes: 0 success, 2 for unreadable or schema-invalid configs and
-contract violations (messages name field paths), 3 for numerical
-failures, a divergent series among them. CSV reports use ``.``
+contract violations (messages name field paths, except that model and
+symmetry refusals print the message of the object that owns them), 3 for
+numerical failures, a divergent series among them. CSV reports use ``.``
 decimals, ``,`` separators, and LF line endings; JSON reports sort
 their keys. Repeated runs of one config are
 byte-identical: wall-clock timings go into ``runtime_ms`` only when
@@ -51,7 +52,7 @@ import typing
 from dataclasses import asdict, fields, replace
 
 from .errors import (
-    ExtrapolationRefused,
+    InterpolationOutOfRange,
     InvalidEnvironment,
     NotApplicable,
     PricingError,
@@ -72,7 +73,6 @@ from .ham import (
 )
 from .mc import McConfig, mc_price
 from .model import (
-    FIXED_STYLES,
     FLOATING_STYLES,
     AsianOptionSpec,
     MarketState,
@@ -217,17 +217,9 @@ def _schema_violations(cfg: dict) -> list[str]:
 
 
 def _cross_violations(command: str, cfg: dict) -> list[str]:
-    """Consistency rules jsonschema cannot express, with field paths."""
+    """Rules jsonschema cannot express and no library object refuses first, with field paths."""
     bad = []
-    model = cfg["model"]
-    n = len(model["r"])
-    if len(model["sigma"]) != n:
-        bad.append(f"model.sigma: {len(model['sigma'])} entries for {n} regimes")
-    if "q" in model and len(model["q"]) != n:
-        bad.append(f"model.q: {len(model['q'])} entries for {n} regimes")
-    gen = model["gen"]
-    if len(gen) != n or any(len(row) != n for row in gen):
-        bad.append(f"model.gen: must be {n}x{n}")
+    n = len(cfg["model"]["r"])
     state = cfg["state"]
     if state.get("regime", 0) >= n:
         bad.append(f"state.regime: {state['regime']} out of range for {n} regimes")
@@ -258,11 +250,6 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
             bad.append(f"{fd_at}.{key}: {fd[key]} is not a multiple of 4 of at least 12")
     if method_name == "european_rs" and style != "european_put":
         bad.append("option.style: method 'european_rs' prices european_put only")
-    if command == "symmetry-check":
-        if OptionStyle(style) not in FLOATING_STYLES + FIXED_STYLES:
-            bad.append(f"option.style: no fixed/floating counterpart for '{style}'")
-        if state.get("t", 0.0) != 0.0 or state.get("a", 0.0) != 0.0:
-            bad.append("state.t: symmetry-check requires t = 0 and a = 0")
     return bad
 
 
@@ -379,8 +366,8 @@ def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
             price, info = series_dollar_price(surf, state, T, m)
             if info["clamped"]:
                 z = -math.log(state.a / state.s) if state.a > 0.0 else math.inf
-                raise ExtrapolationRefused(f"z={z:.4f} beyond z_max={info['z']:.4f}: every "
-                                           "partial sum would read the clamped far column")
+                raise InterpolationOutOfRange(f"z={z:.4f} beyond z_max={info['z']:.4f}: every "
+                                              "partial sum would read the clamped far column")
             rows.append(
                 {
                     "guess_mode": guess,
@@ -409,14 +396,10 @@ def _symmetry_rows(check: dict) -> list[dict]:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, dict):
         return json.dumps(value, sort_keys=True)
-    if isinstance(value, list):
-        return json.dumps(value)
     return str(value)
 
 

@@ -22,10 +22,6 @@ class QuadratureNotConverged(PricingError):
     """A European price missed its quadrature tolerance after every refinement."""
 
 
-class ExtrapolationRefused(PricingError):
-    """A price was requested at a state outside the computed grid."""
-
-
 class InterpolationOutOfRange(PricingError):
     """A grid interpolation was asked for a point outside the grid."""
 

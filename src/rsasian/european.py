@@ -247,7 +247,7 @@ def price_european_put_rs(
         raise ValidationError(f"t={t!r} outside [0, {T!r}]")
     ttm = T - t
     if ttm == 0.0:
-        return PriceResult(price=max(k - s, 0.0), method="european_rs", error_estimate=0.0)
+        return PriceResult(price=max(k - s, 0.0), error_estimate=0.0)
     x = np.log(np.array([s]) / k)
     scale = math.sqrt(s * k)
     d = discounted_strike_vector(model, k, ttm)[regime]
@@ -275,5 +275,4 @@ def price_european_put_rs(
     clipped = min(max(price, d - s * q_disc, 0.0), d)
     if clipped != price:
         diagnostics["unclipped_price"] = price
-    return PriceResult(price=float(clipped), method="european_rs", error_estimate=err,
-                       diagnostics=diagnostics)
+    return PriceResult(price=float(clipped), error_estimate=err, diagnostics=diagnostics)

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ExtrapolationRefused, PricingError, ValidationError
+from .errors import PricingError, ValidationError
 from .european import european_put_grid
 from .fd import FdConfig, fd_price
 from .greens import robin_correction
@@ -127,10 +127,9 @@ class TermGrid:
     """One series term on the shared grid.
 
     ``values`` has shape ``(2, n_u, n_z)``: regime, then rows along
-    ``u_nodes`` (time to maturity), then columns along ``z_nodes``. A
-    pair of per-regime arrays is stacked on construction. ``d/dz`` is
-    not stored; readers take it with :func:`_deriv_z`. Arrays are marked
-    read-only on construction.
+    ``u_nodes`` (time to maturity), then columns along ``z_nodes``.
+    ``d/dz`` is not stored; readers take it with :func:`_deriv_z`. Arrays
+    are marked read-only on construction.
     """
 
     m: int
@@ -139,7 +138,6 @@ class TermGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))
         for arr in (self.z_nodes, self.u_nodes, self.values):
             arr.setflags(write=False)
 
@@ -271,8 +269,6 @@ def _robin_lobes(d: np.ndarray, h: float, tau: np.ndarray, gamma: float):
     # interval c spans [start_c, start_c + h]: node c's left lobe, node c - 1's right
     lobe_l = np.zeros((len(tau), len(d) + 1))
     lobe_r = np.zeros_like(lobe_l)
-    if gamma == 1.0:
-        return lobe_l[:, :-1], lobe_r[:, 1:]
     starts = np.concatenate(([d[0] - h], d))
     root2 = 2.0 * np.sqrt(tau)
     width = np.minimum(h, _ROBIN_PANEL_X * root2)
@@ -593,11 +589,12 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
 
     ``a = 0`` maps to ``z = +infinity``; the far column ``z_max`` stands
     in for it (the construction's boundary value), flagged in the
-    returned info dict. States below ``z_min`` (deep in-the-money
-    averages) are refused rather than extrapolated, as are states past
-    maturity. A divergent series is refused with :class:`PricingError`:
-    one whose factorial-weighted term norms after term 0 reach more than
-    ``_DIVERGENCE_LIMIT`` times term 0's in either regime.
+    returned info dict. The grid read refuses states below ``z_min``
+    (deep in-the-money averages) and past maturity with
+    :class:`InterpolationOutOfRange`. A divergent series is refused with
+    :class:`PricingError`: one whose factorial-weighted term norms after
+    term 0 reach more than ``_DIVERGENCE_LIMIT`` times term 0's in either
+    regime.
     """
     norms = np.array(surfaces.term_norms)
     for i in (0, 1):
@@ -610,25 +607,12 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
                 f"term 0's (limit {_DIVERGENCE_LIMIT:g}) at r={list(model.r)}, "
                 f"sigma={list(model.sigma)}"
             )
-    u = T - state.t
-    if u < 0.0:
-        raise ExtrapolationRefused(f"state time {state.t!r} is past maturity {T!r}")
     y = state.a / state.s
-    clamped = False
-    if y <= 0.0:
+    z = -math.log(y) if y > 0.0 else math.inf
+    clamped = z > float(surfaces.z_nodes[-1])
+    if clamped:
         z = float(surfaces.z_nodes[-1])
-        clamped = True
-    else:
-        z = -math.log(y)
-        if z > float(surfaces.z_nodes[-1]):
-            z = float(surfaces.z_nodes[-1])
-            clamped = True
-        elif z < float(surfaces.z_nodes[0]):
-            raise ExtrapolationRefused(
-                f"z={z:.4f} below grid minimum {float(surfaces.z_nodes[0]):.4f}; "
-                "rebuild with a wider window"
-            )
-    reduced = surfaces.value(u, z, state.regime, m)
+    reduced = surfaces.value(T - state.t, z, state.regime, m)
     return state.s * reduced, {"z": z, "clamped": clamped}
 
 
@@ -655,7 +639,7 @@ def price_floating_put_ham(state: MarketState, model: RegimeModel,
     }
     if price < 0.0:
         diagnostics["unclipped_price"], price = price, 0.0
-    return PriceResult(price=price, method="ham_series", diagnostics=diagnostics)
+    return PriceResult(price=price, diagnostics=diagnostics)
 
 
 def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig = HamConfig(),

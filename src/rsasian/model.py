@@ -223,10 +223,9 @@ class MarketState:
 
 @dataclass(frozen=True)
 class PriceResult:
-    """A price plus provenance and method-specific diagnostics."""
+    """A price plus its error estimate and method-specific diagnostics."""
 
     price: float
-    method: str
     error_estimate: float | None = None
     diagnostics: dict = field(default_factory=dict)
 

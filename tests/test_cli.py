@@ -18,7 +18,8 @@ import types
 import pytest
 
 from rsasian import (AsianOptionSpec, FdConfig, HamConfig, MarketState, McConfig,
-                     QuadratureSpec, RegimeModel, cli, fd, ham, symmetry_mc_check)
+                     McEstimate, QuadratureSpec, RegimeModel, cli, fd, ham,
+                     symmetry_mc_check)
 from rsasian.cli import main
 
 MODEL = {
@@ -433,7 +434,40 @@ class TestFailureModes:
         cfg["state"] = dict(MID_LIFE)
         code, _ = run(tmp_path, "symmetry-check", cfg)
         assert code == 2
-        assert "t = 0" in capsys.readouterr().err
+        assert ("config invalid: symmetry holds at inception only (t=0.5, a=50.0)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,method,option,model,state,message", [
+        ("price", TINY_MC, {}, {}, {"regime": 2},
+         "state.regime: 2 out of range for 2 regimes"),
+        ("price", TINY_MC, {}, {}, {"t": 1.5, "a": 150.0},
+         "state.t: 1.5 exceeds option.T = 1.0"),
+        ("price", TINY_MC, {"K": 100.0}, {}, {}, "option.K: must be null for floating styles"),
+        ("price", TINY_MC, {"style": "fixed_put", "K": 100.0, "multiplier": 1.1}, {}, {},
+         "option.multiplier: only floating styles use the multiplier"),
+        ("price", {"european_rs": {}}, {}, {}, {},
+         "option.style: method 'european_rs' prices european_put only"),
+        ("price", {"fd": {"y_max": 0.5}}, {}, {}, {}, "y_max=0.5 not > T=1.0"),
+        ("price", TINY_MC, {}, {"sigma": [0.3]}, {}, "sigma has 1 entries, expected 2"),
+        ("price", TINY_MC, {}, {"q": [0.01]}, {}, "q has 1 entries, expected 2"),
+        ("price", TINY_MC, {}, {"gen": [[0.0]]}, {}, "generator has 1 rows, expected 2"),
+        ("price", TINY_MC, {}, {"gen": [[-1.0, 1.0], [1.0]]}, {},
+         "generator row 1 has 1 entries, expected 2"),
+        ("symmetry-check", TINY_MC, {"style": "european_put", "K": 100.0}, {}, {},
+         "no fixed/floating counterpart for european_put"),
+    ], ids=["regime", "t_past_T", "floating_K", "fixed_multiplier", "european_rs_style",
+            "fd_y_max", "sigma_length", "q_length", "gen_rows", "gen_row_length",
+            "symmetry_style"])
+    def test_refusal_exits_two_and_writes_no_file(self, tmp_path, capsys, command, method,
+                                                  option, model, state, message):
+        cfg = base_config(tmp_path, method, **option)
+        cfg["model"].update(model)
+        cfg["state"].update(state)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 2
+        assert f"config invalid: {message}" in capsys.readouterr().err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
 
     @pytest.mark.parametrize("command", ["price", "convergence", "compare"])
     def test_series_engine_refuses_dividends(self, tmp_path, capsys, command):
@@ -530,6 +564,14 @@ class TestFailureModes:
         assert code == 2
         assert "environment invalid: PRICER_THREADS='two' is not" in capsys.readouterr().err
         assert not os.path.exists(report)
+
+    def test_non_finite_price_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mc_price", lambda *args: McEstimate(math.nan, 0.0, 2000))
+        code, report = run(tmp_path, "price", base_config(tmp_path, TINY_MC))
+        assert code == 3
+        assert "numerical failure: non-finite price in row" in capsys.readouterr().err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
 
     @pytest.mark.parametrize("command", ["price", "compare", "convergence"])
     def test_divergent_series_exits_three(self, tmp_path, capsys, command):

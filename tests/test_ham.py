@@ -9,14 +9,15 @@ production-grid residual bound lives in the acceptance suite.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from rsasian import (
-    ExtrapolationRefused,
     FdConfig,
     HamConfig,
+    InterpolationOutOfRange,
     MarketState,
     PricingError,
     RegimeModel,
@@ -332,6 +333,17 @@ class TestStructure:
             want = lam * (v[i] - v[1 - i]) - (2.0 / sig_sq) * np.exp(z) * dv_dz
             assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want)), f"regime {i}"
 
+    def test_narrow_window_warns_in_both_regimes(self, desk_model):
+        # at z_max = 1 the source tail at xi_max is about 1e-3 of its peak; at 3 it is not
+        narrow = HamConfig(m_trunc=1, n_z=41, n_u=5, z_max=1.0)
+        with pytest.warns(UserWarning, match="widen z_max") as caught:
+            build_terms(desk_model, 1.0, narrow)
+        messages = " ".join(str(w.message) for w in caught)
+        assert "(regime 0, term 1)" in messages and "(regime 1, term 1)" in messages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            build_terms(desk_model, 1.0, dataclasses.replace(narrow, z_max=3.0))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_recursion_residual_smoke(self, desk_model, desk_terms, m):
         # coarse-grid smoke bound; the production grid must reach 1e-3
@@ -424,13 +436,14 @@ class TestPricing:
         assert len(build_calls) == 1
 
     def test_deep_in_the_money_refused(self, desk_model):
+        # z = -ln 30 lies below the grid's lowest node, -ln 20 snapped to -3.0515
         state = MarketState(t=0.9, s=10.0, a=300.0, regime=0)
-        with pytest.raises(ExtrapolationRefused):
+        with pytest.raises(InterpolationOutOfRange, match=r"^z=-3\.40119\d* outside \[-3\.0515"):
             price_floating_put_ham(state, desk_model, COARSE, 1.0)
 
     def test_past_expiry_refused(self, desk_model):
         state = MarketState(t=1.5, s=100.0, a=100.0, regime=0)
-        with pytest.raises(ExtrapolationRefused):
+        with pytest.raises(InterpolationOutOfRange, match=r"^u=-0\.5 outside \[0\.0, 1\.0\]"):
             price_floating_put_ham(state, desk_model, COARSE, 1.0)
 
     @pytest.mark.parametrize("model", [
