@@ -20,6 +20,7 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
 An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
 ``n_y`` x ``n_t`` (each a multiple of 4, at least 12) and reports their
 order-2 Richardson limit, with its error estimate (:func:`rsasian.fd.richardson_limit`).
+Its grids, like series surfaces, stay cached for the process's life under one bound.
 
 Exit codes: 0 success, 2 for unreadable or schema-invalid configs and
 contract violations (messages name field paths, except that model and

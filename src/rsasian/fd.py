@@ -19,7 +19,9 @@ callers holding a state take ``t_min`` and ``y_max`` from
 bracket ``t_min``, so memory does not grow with ``n_t``, and reads there
 match a full march bit for bit; ``t_min=None`` keeps every level of
 ``[0, T]``. :func:`richardson_order` marches three grids, each twice as fine as
-the last, and :func:`richardson_limit` makes their prices one order-2 limit.
+the last, and :func:`richardson_limit` makes their prices one order-2 limit; like
+series surfaces, its grids stay for the life of the process in one bounded cache
+(:func:`rsasian.model.cached_surface`), so a repeated read marches nothing.
 
 At ``y = 0`` the diffusion coefficient vanishes and the equation itself
 degenerates to one-sided transport; the solver keeps that degenerate
@@ -37,7 +39,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InterpolationOutOfRange, LinearSolveFailure, ValidationError
-from .model import MarketState, RegimeModel, bilinear
+from .model import MarketState, RegimeModel, bilinear, cached_surface
 
 _STARTUP_STEPS = 2  # Rannacher steps: each is two backward-Euler half-steps
 
@@ -94,12 +96,16 @@ class FdSurfaces:
 
     The levels kept are the two that bracket ``FdConfig.t_min``, or every
     level of ``[0, T]`` when it is ``None``; reads at other times raise
-    :class:`InterpolationOutOfRange`.
+    :class:`InterpolationOutOfRange`. The arrays are read-only: a cached surface is shared.
     """
 
     t_nodes: np.ndarray
     y_nodes: np.ndarray
     values: np.ndarray  # shape (levels kept, n_states, n_y + 1)
+
+    def __post_init__(self):
+        for arr in (self.t_nodes, self.y_nodes, self.values):
+            arr.setflags(write=False)
 
     def value(self, t: float, y: float, regime: int) -> float:
         """Bilinear interpolation; refuses points off the grid."""
@@ -242,7 +248,6 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
             v = out
 
     values = ring.reshape(kept, y.size, n_states).transpose(0, 2, 1)
-    values.setflags(write=False)
     return FdSurfaces(t_nodes=t_nodes[first:first + kept], y_nodes=y, values=values)
 
 
@@ -258,11 +263,12 @@ def richardson_order(
     first, which :func:`richardson_limit` extrapolates. Each grid is fitted
     to ``state`` by :meth:`FdConfig.for_state`, all three before the first
     march, so it marches down to ``state.t`` only and keeps the two levels
-    that bracket it.
+    that bracket it; a grid already in the shared surface cache is read, not marched.
     """
     grids = [replace(cfg, n_y=cfg.n_y * 2**level, n_t=cfg.n_t * 2**level).for_state(T, state)
              for level in range(3)]
-    prices = [fd_price(model, T, grid).dollar_price(state) for grid in grids]
+    prices = [cached_surface((model, T, grid), lambda: fd_price(model, T, grid))
+              .dollar_price(state) for grid in grids]
     d1 = prices[1] - prices[0]
     d2 = prices[2] - prices[1]
     if d2 == 0.0:

@@ -48,7 +48,8 @@ there, so residual checks apply only to the ``z > 0`` interior and the
 grid oracles arbitrate the rest.
 
 :func:`series_surfaces` builds the terms once per ``(model, T, config)``
-and caches every partial sum; pricing, the CLI convergence table and
+and caches every partial sum for the life of the process, in the bounded cache
+FD's Richardson grids share; pricing, the CLI convergence table and
 :func:`ham_vs_fd_report` all read from it. The lag kernel depends only on
 the grid and the model, so the builds of one command share it through a
 memo the command owns; no module-level cache keeps it.
@@ -71,9 +72,12 @@ from .model import (
     PriceResult,
     RegimeModel,
     bilinear,
+    cached_surface,
     rate_ratios,
     require_two_states,
 )
+# the shared cache keeps its old name here: clearing ``ham._SURFACES_CACHE`` empties both engines'
+from .model import _SURFACES_CACHE  # noqa: F401
 
 _TERMINAL_MODES = ("payoff", "paper_zero")
 _GUESS_MODES = ("european_rs", "zero")
@@ -84,7 +88,6 @@ _ROBIN_PANEL_X = 0.5  # see _robin_lobes
 _ROBIN_CUT_X = 8.5
 _ROBIN_BLOCK = 2048  # active lobes evaluated at once, which bounds the temporaries
 _SOURCE_TAIL_WARN = 1e-10  # ham_step warns above this share of the source peak
-_SURFACES_CACHE_SIZE = 8  # assembled surfaces kept, oldest dropped first
 _DIVERGENCE_LIMIT = 100.0  # largest later term norm a price accepts, in term-0 norms
 
 
@@ -561,26 +564,18 @@ def build_terms(model: RegimeModel, T: float, config: HamConfig,
     return terms
 
 
-_SURFACES_CACHE: dict = {}
-
-
 def series_surfaces(model: RegimeModel, T: float, config: HamConfig,
                     kernels: dict | None = None) -> SeriesSurfaces:
     """The series surface for ``(model, T, config)``, built on first use.
 
     The key carries :func:`ham_window`, so a filled-in default window
-    shares the entry. The newest ``_SURFACES_CACHE_SIZE`` surfaces are kept.
+    shares the entry, in the cache FD reads share (:func:`rsasian.model.cached_surface`).
     A build passes ``kernels`` to :func:`build_terms`.
     """
     z_lo, z_hi = ham_window(config, T)
     key = (model, T, replace(config, z_min=z_lo, z_max=z_hi))
-    hit = _SURFACES_CACHE.get(key)
-    if hit is None:
-        hit = assemble_series(build_terms(model, T, config, kernels), model)
-        _SURFACES_CACHE[key] = hit
-        if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
-            del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
-    return hit
+    return cached_surface(key, lambda: assemble_series(build_terms(model, T, config, kernels),
+                                                       model))
 
 
 def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,

@@ -267,6 +267,23 @@ def bilinear(surface: np.ndarray, rows: tuple, cols: tuple) -> float:
     )
 
 
+_SURFACES_CACHE: dict = {}  # series and FD surfaces by key, least recently read first
+_SURFACES_CACHE_SIZE = 8
+
+
+def cached_surface(key, build):
+    """The surface under ``key``, made by ``build()`` on a miss and kept for the life of
+    the process. A read moves its entry to the newest slot; past ``_SURFACES_CACHE_SIZE``
+    entries, the least recently read is dropped."""
+    hit = _SURFACES_CACHE.pop(key, None)
+    if hit is None:
+        hit = build()
+    _SURFACES_CACHE[key] = hit
+    if len(_SURFACES_CACHE) > _SURFACES_CACHE_SIZE:
+        del _SURFACES_CACHE[next(iter(_SURFACES_CACHE))]
+    return hit
+
+
 # --- payoffs ------------------------------------------------------------
 
 def payoff(spec: AsianOptionSpec, s_T, avg_T):

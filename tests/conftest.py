@@ -35,14 +35,20 @@ def inception_state():
 
 
 @pytest.fixture()
-def build_calls(monkeypatch):
-    """Arguments of each ``ham.build_terms`` call, made with the series cache emptied."""
+def cold_surfaces():
+    """The surface cache both grid engines share, emptied before and after the test."""
+    ham._SURFACES_CACHE.clear()
+    yield ham._SURFACES_CACHE
+    ham._SURFACES_CACHE.clear()
+
+
+@pytest.fixture()
+def build_calls(monkeypatch, cold_surfaces):
+    """Arguments of each ``ham.build_terms`` call, made with the surface cache emptied."""
     calls = []
     build = ham.build_terms
     monkeypatch.setattr(ham, "build_terms", lambda *args: calls.append(args) or build(*args))
-    ham._SURFACES_CACHE.clear()
-    yield calls
-    ham._SURFACES_CACHE.clear()
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -194,6 +194,31 @@ class TestCompareCommand:
         want = fd.richardson_limit(diagnostics["grid_prices"])
         assert (rows[0]["price"], rows[0]["error_estimate"]) == want
 
+    def test_fd_rows_at_one_valuation_time_share_their_grids(self, tmp_path, monkeypatch,
+                                                            cold_surfaces):
+        # inception, then three states at t = 0.5 with a/s <= T, which fit the same three
+        # grids: 6 marches, not 12, and each report the same bytes as a cold run's
+        marches = []
+        march = fd.fd_price
+        monkeypatch.setattr(fd, "fd_price", lambda *args: marches.append(args) or march(*args))
+        runs = []
+        for t, y in ((0.0, 0.0), (0.5, 0.5), (0.5, 0.75), (0.5, 1.0)):
+            name = f"t{t}_y{y}"
+            cfg = base_config(tmp_path, {"compare": {"fd": {"n_y": 48, "n_t": 48}}},
+                              fmt="json", name=name)
+            cfg["state"] = {"t": t, "s": 100.0, "a": 100.0 * y, "regime": 0}
+            code, report = run(tmp_path, "compare", cfg, name=name)
+            assert code == 0
+            runs.append((cfg, name, [open(p, "rb").read()
+                                     for p in (report, report + ".effective.json")]))
+        assert len(marches) == 6
+        for cfg, name, warm in runs:
+            cold_surfaces.clear()
+            code, report = run(tmp_path, "compare", cfg, name=name)
+            assert code == 0
+            assert [open(p, "rb").read() for p in (report, report + ".effective.json")] == warm
+        assert len(marches) == 6 + 4 * 3
+
 
 class TestConvergenceCommand:
     def test_table_covers_both_guesses(self, tmp_path):

@@ -31,7 +31,8 @@ from rsasian import (
     richardson_order,
     two_state_model,
 )
-from rsasian import cli, fd
+from rsasian import cli, fd, ham
+from rsasian.model import _SURFACES_CACHE_SIZE
 
 INCEPTION = MarketState(t=0.0, s=100.0, a=0.0, regime=0)
 
@@ -202,12 +203,16 @@ class TestEarlyStop:
             tracemalloc.stop()
         assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_richardson_matches_the_full_march(self, any_model, monkeypatch):
+    def test_richardson_matches_the_full_march(self, any_model, monkeypatch, cold_surfaces):
         state = MarketState(t=0.5, s=100.0, a=60.0, regime=1)
         cfg = FdConfig(y_max=default_y_max(1.0, 0.6), n_y=50, n_t=50)
         got = richardson_order(any_model, 1.0, cfg, state)
-        monkeypatch.setattr(fd, "fd_price", lambda m, T, c: fd_price(m, T, replace(c, t_min=None)))
+        full = []
+        monkeypatch.setattr(fd, "fd_price", lambda m, T, c: full.append(c) or
+                            fd_price(m, T, replace(c, t_min=None)))
+        cold_surfaces.clear()  # else the cached grids answer and the full march never runs
         want = richardson_order(any_model, 1.0, cfg, state)
+        assert len(full) == 3
         assert got == want
 
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
@@ -276,6 +281,78 @@ class TestEarlyStop:
         assert len(surf.t_nodes) == 2
         state = MarketState(t=1.0, s=100.0, a=150.0, regime=0)
         assert surf.dollar_price(state) == pytest.approx(50.0, abs=1e-10)
+
+
+class TestSurfaceCache:
+    """:func:`richardson_order` reads its three fitted grids through the surface cache the
+    series engine shares: a repeated read marches nothing, any change to the fitted grid
+    marches again, and the cache stays within its bound."""
+
+    STATE = MarketState(t=0.5, s=100.0, a=60.0, regime=0)
+    CFG = FdConfig(n_y=20, n_t=20)
+
+    @pytest.fixture()
+    def marches(self, monkeypatch, cold_surfaces):
+        """The grid of each ``fd_price`` call, made with the cache emptied."""
+        grids = []
+        monkeypatch.setattr(fd, "fd_price", lambda m, T, c: grids.append(c) or fd_price(m, T, c))
+        return grids
+
+    def test_a_repeated_read_marches_nothing(self, desk_model, marches, monkeypatch):
+        first = richardson_order(desk_model, 1.0, self.CFG, self.STATE)
+        assert len(marches) == 3
+        monkeypatch.setattr(fd, "fd_price", lambda *args: pytest.fail("a grid was marched"))
+        assert richardson_order(desk_model, 1.0, self.CFG, self.STATE) == first
+        # a/s below T and another regime fit the same grids
+        other = MarketState(t=0.5, s=50.0, a=40.0, regime=1)
+        assert richardson_order(desk_model, 1.0, self.CFG, other)[1] == \
+            [fd_price(desk_model, 1.0, grid).dollar_price(other) for grid in marches]
+
+    @pytest.mark.parametrize("change", [
+        {"state": MarketState(t=0.6, s=100.0, a=60.0, regime=0)},
+        {"state": MarketState(t=0.5, s=100.0, a=150.0, regime=0)},  # a/s > T: wider y_max
+        {"cfg": FdConfig(n_y=24, n_t=20)},
+        {"cfg": FdConfig(n_y=20, n_t=24)},
+        {"model": two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 2.0)},
+        {"T": 1.2},
+    ], ids=["t", "y_max", "n_y", "n_t", "model", "T"])
+    def test_a_changed_grid_marches_again(self, desk_model, marches, change):
+        richardson_order(desk_model, 1.0, self.CFG, self.STATE)
+        args = {"model": desk_model, "T": 1.0, "cfg": self.CFG, "state": self.STATE, **change}
+        richardson_order(**args)
+        assert len(marches) == 6
+
+    def test_a_cleared_cache_marches_again(self, desk_model, marches):
+        first = richardson_order(desk_model, 1.0, self.CFG, self.STATE)
+        ham._SURFACES_CACHE.clear()
+        assert richardson_order(desk_model, 1.0, self.CFG, self.STATE) == first
+        assert len(marches) == 6
+
+    def test_a_cached_surface_is_read_only(self, desk_model, cold_surfaces):
+        first = richardson_order(desk_model, 1.0, self.CFG, self.STATE)
+        assert len(cold_surfaces) == 3
+        for surf in cold_surfaces.values():
+            for arr in (surf.t_nodes, surf.y_nodes, surf.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        assert richardson_order(desk_model, 1.0, self.CFG, self.STATE) == first
+
+    def test_mixed_entries_stay_within_the_bound(self, desk_model, marches, build_calls):
+        # FIFO would drop the series surface at the third FD read; each read moves it
+        # to the newest slot, so the FD grids read longest ago go first
+        hcfg = ham.HamConfig(m_trunc=1, n_z=41, n_u=5)
+        series = ham.series_surfaces(desk_model, 1.0, hcfg)
+        times = (0.1, 0.2, 0.3, 0.4, 0.5)
+        for t in times:
+            richardson_order(desk_model, 1.0, self.CFG, replace(self.STATE, t=t))
+            assert len(ham._SURFACES_CACHE) <= _SURFACES_CACHE_SIZE
+            assert ham.series_surfaces(desk_model, 1.0, hcfg) is series
+        assert len(ham._SURFACES_CACHE) == _SURFACES_CACHE_SIZE
+        assert (len(build_calls), len(marches)) == (1, 3 * len(times))
+        richardson_order(desk_model, 1.0, self.CFG, replace(self.STATE, t=times[-1]))
+        assert len(marches) == 3 * len(times), "the newest grids are kept"
+        richardson_order(desk_model, 1.0, self.CFG, replace(self.STATE, t=times[0]))
+        assert len(marches) == 3 * len(times) + 3, "the oldest grids were dropped"
 
 
 class TestForState:

@@ -35,6 +35,7 @@ from rsasian import (
 )
 from rsasian import ham
 from rsasian.greens import robin_correction
+from rsasian.model import _SURFACES_CACHE_SIZE
 
 COARSE = HamConfig(m_trunc=2, n_z=101, n_u=21)
 
@@ -414,16 +415,16 @@ class TestPricing:
         cfg = HamConfig(m_trunc=1, n_z=41, n_u=5)
         ham._SURFACES_CACHE.clear()
         try:
-            expiries = [1.0 + 0.1 * k for k in range(ham._SURFACES_CACHE_SIZE + 3)]
+            expiries = [1.0 + 0.1 * k for k in range(_SURFACES_CACHE_SIZE + 3)]
             for T in expiries:
                 ham.series_surfaces(desk_model, T, cfg)
-                assert len(ham._SURFACES_CACHE) <= ham._SURFACES_CACHE_SIZE
+                assert len(ham._SURFACES_CACHE) <= _SURFACES_CACHE_SIZE
             z_lo, z_hi = ham.ham_window(cfg, expiries[0])
             oldest = dataclasses.replace(cfg, z_min=z_lo, z_max=z_hi)
             assert (desk_model, expiries[0], oldest) not in ham._SURFACES_CACHE
             last = ham.series_surfaces(desk_model, expiries[-1], cfg)
             assert ham.series_surfaces(desk_model, expiries[-1], cfg) is last
-            assert len(ham._SURFACES_CACHE) == ham._SURFACES_CACHE_SIZE
+            assert len(ham._SURFACES_CACHE) == _SURFACES_CACHE_SIZE
         finally:
             ham._SURFACES_CACHE.clear()
 
