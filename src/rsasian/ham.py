@@ -199,7 +199,7 @@ def _floor_far_field(vals: np.ndarray, j0: int) -> None:
 
     The recursion feeds each term through an ``e^{z}``-weighted source,
     so roundoff dust in a term's far tail (for instance the quadrature
-    floor of the European guess, ~1e-10 absolute) would grow by roughly
+    floor of the European guess, ~1e-12 of its strike) would grow by roughly
     ``e^{z_max}`` per term and dominate the far field within a few
     terms. True terms decay superexponentially out there, so entries
     below 1e-12 of the field's half-line magnitude are dust, not
@@ -219,7 +219,10 @@ def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> Term
     ``(y/T - 1)^+ = e^{-z} (1/T - e^{z})^+`` is ``e^{-z}`` times a
     vanilla put payoff in ``x = e^{z} = 1/y`` with strike ``1/T``, so
     term 0 is ``e^{-z} P_i(S=e^{z}, K=1/T, ttm=u)``. This matches the
-    terminal payoff exactly at ``u = 0`` and decays as ``z`` grows.
+    terminal payoff exactly at ``u = 0`` and decays as ``z`` grows. Each
+    ``u`` level is one :func:`european_put_grid` call, a single pass of the
+    occupation-time rule for both regimes, accurate to about 1e-12 of
+    the strike ``1/T``.
     ``initial_guess_mode="zero"`` carries the terminal slice (payoff or
     zero per ``terminal_mode``) unchanged in time.
     """

@@ -131,6 +131,14 @@ class TestPriceCommand:
         row = open(report).read().splitlines()[1]
         assert row.startswith("european_rs,")
 
+    def test_european_engine_prices_a_short_maturity_near_the_money(self, tmp_path):
+        # ttm = 1e-5 at s/k = 1.01, which the spectral leg refused with exit 3
+        cfg = base_config(tmp_path, {"european_rs": {}}, style="european_put", K=100.0)
+        cfg["state"].update(t=0.99999, s=101.0)
+        code, report = run(tmp_path, "price", cfg)
+        assert code == 0
+        assert 0.0 <= float(open(report).read().splitlines()[1].split(",")[1]) < 1e-20
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -534,7 +542,7 @@ class TestFailureModes:
         assert not os.path.exists(report)
         assert not os.path.exists(report + ".effective.json")
         # a European price that cannot refine to its tolerance writes no report;
-        # at ttm = 1e-3 the estimate stalls near 1e-10
+        # the estimate never falls below its roundoff floor, 8 ulps of D_i
         quad = {"abs_tol": 1e-16, "rel_tol": 1e-16}
         cfg = base_config(tmp_path, {"european_rs": {"quad": quad}}, style="european_put",
                           K=100.0, name="european")

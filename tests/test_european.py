@@ -1,14 +1,14 @@
 """Tests for the closed-form European put under two-state switching.
 
-The semi-analytic price is an inverse-transform integral whose integrand
-is built from the occupation-time density of the chain. The tests
-cross-check it against the Black-Scholes limit, against Monte Carlo with
-exact terminal sampling, and against its own structural limits (tiny
-spot, strong mixing, expiry).
+The price averages Black-Scholes over the law of the time the chain spends
+in regime 0, an atom plus a Bessel-function density, by Gauss-Legendre
+quadrature. The tests cross-check it against the Black-Scholes limit,
+against Monte Carlo with exact terminal sampling, against prices of the
+spectral (Fourier-inversion) leg it replaced, and against its own
+structural limits (tiny spot, strong mixing, expiry, short maturities).
 """
 
 import decimal
-import math
 
 import numpy as np
 import pytest
@@ -34,6 +34,14 @@ from rsasian import european
 from rsasian.ham import HamConfig, ham_grid
 
 S0, K, T = 100.0, 100.0, 1.0
+
+_TABLE_MODELS = {
+    "desk": (0.05, 0.03, 0.3, 0.2, 1.0, 1.0),
+    "rate_50_q": (0.05, 0.03, 0.3, 0.2, 50.0, 50.0, 0.04, 0.01),
+    "large_gamma": (0.08, 0.01, 0.1, 0.5, 3.0, 0.5),
+    "one_way": (0.05, 0.03, 0.3, 0.2, 2.0, 0.0),
+    "low_vol": (0.05, 0.03, 0.05, 0.075, 1.0, 1.0),
+}
 
 
 def _mc_european(model, s, k, regime, n_paths=200_000, seed=11):
@@ -99,15 +107,23 @@ class TestStructuralLimits:
             )
 
     def test_deep_in_the_money_dividend_put_sits_on_its_lower_bound(self):
-        # with dividends the floor is D_i - s E[e^{-int q}], above D_i - s; the
-        # refined sum falls short of it by about 6e-9, inside its tolerance
+        # with dividends the floor is D_i - s E[e^{-int q}], above D_i - s; deep
+        # in the money every node's Black-Scholes value is its own floor, so the
+        # rule lands on the closed-form floor to roundoff
         model = two_state_model(0.05, 0.03, 0.3, 0.2, 1.0, 1.0, 0.04, 0.02)
         ttm, s = 0.02, 30.0
         res = price_european_put_rs(model, s, K, 0.0, ttm, 0)
         d = discounted_strike_vector(model, K, ttm)[0]
         q_disc = discounted_strike_vector(model.swap_rates_dividends(), 1.0, ttm)[0]
-        assert res.price == d - s * q_disc
-        assert res.diagnostics["unclipped_price"] < res.price
+        assert abs(res.price - (d - s * q_disc)) <= 8.0 * np.spacing(d)
+        assert res.price >= d - s * q_disc
+
+    def test_a_rule_below_the_floor_is_clipped(self, desk_model, monkeypatch):
+        rule = european._occupation_put
+        monkeypatch.setattr(european, "_occupation_put", lambda *args: rule(*args) - 1e-6)
+        res = price_european_put_rs(desk_model, 110.0, K, 0.0, 1e-3, 0)
+        assert res.price == 0.0
+        assert -1.1e-6 < res.diagnostics["unclipped_price"] < -0.9e-6
 
     def test_expiry_returns_payoff(self, flat_model):
         assert price_european_put_rs(flat_model, 90.0, K, T, T, 0).price == 10.0
@@ -136,26 +152,30 @@ class TestStructuralLimits:
 
 
 class TestQuadrature:
-    def test_price_stable_under_refinement(self, desk_model, monkeypatch):
-        res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
-        assert set(res.diagnostics) == {"nodes"}, "an in-bound price records no clip"
-        base = res.price
-        monkeypatch.setattr(european, "_MIN_PANELS", 2 * european._MIN_PANELS)
-        fine = price_european_put_rs(desk_model, S0, K, 0.0, T, 0).price
-        assert np.isclose(base, fine, rtol=1e-8), f"{base} vs {fine}"
+    @pytest.mark.parametrize("ttm", [1e-3, 1e-4, 1e-5, 1e-7])
+    @pytest.mark.parametrize("moneyness", [0.9, 1.0, 1.01, 1.1])
+    def test_short_maturity_meets_the_tolerance(self, desk_model, moneyness, ttm):
+        # the spectral leg refused ttm = 1e-4 at s/k = 1.01 and ttm = 1e-5 at
+        # s/k in {1.0, 1.01}; every price here meets its tolerance, and one that
+        # the clip moved was off its bounds by less than its estimate
+        quad, s = QuadratureSpec(), moneyness * K
+        for regime in (0, 1):
+            res = price_european_put_rs(desk_model, s, K, 0.0, ttm, regime, quad=quad)
+            assert res.error_estimate <= max(quad.abs_tol, quad.rel_tol * abs(res.price))
+            d = discounted_strike_vector(desk_model, K, ttm)[regime]
+            assert max(d - s, 0.0) <= res.price <= d
+            raw = res.diagnostics.get("unclipped_price", res.price)
+            assert max(d - s, 0.0) - res.error_estimate <= raw <= d + res.error_estimate
 
-    @pytest.mark.parametrize("moneyness", [0.9, 1.1])
-    def test_short_maturity_meets_the_tolerance(self, desk_model, moneyness):
-        # the first pass misses here by far (its estimate is 0.16-0.18, and at
-        # s/k = 1.1 it reads -0.007); the price refines until the estimate is
-        # within tolerance, then sits in its bounds
-        quad, ttm = QuadratureSpec(), 1e-3
-        res = price_european_put_rs(desk_model, moneyness * K, K, 0.0, ttm, 0, quad=quad)
-        assert res.error_estimate <= max(quad.abs_tol, quad.rel_tol * abs(res.price))
-        assert 0.0 <= res.price <= discounted_strike_vector(desk_model, K, ttm)[0]
-        if moneyness > 1.0:
-            assert res.price == 0.0
-            assert -1e-9 < res.diagnostics["unclipped_price"] < 0.0
+    def test_low_volatility_near_the_money(self):
+        # sigma = (0.05, 0.075) at ttm = 0.01, s/k = 1.01: the spectral leg
+        # refused regime 0 and priced regime 1 at the value below
+        model = two_state_model(*_TABLE_MODELS["low_vol"])
+        quad = QuadratureSpec()
+        prices = [price_european_put_rs(model, 101.0, K, 0.0, 0.01, regime, quad=quad).price
+                  for regime in (0, 1)]
+        assert 0.0 < prices[0] < prices[1]
+        assert abs(prices[1] - 0.029576014472525003) <= quad.abs_tol
 
     def test_tolerance_below_roundoff_is_refused(self, desk_model):
         # at ttm = 1 the halved rule agrees with the priced rule to the bit, so
@@ -182,43 +202,6 @@ class TestQuadrature:
 _rates = st.floats(0.0, 0.1)
 _vols = st.floats(0.1, 0.6)
 _switch = st.floats(0.1, 5.0)
-
-
-def _one_pass_rule(model, ttm, omega_max, n_panels):
-    """Panel midpoints (P,), node offsets (20,) and weighted terms (2, P, 20)
-    of the rule, every node's terms made in one call."""
-    half = 0.5 * omega_max / n_panels
-    mid = (2.0 * np.arange(n_panels) + 1.0) * half
-    offsets = half * european._GL_NODES
-    terms = european._spectral_terms(model, (mid[:, None] + offsets).ravel(), ttm)
-    return mid, offsets, terms.reshape(2, n_panels, 20) * (half * european._GL_WEIGHTS)
-
-
-def _dense_phase_sum(mid, offsets, terms, x):
-    """The transform part ``w`` (2, n_x) with ``e^{i omega x}`` formed at every
-    node instead of factored by panel."""
-    phase = np.exp(1j * np.outer((mid[:, None] + offsets[None, :]).ravel(), x))
-    return (terms.reshape(2, -1, 1) * phase[None, :, :]).real.sum(axis=1) / math.pi
-
-
-def _spectral_terms_both_branches(model, omega, ttm):
-    """``_spectral_terms`` with the small-``rad`` series formed at every node and
-    chosen by ``np.where``, and the mask of small nodes."""
-    sig_sq, r, q = model.sigma_array() ** 2, model.r_array(), model.q_array()
-    a1, a2 = model.gen[0][1], model.gen[1][0]
-    om_sq = omega * omega + 0.25
-    phi = (0.5 * sig_sq[:, None] * om_sq[None, :] - 1j * omega[None, :] * (r - q)[:, None]
-           + 0.5 * (r + q)[:, None] + np.array([a1, a2])[:, None])
-    h, delta = 0.5 * (phi[0] + phi[1]), 0.5 * (phi[0] - phi[1])
-    rad = np.sqrt(delta * delta + a1 * a2)
-    e_plus, e_minus = np.exp((rad - h) * ttm), np.exp(-(rad + h) * ttm)
-    cosh_term = 0.5 * (e_plus + e_minus)
-    small = np.abs(rad) * ttm < 1e-8
-    sinh_term = np.where(small, ttm * np.exp(-h * ttm) * (1.0 + (rad * ttm) ** 2 / 6.0),
-                         0.5 * (e_plus - e_minus) / np.where(small, 1.0, rad))
-    payoff_hat = -1.0 / om_sq
-    return np.stack([(cosh_term + (a1 - delta) * sinh_term) * payoff_hat,
-                     (cosh_term + (a2 + delta) * sinh_term) * payoff_hat]), small
 
 
 def _discount_reference(a, ttm):
@@ -311,91 +294,6 @@ class TestTwoStateDiscount:
             discounted_strike_vector(model, K, 0.7)
 
 
-class TestSpectralTerms:
-    @pytest.mark.parametrize("params, every_node_small", [
-        ((0.0625, 0.03125, 0.3, 0.3, 0.0, 0.03125, 0.03125, 0.0), True),
-        ((0.05, 0.03, 0.3, 0.2, 1.0, 1.0), False),
-    ], ids=["one_way_switching", "desk"])
-    def test_series_branch_where_needed_equals_both_branches(self, params, every_node_small):
-        # equal volatilities and r - q, and the one switch rate equal to half
-        # the gap in r + q, make the regimes' exponents equal (to the bit: the
-        # rates are binary fractions) and rad = 0 at every node; the series
-        # then carries regime 1's terms. The desk model leaves no node small
-        model = two_state_model(*params)
-        ttm = 0.5
-        omega_max, n_panels = european._exact_grid_sizes(model, ttm, 3.0)
-        mid, offsets, _ = _one_pass_rule(model, ttm, omega_max, n_panels)
-        omega = (mid[:, None] + offsets).ravel()
-        want, small = _spectral_terms_both_branches(model, omega, ttm)
-        assert small.all() if every_node_small else not small.any()
-        assert np.array_equal(european._spectral_terms(model, omega, ttm), want)
-
-
-class TestPanelFactorisedSum:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        moneyness=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=12),
-        k=st.floats(0.5, 200.0),
-        ttm=st.floats(1e-3, 5.0),
-        params=st.tuples(_rates, _rates, _vols, _vols, _switch, _switch, _rates, _rates),
-    )
-    def test_matches_the_dense_phase_sum(self, moneyness, k, ttm, params):
-        # unsorted spots off any lattice
-        model = two_state_model(*params)
-        s_values = k * np.array(moneyness)
-        x = np.log(s_values / k)
-        omega_max, n_panels = european._exact_grid_sizes(model, ttm, float(np.max(np.abs(x))))
-        dense = _dense_phase_sum(*_one_pass_rule(model, ttm, omega_max, n_panels), x)
-        want = discounted_strike_vector(model, k, ttm)[:, None] + np.sqrt(s_values * k) * dense
-        got = european_put_grid(model, s_values, k, ttm)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, k)
-
-    def test_blocked_spectrum_equals_one_pass(self, desk_model):
-        # refined prices stream the panels a block at a time, carrying the
-        # running phase product across blocks; three blocks, the last one short
-        ttm, omega_max, n_panels = 1e-3, 3000.0, 2 * european._PANEL_BLOCK + 3
-        s_values = np.array([80.0, 97.0, 100.0, 104.5, 125.0])
-        x = np.log(s_values / K)
-        mid, offsets, terms = _one_pass_rule(desk_model, ttm, omega_max, n_panels)
-        dense = _dense_phase_sum(mid, offsets, terms, x)
-        w, last = european._put_transform(desk_model, x, ttm, omega_max, n_panels)
-        assert w.shape == (2, len(x)) and last.shape == (2, 20)
-        assert np.max(np.abs(np.sqrt(s_values * K) * (w - dense))) <= 1e-12 * K
-        assert np.max(np.abs(last - terms[:, -1])) <= 1e-12 * np.max(np.abs(terms[:, -1]))
-
-    def test_carry_across_many_blocks_matches_the_dense_phase_sum(self, desk_model):
-        # 10_007 panels at a short maturity: 40 blocks, the last one short, and
-        # 626 sub-blocks of _PHASE_ROWS panels whose running phase is carried
-        # from block to block
-        ttm, omega_max, n_panels = 1e-6, 45_000.0, 10_007
-        s_values = np.array([99.0, 99.9, 100.0, 100.2, 101.0])
-        x = np.log(s_values / K)
-        mid, offsets, terms = _one_pass_rule(desk_model, ttm, omega_max, n_panels)
-        dense = _dense_phase_sum(mid, offsets, terms, x)
-        w, last = european._put_transform(desk_model, x, ttm, omega_max, n_panels)
-        assert np.max(np.abs(np.sqrt(s_values * K) * (w - dense))) <= 1e-12 * K
-        assert np.array_equal(last, terms[:, -1])
-
-    def test_series_guess_levels_match_the_per_panel_phases(self, desk_model):
-        # every level the series guess reads on the default grid; its shortest
-        # maturity, u = 0.01, takes the most panels and the longest running
-        # product, and still fits one block
-        z, u = ham_grid(HamConfig(), 1.0)
-        s_values = np.exp(z)
-        panels = []
-        for ttm in u[1:]:
-            omega_max, n_panels = european._exact_grid_sizes(desk_model, ttm, z[-1])
-            mid, offsets, terms = _one_pass_rule(desk_model, ttm, omega_max, n_panels)
-            inner = terms @ np.exp(1j * np.outer(offsets, z))
-            direct = (inner * np.exp(1j * np.outer(mid, z))).real.sum(axis=1) / math.pi
-            want = (discounted_strike_vector(desk_model, 1.0, ttm)[:, None]
-                    + np.sqrt(s_values) * direct)
-            got = european_put_grid(desk_model, s_values, 1.0, ttm)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f"u = {ttm}"
-            panels.append(n_panels)
-        assert max(panels) == panels[0] == 243 <= european._PANEL_BLOCK
-
-
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -431,3 +329,124 @@ class TestProperties:
         got = price_european_put_rs(model, s, k, t_share * T, T, regime, quad=quad).price
         want = black_scholes_put(s, k, r, sigma, T - t_share * T, q)
         assert abs(got - want) <= max(quad.abs_tol, quad.rel_tol * abs(want)), f"{got} vs BS {want}"
+
+
+# (model, s, ttm, regime, price) at k = 100 from the spectral leg, made by the
+# command in TestSpectralLegPrices' docstring
+_SPECTRAL_PRICES = [
+    ('desk', 80.0, 1.0, 0, 19.38057013179153),
+    ('desk', 80.0, 1.0, 1, 18.91746972269371),
+    ('desk', 100.0, 1.0, 0, 8.61818557129547),
+    ('desk', 100.0, 1.0, 1, 7.3681479441965365),
+    ('desk', 125.0, 1.0, 0, 2.6142054333786433),
+    ('desk', 125.0, 1.0, 1, 1.6945195239792668),
+    ('desk', 80.0, 0.01, 0, 19.950111791528357),
+    ('desk', 80.0, 0.01, 1, 19.969905199307803),
+    ('desk', 100.0, 0.01, 0, 1.1698564113164167),
+    ('desk', 100.0, 0.01, 1, 0.7849071294012901),
+    ('desk', 125.0, 0.01, 0, 5.684341886080802e-14),
+    ('desk', 125.0, 0.01, 1, 4.263256414560601e-14),
+    ('rate_50_q', 80.0, 1.0, 0, 20.630784241130982),
+    ('rate_50_q', 80.0, 1.0, 1, 20.604944683477044),
+    ('rate_50_q', 100.0, 1.0, 0, 9.126261640228932),
+    ('rate_50_q', 100.0, 1.0, 1, 9.086387898084837),
+    ('rate_50_q', 125.0, 1.0, 0, 2.603239521154478),
+    ('rate_50_q', 125.0, 1.0, 1, 2.5748714416146754),
+    ('rate_50_q', 80.0, 0.01, 0, 19.981270077843817),
+    ('rate_50_q', 80.0, 0.01, 1, 19.978740331869375),
+    ('rate_50_q', 100.0, 0.01, 0, 1.1222659687852286),
+    ('rate_50_q', 100.0, 0.01, 1, 0.8672881522138027),
+    ('rate_50_q', 125.0, 0.01, 0, 2.842170943040401e-14),
+    ('rate_50_q', 125.0, 0.01, 1, 4.263256414560601e-14),
+    ('large_gamma', 80.0, 1.0, 0, 23.28442953837397),
+    ('large_gamma', 80.0, 1.0, 1, 27.297921404957734),
+    ('large_gamma', 100.0, 1.0, 0, 13.34474759719238),
+    ('large_gamma', 100.0, 1.0, 1, 17.6542475141663),
+    ('large_gamma', 125.0, 1.0, 0, 6.7564264001769345),
+    ('large_gamma', 125.0, 1.0, 1, 10.135233424369673),
+    ('large_gamma', 80.0, 0.01, 0, 19.921069269361226),
+    ('large_gamma', 80.0, 0.01, 1, 19.98983132018425),
+    ('large_gamma', 100.0, 0.01, 0, 0.38944697117358373),
+    ('large_gamma', 100.0, 0.01, 1, 1.986260297490034),
+    ('large_gamma', 125.0, 0.01, 0, 1.0830135011019593e-08),
+    ('large_gamma', 125.0, 0.01, 1, 4.583466960639271e-06),
+    ('one_way', 80.0, 1.0, 0, 19.07743533744069),
+    ('one_way', 80.0, 1.0, 1, 18.606232801599973),
+    ('one_way', 100.0, 1.0, 0, 7.8235144713120945),
+    ('one_way', 100.0, 1.0, 1, 6.457956738703828),
+    ('one_way', 125.0, 1.0, 0, 2.013557514500633),
+    ('one_way', 125.0, 1.0, 1, 1.0745424704592637),
+    ('one_way', 80.0, 0.01, 0, 19.950211085172825),
+    ('one_way', 80.0, 0.01, 1, 19.97000449955003),
+    ('one_way', 100.0, 0.01, 0, 1.1680564093241088),
+    ('one_way', 100.0, 0.01, 1, 0.7828435923422603),
+    ('one_way', 125.0, 0.01, 0, 8.526512829121202e-14),
+    ('one_way', 125.0, 0.01, 1, 4.263256414560601e-14),
+    ('low_vol', 80.0, 1.0, 0, 15.668580566027018),
+    ('low_vol', 80.0, 1.0, 1, 16.50375044139288),
+    ('low_vol', 100.0, 1.0, 0, 0.7531384729493737),
+    ('low_vol', 100.0, 1.0, 1, 1.3139100665319603),
+    ('low_vol', 125.0, 1.0, 0, 6.252124474315224e-05),
+    ('low_vol', 125.0, 1.0, 1, 0.0003883720998487661),
+    ('low_vol', 80.0, 0.01, 0, 19.950111791528357),
+    ('low_vol', 80.0, 0.01, 1, 19.969905199307803),
+    ('low_vol', 100.0, 0.01, 0, 0.17599714871481353),
+    ('low_vol', 100.0, 0.01, 1, 0.28389365549786305),
+    ('low_vol', 125.0, 0.01, 0, 2.842170943040401e-14),
+    ('low_vol', 125.0, 0.01, 1, 4.263256414560601e-14),
+]
+
+
+class TestSpectralLegPrices:
+    """Prices of the spectral (Fourier-inversion) leg this one replaced, made
+    from the repository root in a ``git archive`` copy of commit 228d150::
+
+        mkdir spectral && git archive 228d150 | tar -x -C spectral
+        PYTHONPATH=spectral/src:tests python -c '
+        from test_european import _TABLE_MODELS, price_european_put_rs, two_state_model
+        for name, params in _TABLE_MODELS.items():
+            for ttm in (1.0, 0.01):
+                for s in (80.0, 100.0, 125.0):
+                    for regime in (0, 1):
+                        model = two_state_model(*params)
+                        price = price_european_put_rs(model, s, 100.0, 0.0, ttm, regime).price
+                        print(f"({name!r}, {s!r}, {ttm!r}, {regime}, {price!r}),")'
+
+    Every one of them converged there.
+    """
+
+    @pytest.mark.parametrize("name, s, ttm, regime, want", _SPECTRAL_PRICES)
+    def test_price_within_tolerance(self, name, s, ttm, regime, want):
+        quad = QuadratureSpec()
+        res = price_european_put_rs(two_state_model(*_TABLE_MODELS[name]), s, K, 0.0, ttm,
+                                    regime, quad=quad)
+        assert abs(res.price - want) <= max(quad.abs_tol, quad.rel_tol * abs(want))
+
+
+class TestOccupationLaw:
+    @pytest.mark.parametrize("name", list(_TABLE_MODELS))
+    def test_node_rule_agrees_with_twice_its_nodes(self, name):
+        # every level of the series guess on the default grid (strike 1/T = 1,
+        # spots e^z), and two longer maturities
+        model = two_state_model(*_TABLE_MODELS[name])
+        z, u = ham_grid(HamConfig(), 1.0)
+        s_values = np.exp(z)
+        for ttm in [*u[1:], 2.0, 3.0]:
+            n = european._node_count(model, ttm)
+            got = european._occupation_put(model, s_values, 1.0, ttm, n)
+            want = european._occupation_put(model, s_values, 1.0, ttm, 2 * n)
+            assert np.max(np.abs(got - want)) <= 1e-12, f"ttm = {ttm}, {n} nodes"
+
+    @pytest.mark.parametrize("name", [*_TABLE_MODELS, "rate_500"])
+    @pytest.mark.parametrize("ttm", [1e-7, 0.01, 1.0, 3.0])
+    def test_weights_and_atom_sum_to_one(self, name, ttm):
+        # and discount by the closed-form expected discount, which is the same
+        # law's mean of e^{-R}
+        params = _TABLE_MODELS.get(name, (0.05, 0.03, 0.3, 0.2, 500.0, 500.0))
+        model = two_state_model(*params)
+        x, weights, atoms = european._occupation_law(model, ttm, european._node_count(model, ttm))
+        assert np.all(weights >= 0.0)
+        assert np.max(np.abs(weights.sum(axis=1) + atoms - 1.0)) <= 1e-13
+        r0, r1 = model.r
+        disc = weights @ np.exp(-(r0 * x + r1 * (ttm - x))) + atoms * np.exp(-np.array([r0, r1]) * ttm)
+        assert np.max(np.abs(disc - discounted_strike_vector(model, 1.0, ttm))) <= 1e-13
