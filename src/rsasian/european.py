@@ -111,6 +111,17 @@ def discounted_strike_vector(model: RegimeModel, k: float, ttm: float) -> np.nda
     return float(k) * out
 
 
+_MAX_NODES = 2048  # leggauss is a dense O(n^3) solve: ~1 s, 50 MB at 2048; 7 s at 4096
+
+
+def _within_cap(n: int) -> int:
+    if n > _MAX_NODES:
+        raise QuadratureNotConverged(
+            f"the occupation-time rule needs {n} nodes, above its cap of {_MAX_NODES}"
+        )
+    return n
+
+
 @functools.lru_cache(maxsize=64)
 def _legendre(n: int):
     """Gauss-Legendre nodes and weights of ``n`` points on [0, 1], read-only
@@ -132,11 +143,13 @@ def _node_count(model: RegimeModel, ttm: float) -> int:
     each rule over switch rates 0-500, ``ttm`` 0.01-3 and volatilities
     0.05-0.6. Past ``max(a, b) ttm`` of about 100 the roundoff of the
     weights, some 1e-14 of the strike times that product, sets the floor.
+    A count above ``_MAX_NODES`` (volatilities more than about 340 times
+    apart) is refused.
     """
     lo, hi = sorted(model.sigma_array() ** 2)
     log_rho = math.acosh(1.0 + 2.0 * lo / (hi - lo)) if hi > lo else math.inf
     lam = max(model.gen[0][1], model.gen[1][0])
-    return 4 * math.ceil(max(8.0, 5.0 * math.sqrt(lam * ttm), 12.0 / log_rho) / 4.0)
+    return _within_cap(4 * math.ceil(max(8.0, 5.0 * math.sqrt(lam * ttm), 12.0 / log_rho) / 4.0))
 
 
 def _occupation_law(model: RegimeModel, ttm: float, n: int):
@@ -205,8 +218,8 @@ def price_european_put_rs(
     floored at ``8 * np.spacing(D_i)`` (``D_i`` the expected discounted
     strike, the price's scale), so a tolerance below roundoff is never met.
     Each pass that misses ``max(quad.abs_tol, quad.rel_tol * |price|)``
-    doubles the nodes; after six doublings the call raises
-    :class:`QuadratureNotConverged`. The converged price is clipped to the
+    doubles the nodes; after seven doublings, or once a rule would pass
+    ``_MAX_NODES`` nodes, the call raises :class:`QuadratureNotConverged`. The converged price is clipped to the
     no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``Q`` the expected
     dividend discount; a clip that moves the price records the unclipped
     value as ``unclipped_price``. The ``nodes`` diagnostic is the node count
@@ -226,8 +239,8 @@ def price_european_put_rs(
     d = discounted_strike_vector(model, k, ttm)[regime]
     n = _node_count(model, ttm)
     coarse = float(_occupation_put(model, spot, k, ttm, n)[regime, 0])
-    for attempt in range(7):
-        n *= 2
+    for doublings in range(1, 8):
+        n = _within_cap(2 * n)
         price = float(_occupation_put(model, spot, k, ttm, n)[regime, 0])
         err = max(abs(price - coarse), 8.0 * float(np.spacing(d)))
         tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
@@ -236,7 +249,7 @@ def price_european_put_rs(
         coarse = price
     else:
         raise QuadratureNotConverged(
-            f"error estimate {err:.3e} above tolerance {tol:.3e} after {attempt} refinements"
+            f"error estimate {err:.3e} above tolerance {tol:.3e} after {doublings} doublings"
         )
 
     diagnostics = {"nodes": n}

@@ -222,7 +222,8 @@ def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> Term
     terminal payoff exactly at ``u = 0`` and decays as ``z`` grows. Each
     ``u`` level is one :func:`european_put_grid` call, a single pass of the
     occupation-time rule for both regimes, accurate to about 1e-12 of
-    the strike ``1/T``.
+    the strike ``1/T``; volatilities more than about 340 times apart need
+    more nodes than the rule's cap, and the guess refuses.
     ``initial_guess_mode="zero"`` carries the terminal slice (payoff or
     zero per ``terminal_mode``) unchanged in time.
     """

@@ -65,7 +65,8 @@ class TestBlackScholesLimits:
             )
 
     def test_flat_model_prices_as_black_scholes(self, flat_model):
-        # equal variances take the spectral path like any other model
+        # nothing divides by the variance gap, so equal variances take the
+        # same rule as any other model
         quad = QuadratureSpec()
         res = price_european_put_rs(flat_model, S0, K, 0.0, T, 0, quad=quad)
         want = black_scholes_put(S0, K, 0.05, 0.3, T)
@@ -116,14 +117,26 @@ class TestStructuralLimits:
         d = discounted_strike_vector(model, K, ttm)[0]
         q_disc = discounted_strike_vector(model.swap_rates_dividends(), 1.0, ttm)[0]
         assert abs(res.price - (d - s * q_disc)) <= 8.0 * np.spacing(d)
-        assert res.price >= d - s * q_disc
 
-    def test_a_rule_below_the_floor_is_clipped(self, desk_model, monkeypatch):
+    @pytest.mark.parametrize("params, s, ttm, shift", [
+        ((0.05, 0.03, 0.3, 0.2, 1.0, 1.0), 110.0, 1e-3, -1e-6),
+        ((0.05, 0.03, 0.3, 0.2, 1.0, 1.0, 0.04, 0.02), 30.0, 0.02, -1e-6),
+        ((0.05, 0.03, 0.3, 0.2, 1.0, 1.0), 1e-9, 1.0, 1e-6),
+    ], ids=["zero_floor", "dividend_floor", "discounted_strike_cap"])
+    def test_a_rule_outside_the_bounds_is_clipped(self, monkeypatch, params, s, ttm, shift):
+        # the dividend floor D_i - s Q_i sits 0.024 above D_i - s, so a clip
+        # that used D_i - s (or 0) would leave the lowered rule in place
+        model = two_state_model(*params)
+        d = discounted_strike_vector(model, K, ttm)[0]
+        q_disc = discounted_strike_vector(model.swap_rates_dividends(), 1.0, ttm)[0]
         rule = european._occupation_put
-        monkeypatch.setattr(european, "_occupation_put", lambda *args: rule(*args) - 1e-6)
-        res = price_european_put_rs(desk_model, 110.0, K, 0.0, 1e-3, 0)
-        assert res.price == 0.0
-        assert -1.1e-6 < res.diagnostics["unclipped_price"] < -0.9e-6
+        monkeypatch.setattr(european, "_occupation_put", lambda *args: rule(*args) + shift)
+        res = price_european_put_rs(model, s, K, 0.0, ttm, 0)
+        raw = res.diagnostics["unclipped_price"]
+        if shift < 0.0:
+            assert res.price == max(d - s * q_disc, 0.0) and raw < res.price
+        else:
+            assert res.price == d and raw > res.price
 
     def test_expiry_returns_payoff(self, flat_model):
         assert price_european_put_rs(flat_model, 90.0, K, T, T, 0).price == 10.0
@@ -156,8 +169,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("moneyness", [0.9, 1.0, 1.01, 1.1])
     def test_short_maturity_meets_the_tolerance(self, desk_model, moneyness, ttm):
         # the spectral leg refused ttm = 1e-4 at s/k = 1.01 and ttm = 1e-5 at
-        # s/k in {1.0, 1.01}; every price here meets its tolerance, and one that
-        # the clip moved was off its bounds by less than its estimate
+        # s/k in {1.0, 1.01}; every price here meets its tolerance, one that the
+        # clip moved was off its bounds by less than its estimate, and out of
+        # the money the rule lands on the true price, under 1e-24, with no clip
         quad, s = QuadratureSpec(), moneyness * K
         for regime in (0, 1):
             res = price_european_put_rs(desk_model, s, K, 0.0, ttm, regime, quad=quad)
@@ -166,6 +180,9 @@ class TestQuadrature:
             assert max(d - s, 0.0) <= res.price <= d
             raw = res.diagnostics.get("unclipped_price", res.price)
             assert max(d - s, 0.0) - res.error_estimate <= raw <= d + res.error_estimate
+            if moneyness > 1.05:
+                assert 0.0 <= res.price < 1e-24
+                assert set(res.diagnostics) == {"nodes"}
 
     def test_low_volatility_near_the_money(self):
         # sigma = (0.05, 0.075) at ttm = 0.01, s/k = 1.01: the spectral leg
@@ -178,14 +195,36 @@ class TestQuadrature:
         assert abs(prices[1] - 0.029576014472525003) <= quad.abs_tol
 
     def test_tolerance_below_roundoff_is_refused(self, desk_model):
-        # at ttm = 1 the halved rule agrees with the priced rule to the bit, so
-        # without its roundoff floor the estimate read 2.7e-42 and met 1e-16
+        # at ttm = 1 the rules of 8 and 16 nodes differ by 6e-14, roundoff;
+        # the estimate is floored at 8 ulps of D_i (1.1e-13), so no tolerance
+        # below it is met and the call refuses after seven doublings
         d = discounted_strike_vector(desk_model, K, T)[0]
         res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
         assert res.error_estimate >= 8.0 * np.spacing(d)
         quad = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
         with pytest.raises(QuadratureNotConverged, match="error estimate"):
             price_european_put_rs(desk_model, S0, K, 0.0, T, 0, quad=quad)
+
+    def test_wide_variances_refuse_at_the_node_cap(self, monkeypatch):
+        # sigma = (0.05, 0.6) starts at 72 nodes; a tolerance below roundoff
+        # doubles it to 1152 and refuses the next doubling rather than build a
+        # 2304-node rule, and sigma = (1e-4, 0.3) would need 18000 nodes in
+        # one pass, refused before any rule is built
+        sizes = []
+        legendre = european._legendre
+        monkeypatch.setattr(european, "_legendre", lambda n: sizes.append(n) or legendre(n))
+        wide = two_state_model(0.05, 0.03, 0.05, 0.6, 1.0, 1.0)
+        quad = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
+        with pytest.raises(QuadratureNotConverged, match="2304 nodes, above its cap of 2048"):
+            price_european_put_rs(wide, S0, K, 0.0, T, 0, quad=quad)
+        assert max(sizes) == 1152
+        sizes.clear()
+        tiny = two_state_model(0.05, 0.03, 1e-4, 0.3, 1.0, 1.0)
+        for call in (lambda: european_put_grid(tiny, [S0], K, T),
+                     lambda: price_european_put_rs(tiny, S0, K, 0.0, T, 0)):
+            with pytest.raises(QuadratureNotConverged, match="18000 nodes"):
+                call()
+        assert sizes == []
 
     def test_grid_evaluation_matches_scalar_calls(self, desk_model):
         s_values = np.array([80.0, 100.0, 125.0])
