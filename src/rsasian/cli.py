@@ -249,6 +249,9 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     for key in ("n_y", "n_t"):  # FD marches n/4, n/2 and n: its finest grid is the configured one
         if key in fd and (fd[key] % 4 or fd[key] < 12):
             bad.append(f"{fd_at}.{key}: {fd[key]} is not a multiple of 4 of at least 12")
+    t = state.get("t", 0.0)
+    if "t_min" in fd and fd["t_min"] != t:  # the row marches to the state's t and no further
+        bad.append(f"{fd_at}.t_min: {json.dumps(fd['t_min'])} is not state.t = {t}")
     if method_name == "european_rs" and style != "european_put":
         bad.append("option.style: method 'european_rs' prices european_put only")
     return bad

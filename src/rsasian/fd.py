@@ -203,7 +203,9 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     is written to slot ``(i - first) % kept`` of one ring, so both cases
     are the same march. Each Crank-Nicolson level is one solve,
     ``2 (I - dt/2 A)^-1 v - v``, which is ``(I - dt/2 A)^-1 (I + dt/2 A) v``;
-    ``A`` only enters the factorisation.
+    ``A`` only enters the factorisation. The solve runs on ``2 v``: scaling by 2
+    commutes with every rounding of the triangular solves (away from overflow and
+    subnormals), so this gives the bits of doubling the solve of ``v``.
     """
     y = _y_nodes(T, cfg)
     t_min = cfg.t_min if cfg.t_min is not None else 0.0
@@ -236,12 +238,13 @@ def fd_price(model: RegimeModel, T: float, cfg: FdConfig = FdConfig()) -> FdSurf
     with np.errstate(invalid="ignore"):
         for level in range(cfg.n_t - 1, first - 1, -1):
             out = slots[(level - first) % kept]
-            out[:] = v
-            solve(out)
             if level >= startup:
+                out[:] = v
+                solve(out)
                 solve(out)
             else:
-                out *= 2.0
+                np.multiply(v, 2.0, out=out)
+                solve(out)
                 out -= v
             if not math.isfinite(out.sum()):
                 raise LinearSolveFailure("non-finite values in the implicit solve")

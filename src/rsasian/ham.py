@@ -34,8 +34,10 @@ SIAM J. Sci. Stat. Comput. 6, 1985, block the same history sum for a
 march that needs it level by level); a clip meets one source row, so it is
 a 1-D convolution in ``u`` per output node. :func:`build_terms` makes every
 lag of a regime in one pass and transforms the stacks once.
-The spectrum of the ``xi``-reversed source is the forward spectrum's rows
-in reverse order times a phase, which the ``w2`` spectrum carries, so a
+The spectrum of the ``xi``-reversed source is the forward spectrum's row 0
+and then its other rows in reverse order, times a phase, which the ``w2``
+spectrum carries; the ``w2`` product reads those rows through two views of
+the forward spectrum, not a reordered copy. So a
 step costs one forward 2-D ``numpy.fft`` transform of both regimes'
 sources and one inverse, whose ``u`` transform runs only on the rows it
 keeps after the clips' ``u``-spectra are added to them; its roundoff
@@ -376,18 +378,21 @@ def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     """``sum_{j >= 1} mat_j @ s_half[i, :, t - j]`` for each regime ``i`` and level ``t``,
     ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring.
 
-    Both regimes' sources take one forward transform, whose rows in reverse order
-    serve the ``xi``-reversed source. The inverse runs the ``xi`` transform, subtracts
-    the clips' ``u`` convolutions with the two edge rows, then runs the ``u`` transform
-    of only the ``n_z`` rows kept.
+    Both regimes' sources take one forward transform. The ``xi``-reversed source's
+    spectrum is its row 0 followed by rows ``n0 - 1`` down to 1, which the ``w2``
+    product reads through two views of the forward spectrum, so no reordered copy
+    is made. The inverse runs the ``xi`` transform, subtracts the clips' ``u``
+    convolutions with the two edge rows, then runs the ``u`` transform of only the
+    ``n_z`` rows kept.
     """
     n_xi, (n0, n1), n_z = s_half.shape[1], kernel["shape"], kernel["n_z"]
     spec = kernel["spectra"]
     planes = np.fft.rfft2(s_half, (n0, n1))
     edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
     # products in place: the step holds two spectrum-sized buffers
-    part = planes[:, -np.arange(n0) % n0]
-    part *= spec[:, 1]
+    part = np.empty_like(planes)
+    np.multiply(planes[:, :1], spec[:, 1, :1], out=part[:, :1])
+    np.multiply(planes[:, :0:-1], spec[:, 1, 1:], out=part[:, 1:])
     planes *= spec[:, 0]
     planes += part
     rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + n_z]
@@ -448,10 +453,11 @@ def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict) -> TermGrid:
     s_half = np.concatenate((0.5 * s_hat[..., :1], s_hat[..., 1:]), axis=-1)
     accum = _kernel_integral(kernel, s_half)
     # delta-identity endpoint: kernel mass lands at xi = |z|, which
-    # falls outside the truncated source range for z < -z_max
-    mirror = np.abs(np.arange(n_z) - j0)
-    inside = mirror <= (n_z - 1 - j0)
-    accum[:, inside] += 0.5 * s_hat[:, mirror[inside], :]
+    # falls outside the truncated source range for z < -z_max; z < 0 reads the
+    # source in reverse, z >= 0 reads it forward
+    lo = max(0, 2 * j0 + 1 - n_z)
+    accum[:, lo:j0] += 0.5 * s_hat[:, j0 - lo:0:-1]
+    accum[:, j0:] += 0.5 * s_hat
     v_hat = (sig_half * du) * accum
     v_hat[..., 0] = 0.0
 

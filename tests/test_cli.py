@@ -371,19 +371,32 @@ class TestMethodBlocks:
         assert block["n_paths"] == McConfig().n_paths == 100_000
 
     @pytest.mark.parametrize("command", ["price", "compare"])
-    def test_fd_t_min_is_always_the_state_time(self, tmp_path, command):
+    def test_fd_t_min_is_always_the_state_time(self, tmp_path, capsys, command):
+        # the row marches to the state's t = 0.5: unset or set to it, t_min prices the same
+        # bytes and the effective config re-runs them; any other value exits 2 naming its path
+        fd_at = "method.compare.fd" if command == "compare" else "method.fd"
         reports = []
-        for name, extra in (("unset", {}), ("early", {"t_min": 0.0}), ("late", {"t_min": 0.9})):
-            fd = {"n_y": 32, "n_t": 32, **extra}
+        for name, t_min in (("unset", ...), ("same", 0.5), ("early", 0.0), ("late", 0.9),
+                            ("null", None)):
+            fd = {"n_y": 32, "n_t": 32} if t_min is ... else {"n_y": 32, "n_t": 32, "t_min": t_min}
             method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
             cfg = base_config(tmp_path, method, fmt="json", name=name)
             cfg["state"] = dict(MID_LIFE)
             code, report = run(tmp_path, command, cfg, name=name)
-            assert code == 0, name
-            block = json.loads(open(report + ".effective.json").read())["method"]
-            assert (block["compare"] if command == "compare" else block)["fd"]["t_min"] == 0.5
-            reports.append(open(report, "rb").read())
-        assert reports[0] == reports[1] == reports[2]
+            err = capsys.readouterr().err
+            if name in ("unset", "same"):
+                assert code == 0, name
+                block = json.loads(open(report + ".effective.json").read())["method"]
+                assert (block["compare"] if command == "compare" else block)["fd"]["t_min"] == 0.5
+                reports.append(open(report, "rb").read())
+                assert main([command, "--config", report + ".effective.json"]) == 0
+                assert open(report, "rb").read() == reports[-1]
+            else:
+                assert code == 2, name
+                want = "null" if t_min is None else t_min
+                assert f"config invalid: {fd_at}.t_min: {want} is not state.t = 0.5" in err
+                assert not os.path.exists(report + ".effective.json")
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command", ["price", "compare"])
     @pytest.mark.parametrize("a,y_max,want", [(50.0, None, 4.0), (200.0, None, 8.0),

@@ -465,6 +465,41 @@ class TestScheme:
         gap = np.abs(surf.values - want).max()
         assert gap <= 1e-11 * np.abs(want).max(), f"max gap {gap:.3e}"
 
+    @pytest.mark.parametrize("name,cfg", [
+        ("desk", FdConfig(n_y=40, n_t=40)),
+        ("desk", FdConfig(n_y=40, n_t=40, t_min=0.5)),
+        ("rate_50", FdConfig(n_y=40, n_t=40)),
+        ("pivoted", FdConfig(y_max=4.0, n_y=41, n_t=6)),
+    ], ids=["desk", "desk_t_min", "rate_50", "pivoted"])
+    def test_solving_twice_v_gives_the_doubled_solve_bits(self, desk_model, name, cfg):
+        # reference: each Crank-Nicolson level as v copied, solved, doubled and
+        # v subtracted; the pivoted model's levels go through dgbtrs
+        model = {"desk": desk_model,
+                 "rate_50": two_state_model(0.05, 0.03, 0.3, 0.2, 50.0, 50.0),
+                 "pivoted": two_state_model(0.05, 0.4, 0.69, 0.95, 8.5, 18.8)}[name]
+        y = fd._y_nodes(1.0, cfg)
+        t_nodes = np.linspace(0.0, 1.0, cfg.n_t + 1)
+        t_min = 0.0 if cfg.t_min is None else cfg.t_min
+        first = min(int(np.searchsorted(t_nodes, t_min, side="right")) - 1, cfg.n_t - 1)
+        band, kl, ku = fd._generator_band(model, y)
+        band *= -0.5 / cfg.n_t
+        band[kl + ku] += 1.0
+        solve = fd._banded_lu(band, kl, ku)
+        v = np.repeat(np.maximum(y - 1.0, 0.0), 2)
+        levels = [v]
+        for level in range(cfg.n_t - 1, first - 1, -1):
+            out = v.copy()
+            solve(out)
+            if level >= cfg.n_t - fd._STARTUP_STEPS:
+                solve(out)
+            else:
+                out *= 2.0
+                out -= v
+            levels.append(out)
+            v = out
+        want = np.reshape(levels[::-1][:None if cfg.t_min is None else 2], (-1, y.size, 2))
+        assert np.array_equal(fd_price(model, 1.0, cfg).values, want.transpose(0, 2, 1))
+
     def test_zero_pivot_is_refused(self, desk_model, monkeypatch):
         dgbtrf = scipy.linalg.lapack.dgbtrf
         monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf",

@@ -268,6 +268,66 @@ class TestStructure:
         got = ham._kernel_integral(kernel, source)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("model", ["desk", "large_gamma"])
+    def test_reversed_views_give_the_gathered_copy_bits(self, desk_model, model):
+        # reference: the lag sum reading the xi-reversed spectrum from a gathered copy
+        # of the forward spectrum's rows; the views make the same floating-point
+        # operations on the same operands, so every bit agrees
+        model = desk_model if model == "desk" else two_state_model(0.08, 0.01, 0.1, 0.5, 3.0, 0.5)
+        z, u = ham_grid(COARSE, 1.0)
+        kernel = ham._lag_generators(z, u, model)
+        n_xi = len(z) - kernel["j0"]
+        source = np.random.default_rng(32).standard_normal((2, n_xi, len(u)))
+
+        def gathered(kernel, s_half):
+            n_xi, (n0, n1), n_z = s_half.shape[1], kernel["shape"], kernel["n_z"]
+            spec = kernel["spectra"]
+            planes = np.fft.rfft2(s_half, (n0, n1))
+            edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
+            part = planes[:, -np.arange(n0) % n0]
+            part *= spec[:, 1]
+            planes *= spec[:, 0]
+            planes += part
+            rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + n_z]
+            for p in (0, 1):
+                rows -= np.multiply(kernel["clips"][:, p], edges[:, p], out=part[:, :n_z])
+            return np.fft.irfft(rows, n1)[..., :kernel["n_u"]].copy()
+
+        assert np.array_equal(ham._kernel_integral(kernel, source), gathered(kernel, source))
+
+    @pytest.mark.parametrize("window", [(None, None), (-8.0, 4.0)], ids=["default", "deep_itm"])
+    def test_delta_identity_slices_give_the_gathered_bits(self, desk_model, monkeypatch,
+                                                          window):
+        # reference: the delta-identity term as one gather of the source at xi = |z|;
+        # the deep window puts more nodes below z = 0 than above it, so its lowest
+        # nodes' mirrors fall outside the source
+        cfg = dataclasses.replace(COARSE, z_min=window[0], z_max=window[1])
+        z, u = ham_grid(cfg, 1.0)
+        j0, n_z = int(np.argmin(np.abs(z))), len(z)
+        kernel = ham._lag_generators(z, u, desk_model)
+        values = np.random.default_rng(7).standard_normal((2, len(u), n_z))
+        prev = ham.TermGrid(m=1, z_nodes=z, u_nodes=u, values=values)
+        lag_sum = np.random.default_rng(8).standard_normal((2, n_z, len(u)))
+        seen = {}
+
+        def fixed(_, s_half):  # the step adds the delta term to this array in place
+            seen["s_half"], seen["accum"] = s_half, lag_sum.copy()
+            return seen["accum"]
+
+        monkeypatch.setattr(ham, "_kernel_integral", fixed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a random source has a heavy tail
+            ham_step(prev, desk_model, kernel)
+        s_hat = seen["s_half"].copy()
+        s_hat[..., 0] *= 2.0
+        mirror = np.abs(np.arange(n_z) - j0)
+        inside = mirror <= (n_z - 1 - j0)
+        if window[0] is not None:
+            assert not inside.all()
+        want = lag_sum.copy()
+        want[:, inside] += 0.5 * s_hat[:, mirror[inside], :]
+        assert np.array_equal(seen["accum"], want)
+
     @pytest.mark.parametrize("gamma", [1.5, 0.2, 16.0])
     @pytest.mark.parametrize("cfg", [COARSE, HamConfig()], ids=["coarse", "default"])
     def test_robin_lobes_match_one_rule_per_lobe(self, cfg, gamma):
