@@ -37,12 +37,15 @@ lag of a regime in one pass and transforms the stacks once.
 The spectrum of the ``xi``-reversed source is the forward spectrum's row 0
 and then its other rows in reverse order, times a phase, which the ``w2``
 spectrum carries; the ``w2`` product reads those rows through two views of
-the forward spectrum, not a reordered copy. So a
-step costs one forward 2-D ``numpy.fft`` transform of both regimes'
-sources and one inverse, whose ``u`` transform runs only on the rows it
-keeps after the clips' ``u``-spectra are added to them; its roundoff
-stays below the ``1e-12`` far-field floor. The time integral is a
-trapezoid over grid levels; its ``tau -> 0`` end is the delta identity.
+the forward spectrum, so no reordered copy is made. A step costs one
+forward 2-D ``numpy.fft`` transform of both regimes' sources and one
+inverse, whose ``u`` transform runs only on the rows it keeps after the
+clips' ``u``-spectra are added to them. The spectra are stored with the
+``xi`` axis contiguous, so the ``xi`` transforms, the longer ones, and the
+products run along unit strides; numpy transforms each line alike whatever
+its stride, so the layout changes no bit. The roundoff stays below the
+``1e-12`` far-field floor. The time integral is a trapezoid over grid
+levels; its ``tau -> 0`` end is the delta identity.
 
 Outputs for ``z < 0`` (in-the-money averages, ``y > 1``) evaluate the
 same representation; the half-line construction makes no statement
@@ -347,14 +350,15 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
 
     All lags of a regime come from one :func:`_kernel_generators` call. The ``w2``
     spectrum carries the phase that lets :func:`_kernel_integral` read the
-    ``xi``-reversed source's spectrum off the forward one.
+    ``xi``-reversed source's spectrum off the forward one. The ``spectra`` are
+    stored ``xi``-contiguous, as the step's spectra are.
     """
     kernel = _kernel_key(z, u, model)
     n_z, n_u, j0, du = kernel["n_z"], kernel["n_u"], kernel["j0"], kernel["du"]
     n_xi = n_z - j0
     kernel["shape"] = (_fast_len(n_z + n_xi - 1), _fast_len(2 * n_u - 1))
     n0, n1 = kernel["shape"]
-    kernel["spectra"] = np.empty((2, 2, n0, n1 // 2 + 1), complex)
+    kernel["spectra"] = _xi_contiguous((2, 2, n0, n1 // 2 + 1))
     kernel["clips"] = np.empty((2, 2, n_z, n1 // 2 + 1), complex)
     # the xi-reversed source's spectrum at row k0 is the source's at row (-k0) mod n0
     # times this phase
@@ -374,20 +378,28 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
     return kernel
 
 
+def _xi_contiguous(shape: tuple) -> np.ndarray:
+    """An empty complex array of ``shape`` whose ``xi`` (second-to-last) axis is the
+    contiguous one, so the ``xi`` transforms and the products run along unit strides."""
+    return np.empty((*shape[:-2], shape[-1], shape[-2]), complex).swapaxes(-1, -2)
+
+
 def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     """``sum_{j >= 1} mat_j @ s_half[i, :, t - j]`` for each regime ``i`` and level ``t``,
     ``(2, n_z, n_u)``, as the 2-D convolutions of the module docstring.
 
-    Both regimes' sources take one forward transform. The ``xi``-reversed source's
-    spectrum is its row 0 followed by rows ``n0 - 1`` down to 1, which the ``w2``
-    product reads through two views of the forward spectrum, so no reordered copy
-    is made. The inverse runs the ``xi`` transform, subtracts the clips' ``u``
-    convolutions with the two edge rows, then runs the ``u`` transform of only the
-    ``n_z`` rows kept.
+    Both regimes' sources take one forward transform into an ``xi``-contiguous
+    buffer. The ``xi``-reversed source's spectrum is its row 0 followed by rows
+    ``n0 - 1`` down to 1, which the ``w2`` product reads through two views of the
+    forward spectrum, so no reordered copy is made. The inverse runs the ``xi``
+    transform in place, copies the ``n_z`` rows kept out ``u``-contiguous, subtracts
+    the clips' ``u`` convolutions with the two edge rows, then runs the ``u``
+    transform.
     """
     n_xi, (n0, n1), n_z = s_half.shape[1], kernel["shape"], kernel["n_z"]
     spec = kernel["spectra"]
-    planes = np.fft.rfft2(s_half, (n0, n1))
+    planes = _xi_contiguous((2, n0, n1 // 2 + 1))
+    np.fft.fft(np.fft.rfft(s_half, n1), n0, axis=1, out=planes)  # rfft2, xi-contiguous
     edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
     # products in place: the step holds two spectrum-sized buffers
     part = np.empty_like(planes)
@@ -395,9 +407,12 @@ def _kernel_integral(kernel: dict, s_half: np.ndarray) -> np.ndarray:
     np.multiply(planes[:, :0:-1], spec[:, 1, 1:], out=part[:, 1:])
     planes *= spec[:, 0]
     planes += part
-    rows = np.fft.ifft(planes, axis=1, out=planes)[:, n_xi - 1: n_xi - 1 + n_z]
+    np.fft.ifft(planes, axis=1, out=planes)
+    rows = np.ascontiguousarray(planes[:, n_xi - 1: n_xi - 1 + n_z])  # u-contiguous
+    del planes, part  # the rest of the step reuses their memory
+    clip = np.empty_like(rows)
     for p in (0, 1):  # the clips against the edge rows
-        rows -= np.multiply(kernel["clips"][:, p], edges[:, p], out=part[:, :n_z])
+        rows -= np.multiply(kernel["clips"][:, p], edges[:, p], out=clip)
     return np.fft.irfft(rows, n1)[..., :kernel["n_u"]].copy()  # frees the padded buffer
 
 

@@ -268,20 +268,24 @@ class TestStructure:
         got = ham._kernel_integral(kernel, source)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("cfg", [COARSE, HamConfig(n_z=43, n_u=9)], ids=["coarse", "odd_n0"])
     @pytest.mark.parametrize("model", ["desk", "large_gamma"])
-    def test_reversed_views_give_the_gathered_copy_bits(self, desk_model, model):
-        # reference: the lag sum reading the xi-reversed spectrum from a gathered copy
-        # of the forward spectrum's rows; the views make the same floating-point
-        # operations on the same operands, so every bit agrees
+    def test_reversed_views_give_the_gathered_copy_bits(self, desk_model, model, cfg):
+        # reference: the lag sum as rfft2 into row-major spectra, reading the
+        # xi-reversed spectrum from a gathered copy of the forward spectrum's rows;
+        # the views and the xi-contiguous spectra make the same floating-point
+        # operations on the same operands, so every bit agrees. The second grid
+        # pads xi to an odd length, 75, so the reversal has no middle row
         model = desk_model if model == "desk" else two_state_model(0.08, 0.01, 0.1, 0.5, 3.0, 0.5)
-        z, u = ham_grid(COARSE, 1.0)
+        z, u = ham_grid(cfg, 1.0)
         kernel = ham._lag_generators(z, u, model)
+        assert kernel["shape"][0] % 2 == (cfg.n_z == 43)
         n_xi = len(z) - kernel["j0"]
         source = np.random.default_rng(32).standard_normal((2, n_xi, len(u)))
 
         def gathered(kernel, s_half):
             n_xi, (n0, n1), n_z = s_half.shape[1], kernel["shape"], kernel["n_z"]
-            spec = kernel["spectra"]
+            spec = np.ascontiguousarray(kernel["spectra"])
             planes = np.fft.rfft2(s_half, (n0, n1))
             edges = np.fft.rfft(s_half[:, (0, -1), None], n1)
             part = planes[:, -np.arange(n0) % n0]
