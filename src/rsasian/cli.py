@@ -18,7 +18,8 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
                      visits and one combined with its stationary weights
 
 An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
-``n_y`` x ``n_t`` (each a multiple of 4, at least 12) and reports their
+``n_y`` x ``n_t`` (each a multiple of 4, at least 12) down to the state's ``t``
+(a ``t_min`` set to another value is refused) and reports their
 order-2 Richardson limit, with its error estimate (:func:`rsasian.fd.richardson_limit`).
 Its grids, like series surfaces, stay cached for the process's life under one bound.
 
@@ -225,8 +226,9 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     if state.get("regime", 0) >= n:
         bad.append(f"state.regime: {state['regime']} out of range for {n} regimes")
     option = cfg["option"]
-    if state.get("t", 0.0) > option["T"]:
-        bad.append(f"state.t: {state['t']} exceeds option.T = {option['T']}")
+    t = state.get("t", 0.0)
+    if t > option["T"]:
+        bad.append(f"state.t: {t} exceeds option.T = {option['T']}")
     style = option["style"]
     floating = OptionStyle(style) in FLOATING_STYLES
     if floating and option.get("K") is not None:
@@ -249,7 +251,6 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     for key in ("n_y", "n_t"):  # FD marches n/4, n/2 and n: its finest grid is the configured one
         if key in fd and (fd[key] % 4 or fd[key] < 12):
             bad.append(f"{fd_at}.{key}: {fd[key]} is not a multiple of 4 of at least 12")
-    t = state.get("t", 0.0)
     if "t_min" in fd and fd["t_min"] != t:  # the row marches to the state's t and no further
         bad.append(f"{fd_at}.t_min: {json.dumps(fd['t_min'])} is not state.t = {t}")
     if method_name == "european_rs" and style != "european_put":
