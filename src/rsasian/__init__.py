@@ -10,7 +10,6 @@ from .errors import (
     ValidationError,
 )
 from .european import (
-    QuadratureSpec,
     black_scholes_put,
     discounted_strike_vector,
     european_put_grid,
@@ -79,7 +78,6 @@ __all__ = [
     "PriceResult",
     "PricingError",
     "QuadratureNotConverged",
-    "QuadratureSpec",
     "RegimeModel",
     "SeriesSurfaces",
     "TermGrid",

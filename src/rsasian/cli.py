@@ -12,16 +12,20 @@ and ``output`` (format ``csv`` or ``json``, report path). Subcommands:
 * ``convergence``    partial-sum prices and deltas per added series term,
                      for both initial-guess modes, read off the cached
                      series surface (:func:`rsasian.ham.series_surfaces`);
-                     refused (exit 3) where the series clamps at z_max
+                     refused (exit 3) where the series clamps at z_max.
+                     It runs both modes, so its ``ham`` block takes no
+                     ``initial_guess_mode``
 * ``symmetry-check`` Monte Carlo on both sides of the fixed/floating
                      equivalence: one row per terminal regime the chain
                      visits and one combined with its stationary weights
 
 An FD row, in ``price`` or ``compare``, marches n/4, n/2 and the configured
-``n_y`` x ``n_t`` (each a multiple of 4, at least 12) down to the state's ``t``
-(a ``t_min`` set to another value is refused) and reports their
-order-2 Richardson limit, with its error estimate (:func:`rsasian.fd.richardson_limit`).
-Its grids, like series surfaces, stay cached for the process's life under one bound.
+``n_y`` x ``n_t`` (each a multiple of 4, at least 12) down to the state's ``t``,
+so its block takes no ``t_min``, and reports their order-2 Richardson limit,
+with its error estimate (:func:`rsasian.fd.richardson_limit`). Its grids, like
+series surfaces, stay cached for the process's life under one bound. The
+``european_rs`` block is empty: the European leg's tolerance is fixed
+(:func:`rsasian.european.price_european_put_rs`).
 
 Exit codes: 0 success, 2 for unreadable or schema-invalid configs and
 contract violations (messages name field paths, except that model and
@@ -60,7 +64,7 @@ from .errors import (
     PricingError,
     ValidationError,
 )
-from .european import QuadratureSpec, price_european_put_rs
+from .european import price_european_put_rs
 # fd_price, build_terms and assemble_series are not called here; perfbench/spans.py wraps them
 # on this module
 from .fd import FdConfig, fd_price, richardson_limit, richardson_order
@@ -109,11 +113,8 @@ def _block_schema(cls) -> dict:
 _HAM_SCHEMA = _block_schema(HamConfig)
 _MC_SCHEMA = _block_schema(McConfig)
 _FD_SCHEMA = _block_schema(FdConfig)
-_EURO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {"quad": _block_schema(QuadratureSpec)},
-}
+del _FD_SCHEMA["properties"]["t_min"]  # an FD row marches to the state's t
+_EURO_SCHEMA = {"type": "object", "additionalProperties": False}
 
 _CONFIG_SCHEMA = {
     "type": "object",
@@ -240,6 +241,8 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
         allowed = " | ".join(_COMMAND_METHODS[command])
         bad.append(f"method: subcommand '{command}' needs {allowed}, found '{method_name}'")
         return bad
+    if command == "convergence" and "initial_guess_mode" in cfg["method"]["ham"]:
+        bad.append("method.ham.initial_guess_mode: convergence tabulates both guess modes")
     if method_name in ("ham", "fd", "compare"):
         if style != "floating_put" or option.get("multiplier", 1.0) != 1.0:
             bad.append(
@@ -251,15 +254,14 @@ def _cross_violations(command: str, cfg: dict) -> list[str]:
     for key in ("n_y", "n_t"):  # FD marches n/4, n/2 and n: its finest grid is the configured one
         if key in fd and (fd[key] % 4 or fd[key] < 12):
             bad.append(f"{fd_at}.{key}: {fd[key]} is not a multiple of 4 of at least 12")
-    if "t_min" in fd and fd["t_min"] != t:  # the row marches to the state's t and no further
-        bad.append(f"{fd_at}.t_min: {json.dumps(fd['t_min'])} is not state.t = {t}")
     if method_name == "european_rs" and style != "european_put":
         bad.append("option.style: method 'european_rs' prices european_put only")
     return bad
 
 
 def _engine_config(name: str, block: dict, T: float, state: MarketState):
-    """One engine's config object, every default resolved."""
+    """One engine's config object, every default resolved; ``None`` for the
+    European leg, which has no settings."""
     if name == "ham":
         hc = HamConfig(**block)
         z_min, z_max = ham_window(hc, T)
@@ -271,10 +273,10 @@ def _engine_config(name: str, block: dict, T: float, state: MarketState):
         for k in (4, 2):
             replace(cfg, n_y=cfg.n_y // k, n_t=cfg.n_t // k).for_state(T, state)
         return cfg.for_state(T, state)
-    return QuadratureSpec(**block.get("quad", {}))
+    return None
 
 
-def _materialize(cfg: dict) -> tuple[dict, dict, MarketState]:
+def _materialize(command: str, cfg: dict) -> tuple[dict, dict, MarketState]:
     """Effective config (every default filled in), its engine config objects by name, and the state."""
     model = dict(cfg["model"])
     n = len(model["r"])
@@ -289,8 +291,11 @@ def _materialize(cfg: dict) -> tuple[dict, dict, MarketState]:
     method_name, block = next(iter(cfg["method"].items()))
     blocks = dict(sorted(block.items())) if method_name == "compare" else {method_name: block}
     engines = {k: _engine_config(k, v, T, mstate) for k, v in blocks.items()}
-    dumped = {k: {"quad": asdict(c)} if k == "european_rs" else asdict(c)
-              for k, c in engines.items()}
+    dumped = {k: {} if c is None else asdict(c) for k, c in engines.items()}
+    if "fd" in dumped:  # the row marches to the state's t
+        del dumped["fd"]["t_min"]
+    if command == "convergence":  # the table runs both guess modes
+        del dumped["ham"]["initial_guess_mode"]
     method = {"compare": dumped} if method_name == "compare" else dumped
     output = {"timings": False}
     output.update(cfg["output"])
@@ -348,7 +353,7 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
             res = price_floating_put_ham(state, model, cfg, T)
         else:  # european_rs
             res = price_european_put_rs(model, s=state.s, k=spec.K, t=state.t, T=T,
-                                        regime=state.regime, quad=cfg)
+                                        regime=state.regime)
         price, error, diagnostics = res.price, res.error_estimate, res.diagnostics
     return {
         "method": name,
@@ -443,7 +448,7 @@ def _run(command: str, config_path: str) -> int:
             print(f"config invalid: {v}", file=sys.stderr)
         return 2
 
-    effective, engines, state = _materialize(raw)
+    effective, engines, state = _materialize(command, raw)
     model = RegimeModel(**effective["model"])
     spec = _build_spec(effective["option"])
     output = effective["output"]

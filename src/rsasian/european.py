@@ -19,40 +19,30 @@ unequal variances, rates and dividend yields take the same path.
 :func:`european_put_grid`, the bulk path of the series guess, makes one
 pass with a node count sized from the switch rates, the maturity and the
 gap between the variances (:func:`_node_count`).
-:func:`price_european_put_rs` doubles the nodes until the change meets the
-:class:`QuadratureSpec` tolerance, or refuses, and clips the result to the
-no-arbitrage bounds, whose expected discounted strike ``D_i`` is the 2x2
-matrix exponential in closed form (:func:`discounted_strike_vector`), so
-pricing calls no ``scipy.linalg`` routine. Every function here that takes a
-model refuses one without exactly two states.
+:func:`price_european_put_rs` doubles the nodes until the change is within
+the fixed tolerance ``max(1e-9, 1e-7 |price|)``, or refuses, and clips the
+result to the no-arbitrage bounds, whose expected discounted strike ``D_i``
+is the 2x2 matrix exponential in closed form
+(:func:`discounted_strike_vector`), so pricing calls no ``scipy.linalg``
+routine. Every function here that takes a model refuses one without exactly
+two states.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy contract of the occupation-time integral.
-
-    The first Gauss-Legendre rule is sized from the switch rates and the
-    maturity. :func:`price_european_put_rs` doubles its nodes until the
-    change is within ``max(abs_tol, rel_tol * |price|)``.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-7
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValidationError("quadrature tolerances must be > 0")
+# Tolerance of price_european_put_rs: max(_ABS_TOL, _REL_TOL * |price|). At
+# strike 100, over volatilities 0.05-0.6, switch rates up to 500 a year and
+# ttm 1e-4-3, the first doubling meets it, so a looser one changes no price.
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-7
 
 
 def black_scholes_put(
@@ -210,20 +200,19 @@ def price_european_put_rs(
     t: float,
     T: float,
     regime: int,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
     """European put price for the starting regime, with an error estimate.
 
     The error estimate is the change from the rule of half the nodes,
     floored at ``8 * np.spacing(D_i)`` (``D_i`` the expected discounted
     strike, the price's scale), so a tolerance below roundoff is never met.
-    Each pass that misses ``max(quad.abs_tol, quad.rel_tol * |price|)``
-    doubles the nodes; after seven doublings, or once a rule would pass
-    ``_MAX_NODES`` nodes, the call raises :class:`QuadratureNotConverged`. The converged price is clipped to the
-    no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``Q`` the expected
-    dividend discount; a clip that moves the price records the unclipped
-    value as ``unclipped_price``. The ``nodes`` diagnostic is the node count
-    of the priced rule.
+    Each pass that misses ``max(_ABS_TOL, _REL_TOL * |price|)`` doubles the
+    nodes; after seven doublings, or once a rule would pass ``_MAX_NODES``
+    nodes, the call raises :class:`QuadratureNotConverged`. The converged
+    price is clipped to the no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``,
+    ``Q`` the expected dividend discount; a clip that moves the price records
+    the unclipped value as ``unclipped_price``. The ``nodes`` diagnostic is
+    the node count of the priced rule.
     """
     require_two_states(model)
     if regime not in (0, 1):
@@ -243,7 +232,7 @@ def price_european_put_rs(
         n = _within_cap(2 * n)
         price = float(_occupation_put(model, spot, k, ttm, n)[regime, 0])
         err = max(abs(price - coarse), 8.0 * float(np.spacing(d)))
-        tol = max(quad.abs_tol, quad.rel_tol * max(abs(price), 1e-12))
+        tol = max(_ABS_TOL, _REL_TOL * max(abs(price), 1e-12))
         if err <= tol:
             break
         coarse = price

@@ -18,8 +18,7 @@ import types
 import pytest
 
 from rsasian import (AsianOptionSpec, FdConfig, HamConfig, MarketState, McConfig,
-                     McEstimate, QuadratureSpec, RegimeModel, cli, fd, ham,
-                     symmetry_mc_check)
+                     McEstimate, RegimeModel, cli, fd, ham, symmetry_mc_check)
 from rsasian.cli import main
 
 MODEL = {
@@ -44,7 +43,8 @@ def base_config(tmp_path, method, *, style="floating_put", fmt="csv",
 
 
 def run(tmp_path, command, cfg, name="cfg"):
-    path = tmp_path / f"{name}.json"
+    # not <name>.json, where base_config(..., fmt="json", name=name) writes the report
+    path = tmp_path / f"{name}.config.json"
     path.write_text(json.dumps(cfg))
     code = main([command, "--config", str(path)])
     return code, cfg["output"]["path"]
@@ -243,6 +243,15 @@ class TestConvergenceCommand:
         zero_first = body[3]
         assert float(zero_first[2]) == 0.0, "zero guess starts from nothing"
 
+    def test_effective_config_leaves_out_the_guess_mode(self, tmp_path):
+        # the table runs both guess modes, so its effective ham block names neither
+        cfg = base_config(tmp_path, TINY_HAM)
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, "convergence", cfg)
+        assert code == 0
+        block = json.loads(open(report + ".effective.json").read())["method"]["ham"]
+        assert set(block) == _field_names(HamConfig) - {"initial_guess_mode"}
+
     def test_each_row_is_timed_on_its_own(self, tmp_path, monkeypatch):
         ticks = iter(range(1000))  # the clock moves one second per read
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
@@ -356,12 +365,10 @@ class TestMethodBlocks:
         code, report = run(tmp_path, "price", base_config(tmp_path, method, style=style, K=k))
         assert code == 0
         block = json.loads(open(report + ".effective.json").read())["method"][name]
-        if name == "european_rs":
-            assert set(block) == {"quad"}
-            assert set(block["quad"]) == _field_names(QuadratureSpec)
-            return
-        cls = {"ham": HamConfig, "mc": McConfig, "fd": FdConfig}[name]
-        assert set(block) == _field_names(cls)
+        # the European tolerance is fixed, and an FD row takes its t_min from the state
+        want = {"ham": _field_names(HamConfig), "mc": _field_names(McConfig),
+                "fd": _field_names(FdConfig) - {"t_min"}, "european_rs": set()}[name]
+        assert set(block) == want
 
     def test_mc_path_count_defaults_to_the_config_default(self, tmp_path):
         cfg = base_config(tmp_path, {"mc": {"n_steps": 2, "seed": 7}})
@@ -371,32 +378,25 @@ class TestMethodBlocks:
         assert block["n_paths"] == McConfig().n_paths == 100_000
 
     @pytest.mark.parametrize("command", ["price", "compare"])
-    def test_fd_t_min_is_always_the_state_time(self, tmp_path, capsys, command):
-        # the row marches to the state's t = 0.5: unset or set to it, t_min prices the same
-        # bytes and the effective config re-runs them; any other value exits 2 naming its path
-        fd_at = "method.compare.fd" if command == "compare" else "method.fd"
-        reports = []
-        for name, t_min in (("unset", ...), ("same", 0.5), ("early", 0.0), ("late", 0.9),
-                            ("null", None)):
-            fd = {"n_y": 32, "n_t": 32} if t_min is ... else {"n_y": 32, "n_t": 32, "t_min": t_min}
-            method = {"compare": {"fd": fd}} if command == "compare" else {"fd": fd}
-            cfg = base_config(tmp_path, method, fmt="json", name=name)
-            cfg["state"] = dict(MID_LIFE)
-            code, report = run(tmp_path, command, cfg, name=name)
-            err = capsys.readouterr().err
-            if name in ("unset", "same"):
-                assert code == 0, name
-                block = json.loads(open(report + ".effective.json").read())["method"]
-                assert (block["compare"] if command == "compare" else block)["fd"]["t_min"] == 0.5
-                reports.append(open(report, "rb").read())
-                assert main([command, "--config", report + ".effective.json"]) == 0
-                assert open(report, "rb").read() == reports[-1]
-            else:
-                assert code == 2, name
-                want = "null" if t_min is None else t_min
-                assert f"config invalid: {fd_at}.t_min: {want} is not state.t = 0.5" in err
-                assert not os.path.exists(report + ".effective.json")
-        assert reports[0] == reports[1]
+    def test_fd_t_min_is_always_the_state_time(self, tmp_path, monkeypatch, cold_surfaces,
+                                               command):
+        # the row's three grids march to the state's t = 0.5; the effective config
+        # holds no t_min and re-runs the same bytes
+        marched = []
+        march = fd.fd_price
+        monkeypatch.setattr(fd, "fd_price", lambda *args: marched.append(args[2]) or march(*args))
+        block = {"n_y": 32, "n_t": 32}
+        method = {"compare": {"fd": block}} if command == "compare" else {"fd": block}
+        cfg = base_config(tmp_path, method, fmt="json")
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 0
+        assert [(c.n_y, c.t_min) for c in marched] == [(8, 0.5), (16, 0.5), (32, 0.5)]
+        effective = json.loads(open(report + ".effective.json").read())["method"]
+        assert "t_min" not in (effective["compare"] if command == "compare" else effective)["fd"]
+        first = open(report, "rb").read()
+        assert main([command, "--config", report + ".effective.json"]) == 0
+        assert open(report, "rb").read() == first
 
     @pytest.mark.parametrize("command", ["price", "compare"])
     @pytest.mark.parametrize("a,y_max,want", [(50.0, None, 4.0), (200.0, None, 8.0),
@@ -428,11 +428,11 @@ class TestMethodBlocks:
             ({"european_rs": {"variant": "rho_printed"}}, "european_put", 100.0,
              "method.european_rs"),
             ({"european_rs": {"quad": {"rule": "adaptive"}}}, "european_put", 100.0,
-             "method.european_rs.quad"),
+             "method.european_rs"),
             ({"ham": {"guess_quad": {"n_rho": 2000}}}, "floating_put", None, "method.ham"),
             ({"fd": {"rannacher_steps": 2}}, "floating_put", None, "method.fd"),
             ({"european_rs": {"quad": {"n_rho": 2000}}}, "european_put", 100.0,
-             "method.european_rs.quad"),
+             "method.european_rs"),
         ],
     )
     def test_removed_knobs_are_rejected(self, tmp_path, capsys, method, style, k, path):
@@ -440,6 +440,31 @@ class TestMethodBlocks:
         assert code == 2
         err = capsys.readouterr().err
         assert f"config invalid: {path}: " in err and "was unexpected" in err
+
+    @pytest.mark.parametrize("command,method,style,k,message", [
+        ("price", {"european_rs": {"quad": {"abs_tol": 1e-9, "rel_tol": 1e-7}}},
+         "european_put", 100.0,
+         "method.european_rs: Additional properties are not allowed ('quad' was unexpected)"),
+        ("price", {"fd": {"n_y": 32, "n_t": 32, "t_min": 0.5}}, "floating_put", None,
+         "method.fd: Additional properties are not allowed ('t_min' was unexpected)"),
+        ("compare", {"compare": {"fd": {"n_y": 32, "n_t": 32, "t_min": 0.5}}}, "floating_put",
+         None, "method.compare.fd: Additional properties are not allowed ('t_min' was unexpected)"),
+        ("convergence", {"ham": dict(TINY_HAM["ham"], initial_guess_mode="zero")},
+         "floating_put", None,
+         "method.ham.initial_guess_mode: convergence tabulates both guess modes"),
+    ], ids=["european_rs.quad", "fd.t_min", "compare.fd.t_min", "convergence.initial_guess_mode"])
+    def test_settings_the_run_decides_are_refused(self, tmp_path, capsys, command, method,
+                                                   style, k, message):
+        # each of these keys, as an older .effective.json wrote it (t_min at the
+        # state's own t), exits 2 naming its path and writes nothing
+        cfg = base_config(tmp_path, method, style=style, K=k, fmt="json")
+        cfg["state"] = dict(MID_LIFE)
+        code, report = run(tmp_path, command, cfg)
+        assert code == 2
+        assert f"config invalid: {message}" in capsys.readouterr().err
+        assert not os.path.exists(report)
+        assert not os.path.exists(report + ".effective.json")
+        assert os.listdir(tmp_path) == ["cfg.config.json"]
 
 
 class TestFailureModes:
@@ -554,15 +579,15 @@ class TestFailureModes:
         assert "numerical failure" in capsys.readouterr().err
         assert not os.path.exists(report)
         assert not os.path.exists(report + ".effective.json")
-        # a European price that cannot refine to its tolerance writes no report;
-        # the estimate never falls below its roundoff floor, 8 ulps of D_i
-        quad = {"abs_tol": 1e-16, "rel_tol": 1e-16}
-        cfg = base_config(tmp_path, {"european_rs": {"quad": quad}}, style="european_put",
-                          K=100.0, name="european")
-        cfg["state"]["t"] = 0.999
+        # a European price that its rule cannot reach writes no report: volatilities
+        # 500 times apart need a first rule above the node cap
+        cfg = base_config(tmp_path, {"european_rs": {}}, style="european_put", K=100.0,
+                          name="european")
+        cfg["model"]["sigma"] = [0.001, 0.5]
         code, report = run(tmp_path, "price", cfg, name="european")
         assert code == 3
-        assert "numerical failure: error estimate" in capsys.readouterr().err
+        assert ("numerical failure: the occupation-time rule needs 3000 nodes, above its cap "
+                "of 2048") in capsys.readouterr().err
         assert not os.path.exists(report)
         assert not os.path.exists(report + ".effective.json")
 

@@ -20,7 +20,6 @@ from rsasian import (
     MarketState,
     McConfig,
     QuadratureNotConverged,
-    QuadratureSpec,
     RegimeModel,
     ValidationError,
     black_scholes_put,
@@ -42,6 +41,11 @@ _TABLE_MODELS = {
     "one_way": (0.05, 0.03, 0.3, 0.2, 2.0, 0.0),
     "low_vol": (0.05, 0.03, 0.05, 0.075, 1.0, 1.0),
 }
+
+
+def _tolerance(price):
+    """The European leg's fixed tolerance at ``price``."""
+    return max(european._ABS_TOL, european._REL_TOL * abs(price))
 
 
 def _mc_european(model, s, k, regime, n_paths=200_000, seed=11):
@@ -67,10 +71,9 @@ class TestBlackScholesLimits:
     def test_flat_model_prices_as_black_scholes(self, flat_model):
         # nothing divides by the variance gap, so equal variances take the
         # same rule as any other model
-        quad = QuadratureSpec()
-        res = price_european_put_rs(flat_model, S0, K, 0.0, T, 0, quad=quad)
+        res = price_european_put_rs(flat_model, S0, K, 0.0, T, 0)
         want = black_scholes_put(S0, K, 0.05, 0.3, T)
-        assert abs(res.price - want) <= max(quad.abs_tol, quad.rel_tol * abs(want))
+        assert abs(res.price - want) <= _tolerance(want)
         assert set(res.diagnostics) == {"nodes"}, "no fallback, no clip"
 
 
@@ -172,10 +175,10 @@ class TestQuadrature:
         # s/k in {1.0, 1.01}; every price here meets its tolerance, one that the
         # clip moved was off its bounds by less than its estimate, and out of
         # the money the rule lands on the true price, under 1e-24, with no clip
-        quad, s = QuadratureSpec(), moneyness * K
+        s = moneyness * K
         for regime in (0, 1):
-            res = price_european_put_rs(desk_model, s, K, 0.0, ttm, regime, quad=quad)
-            assert res.error_estimate <= max(quad.abs_tol, quad.rel_tol * abs(res.price))
+            res = price_european_put_rs(desk_model, s, K, 0.0, ttm, regime)
+            assert res.error_estimate <= _tolerance(res.price)
             d = discounted_strike_vector(desk_model, K, ttm)[regime]
             assert max(d - s, 0.0) <= res.price <= d
             raw = res.diagnostics.get("unclipped_price", res.price)
@@ -188,41 +191,40 @@ class TestQuadrature:
         # sigma = (0.05, 0.075) at ttm = 0.01, s/k = 1.01: the spectral leg
         # refused regime 0 and priced regime 1 at the value below
         model = two_state_model(*_TABLE_MODELS["low_vol"])
-        quad = QuadratureSpec()
-        prices = [price_european_put_rs(model, 101.0, K, 0.0, 0.01, regime, quad=quad).price
+        prices = [price_european_put_rs(model, 101.0, K, 0.0, 0.01, regime).price
                   for regime in (0, 1)]
         assert 0.0 < prices[0] < prices[1]
-        assert abs(prices[1] - 0.029576014472525003) <= quad.abs_tol
+        assert abs(prices[1] - 0.029576014472525003) <= european._ABS_TOL
 
-    def test_tolerance_below_roundoff_is_refused(self, desk_model):
+    def test_tolerance_below_roundoff_is_refused(self, desk_model, monkeypatch):
         # at ttm = 1 the rules of 8 and 16 nodes differ by 6e-14, roundoff;
-        # the estimate is floored at 8 ulps of D_i (1.1e-13), so no tolerance
-        # below it is met and the call refuses after seven doublings
+        # the estimate is floored at 8 ulps of D_i (1.1e-13), so were the fixed
+        # tolerance below it, the call would refuse after seven doublings
         d = discounted_strike_vector(desk_model, K, T)[0]
         res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
         assert res.error_estimate >= 8.0 * np.spacing(d)
-        quad = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
-        with pytest.raises(QuadratureNotConverged, match="error estimate"):
-            price_european_put_rs(desk_model, S0, K, 0.0, T, 0, quad=quad)
+        monkeypatch.setattr(european, "_ABS_TOL", 1e-16)
+        monkeypatch.setattr(european, "_REL_TOL", 1e-16)
+        with pytest.raises(QuadratureNotConverged, match="after 7 doublings"):
+            price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
 
     def test_wide_variances_refuse_at_the_node_cap(self, monkeypatch):
-        # sigma = (0.05, 0.6) starts at 72 nodes; a tolerance below roundoff
-        # doubles it to 1152 and refuses the next doubling rather than build a
-        # 2304-node rule, and sigma = (1e-4, 0.3) would need 18000 nodes in
-        # one pass, refused before any rule is built
+        # sigma = (0.0025, 0.5) starts at 1200 nodes, and the price refuses its
+        # first doubling rather than build a 2400-node rule; sigma = (0.001,
+        # 0.5) would need 3000 nodes in one pass, refused before any rule is
+        # built
         sizes = []
         legendre = european._legendre
         monkeypatch.setattr(european, "_legendre", lambda n: sizes.append(n) or legendre(n))
-        wide = two_state_model(0.05, 0.03, 0.05, 0.6, 1.0, 1.0)
-        quad = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-16)
-        with pytest.raises(QuadratureNotConverged, match="2304 nodes, above its cap of 2048"):
-            price_european_put_rs(wide, S0, K, 0.0, T, 0, quad=quad)
-        assert max(sizes) == 1152
+        wide = two_state_model(0.05, 0.03, 0.0025, 0.5, 1.0, 1.0)
+        with pytest.raises(QuadratureNotConverged, match="2400 nodes, above its cap of 2048"):
+            price_european_put_rs(wide, S0, K, 0.0, T, 0)
+        assert sizes == [1200]
         sizes.clear()
-        tiny = two_state_model(0.05, 0.03, 1e-4, 0.3, 1.0, 1.0)
+        tiny = two_state_model(0.05, 0.03, 0.001, 0.5, 1.0, 1.0)
         for call in (lambda: european_put_grid(tiny, [S0], K, T),
                      lambda: price_european_put_rs(tiny, S0, K, 0.0, T, 0)):
-            with pytest.raises(QuadratureNotConverged, match="18000 nodes"):
+            with pytest.raises(QuadratureNotConverged, match="3000 nodes, above its cap of 2048"):
                 call()
         assert sizes == []
 
@@ -349,9 +351,8 @@ class TestProperties:
         model = two_state_model(*params)
         s = k * moneyness
         d = discounted_strike_vector(model, k, ttm)[regime]
-        quad = QuadratureSpec()
-        res = price_european_put_rs(model, s, k, 0.0, ttm, regime, quad=quad)
-        assert res.error_estimate <= max(quad.abs_tol, quad.rel_tol * abs(res.price))
+        res = price_european_put_rs(model, s, k, 0.0, ttm, regime)
+        assert res.error_estimate <= _tolerance(res.price)
         lo, hi = max(d - s, 0.0) - res.error_estimate, d + res.error_estimate
         assert lo <= res.price <= hi, f"{res.price} outside [{lo}, {hi}]"
 
@@ -364,10 +365,9 @@ class TestProperties:
     def test_coinciding_regimes_price_as_black_scholes(self, r, sigma, q, rates, s, k, T,
                                                       t_share, regime):
         model = two_state_model(r, r, sigma, sigma, *rates, q, q)
-        quad = QuadratureSpec()
-        got = price_european_put_rs(model, s, k, t_share * T, T, regime, quad=quad).price
+        got = price_european_put_rs(model, s, k, t_share * T, T, regime).price
         want = black_scholes_put(s, k, r, sigma, T - t_share * T, q)
-        assert abs(got - want) <= max(quad.abs_tol, quad.rel_tol * abs(want)), f"{got} vs BS {want}"
+        assert abs(got - want) <= _tolerance(want), f"{got} vs BS {want}"
 
 
 # (model, s, ttm, regime, price) at k = 100 from the spectral leg, made by the
@@ -456,10 +456,9 @@ class TestSpectralLegPrices:
 
     @pytest.mark.parametrize("name, s, ttm, regime, want", _SPECTRAL_PRICES)
     def test_price_within_tolerance(self, name, s, ttm, regime, want):
-        quad = QuadratureSpec()
         res = price_european_put_rs(two_state_model(*_TABLE_MODELS[name]), s, K, 0.0, ttm,
-                                    regime, quad=quad)
-        assert abs(res.price - want) <= max(quad.abs_tol, quad.rel_tol * abs(want))
+                                    regime)
+        assert abs(res.price - want) <= _tolerance(want)
 
 
 class TestOccupationLaw:
