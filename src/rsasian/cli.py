@@ -367,13 +367,13 @@ def _engine_row(name: str, cfg, model: RegimeModel, spec: AsianOptionSpec,
 def _convergence_rows(cfg: HamConfig, model: RegimeModel, spec: AsianOptionSpec,
                       state: MarketState, timings: bool) -> list[dict]:
     T = spec.T
-    rows, kernels = [], {}
+    rows = []
     for guess in ("european_rs", "zero"):
         done = _timer(timings)
-        surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess), kernels)
+        surf = series_surfaces(model, T, replace(cfg, initial_guess_mode=guess))
         previous = None
         for m in range(len(surf.partials)):
-            price, info = series_dollar_price(surf, state, T, m)
+            price, info = series_dollar_price(surf, state, m)
             if info["clamped"]:
                 z = -math.log(state.a / state.s) if state.a > 0.0 else math.inf
                 raise InterpolationOutOfRange(f"z={z:.4f} beyond z_max={info['z']:.4f}: every "

@@ -20,11 +20,11 @@ unequal variances, rates and dividend yields take the same path.
 pass with a node count sized from the switch rates, the maturity and the
 gap between the variances (:func:`_node_count`).
 :func:`price_european_put_rs` doubles the nodes until the change is within
-the fixed tolerance ``max(1e-9, 1e-7 |price|)``, or refuses, and clips the
-result to the no-arbitrage bounds, whose expected discounted strike ``D_i``
-is the 2x2 matrix exponential in closed form
-(:func:`discounted_strike_vector`), so pricing calls no ``scipy.linalg``
-routine. Every function here that takes a model refuses one without exactly
+the fixed tolerance ``max(1e-9, 1e-7 |price|)``, or the roundoff of ``D_i``
+where that is larger, or refuses, and clips the result to the no-arbitrage
+bounds, whose expected discounted strike ``D_i`` is the 2x2 matrix exponential
+in closed form (:func:`discounted_strike_vector`), so pricing calls no
+``scipy.linalg`` routine. Every function here that takes a model refuses one without exactly
 two states.
 """
 
@@ -38,9 +38,10 @@ import numpy as np
 from .errors import QuadratureNotConverged, ValidationError
 from .model import PriceResult, RegimeModel, require_two_states
 
-# Tolerance of price_european_put_rs: max(_ABS_TOL, _REL_TOL * |price|). At
-# strike 100, over volatilities 0.05-0.6, switch rates up to 500 a year and
-# ttm 1e-4-3, the first doubling meets it, so a looser one changes no price.
+# Tolerance of price_european_put_rs: max(_ABS_TOL, _REL_TOL * |price|), or the
+# estimate's roundoff floor where larger. At strike 100, over volatilities 0.05-0.6,
+# switch rates up to 500 a year and ttm 1e-4-3, the first doubling meets it, so a
+# looser one changes no price.
 _ABS_TOL = 1e-9
 _REL_TOL = 1e-7
 
@@ -205,14 +206,16 @@ def price_european_put_rs(
 
     The error estimate is the change from the rule of half the nodes,
     floored at ``8 * np.spacing(D_i)`` (``D_i`` the expected discounted
-    strike, the price's scale), so a tolerance below roundoff is never met.
-    Each pass that misses ``max(_ABS_TOL, _REL_TOL * |price|)`` doubles the
-    nodes; after seven doublings, or once a rule would pass ``_MAX_NODES``
-    nodes, the call raises :class:`QuadratureNotConverged`. The converged
-    price is clipped to the no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``,
-    ``Q`` the expected dividend discount; a clip that moves the price records
-    the unclipped value as ``unclipped_price``. The ``nodes`` diagnostic is
-    the node count of the priced rule.
+    strike, the price's scale), its roundoff. The tolerance is
+    ``max(_ABS_TOL, _REL_TOL * |price|)``, raised to that floor where it is
+    below it (past ``D_i`` of about 2^20), so a large strike is not refused
+    for roundoff. Each pass that misses it doubles the nodes; after seven
+    doublings, or once a rule would pass ``_MAX_NODES`` nodes, the call raises
+    :class:`QuadratureNotConverged`. The converged price is clipped to the
+    no-arbitrage bounds ``[max(D_i - s Q_i, 0), D_i]``, ``Q`` the expected
+    dividend discount; a clip that moves the price records the unclipped value
+    as ``unclipped_price``. The ``nodes`` diagnostic is the node count of the
+    priced rule.
     """
     require_two_states(model)
     if regime not in (0, 1):
@@ -231,8 +234,9 @@ def price_european_put_rs(
     for doublings in range(1, 8):
         n = _within_cap(2 * n)
         price = float(_occupation_put(model, spot, k, ttm, n)[regime, 0])
-        err = max(abs(price - coarse), 8.0 * float(np.spacing(d)))
-        tol = max(_ABS_TOL, _REL_TOL * max(abs(price), 1e-12))
+        floor = 8.0 * float(np.spacing(d))
+        err = max(abs(price - coarse), floor)
+        tol = max(_ABS_TOL, _REL_TOL * max(abs(price), 1e-12), floor)
         if err <= tol:
             break
         coarse = price

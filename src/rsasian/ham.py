@@ -56,8 +56,8 @@ grid oracles arbitrate the rest.
 and caches every partial sum for the life of the process, in the bounded cache
 FD's Richardson grids share; pricing, the CLI convergence table and
 :func:`ham_vs_fd_report` all read from it. The lag kernel depends only on
-the grid and the model, so the builds of one command share it through a
-memo the command owns; no module-level cache keeps it.
+the grid and the model, so :func:`ham_step` keeps it in the same cache, where
+every build on that grid and model, whatever its modes or ``m_trunc``, finds it.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ def _floor_far_field(vals: np.ndarray, j0: int) -> None:
     np.copyto(half, 0.0, where=np.abs(half) < cut)
 
 
-def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> TermGrid:
-    """Term 0 on ``grid = (z_nodes, u_nodes)`` for ``config``'s two modes.
+def initial_guess(model: RegimeModel, T: float, config: HamConfig) -> TermGrid:
+    """Term 0 on :func:`ham_grid` of ``config`` and ``T``, for ``config``'s two modes.
 
     ``initial_guess_mode="european_rs"`` maps the reduced state to a European put:
     ``(y/T - 1)^+ = e^{-z} (1/T - e^{z})^+`` is ``e^{-z}`` times a
@@ -232,7 +232,7 @@ def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> Term
     ``initial_guess_mode="zero"`` carries the terminal slice (payoff or
     zero per ``terminal_mode``) unchanged in time.
     """
-    z, u = grid
+    z, u = ham_grid(config, T)
     vals = np.zeros((2, len(u), len(z)))
     if config.initial_guess_mode == "european_rs":
         s_vals = np.exp(z)
@@ -242,9 +242,8 @@ def initial_guess(model: RegimeModel, grid, config: HamConfig, T: float) -> Term
     elif config.terminal_mode == "payoff":
         vals[:] = _reduced_payoff(z, T)
     vals[:, 0] = _reduced_payoff(z, T) if config.terminal_mode == "payoff" else 0.0
-    _floor_far_field(vals, int(np.argmin(np.abs(np.asarray(z)))))
-    return TermGrid(m=0, z_nodes=np.asarray(z, dtype=float),
-                    u_nodes=np.asarray(u, dtype=float), values=vals)
+    _floor_far_field(vals, int(np.argmin(np.abs(z))))
+    return TermGrid(m=0, z_nodes=z, u_nodes=u, values=vals)
 
 
 # --- kernel weight tables -------------------------------------------------
@@ -351,7 +350,8 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
     All lags of a regime come from one :func:`_kernel_generators` call. The ``w2``
     spectrum carries the phase that lets :func:`_kernel_integral` read the
     ``xi``-reversed source's spectrum off the forward one. The ``spectra`` are
-    stored ``xi``-contiguous, as the step's spectra are.
+    stored ``xi``-contiguous, as the step's spectra are, and both arrays are
+    marked read-only, since the surface cache shares the kernel across builds.
     """
     kernel = _kernel_key(z, u, model)
     n_z, n_u, j0, du = kernel["n_z"], kernel["n_u"], kernel["j0"], kernel["du"]
@@ -375,6 +375,8 @@ def _lag_generators(z: np.ndarray, u: np.ndarray, model: RegimeModel) -> dict:
             np.fft.fft(np.fft.rfft(stack[p], n1), n0, axis=0, out=kernel["spectra"][i, p])
         kernel["spectra"][i, 1] *= phase
         kernel["clips"][i] = np.fft.rfft(clips, n1)
+    kernel["spectra"].setflags(write=False)
+    kernel["clips"].setflags(write=False)
     return kernel
 
 
@@ -432,22 +434,20 @@ def _source_fields(prev: TermGrid, model: RegimeModel) -> np.ndarray:
     return lam * (v - v[::-1]) - (1.0 / sig_half) * np.exp(z) * _deriv_z(v, float(z[1] - z[0]))
 
 
-def ham_step(prev: TermGrid, model: RegimeModel, kernel: dict) -> TermGrid:
+def ham_step(prev: TermGrid, model: RegimeModel) -> TermGrid:
     """Series term ``m`` from term ``m - 1``.
 
     Solves the transformed heat problem by the kernel double integral:
     trapezoid over source levels in physical time (the zero-lag endpoint
     is the delta identity), exact-plus-panel hat weights over ``xi``.
-    The returned term is zero at ``u = 0`` by construction. ``kernel`` is
-    :func:`_lag_generators` of this grid and model; one built for another
-    grid or model is refused.
+    The returned term is zero at ``u = 0`` by construction. The kernel,
+    :func:`_lag_generators` of the term's grid and ``model``, is read from the
+    surface cache (:func:`rsasian.model.cached_surface`) and built on a miss.
     """
     require_two_states(model)
     z, u = prev.z_nodes, prev.u_nodes
     key = _kernel_key(z, u, model)
-    for name, wanted in key.items():
-        if kernel[name] != wanted:
-            raise ValidationError(f"lag kernel built for {name}={kernel[name]}, not {wanted}")
+    kernel = cached_surface(("lag kernel", repr(key)), lambda: _lag_generators(z, u, model))
     n_z, j0, du = key["n_z"], key["j0"], key["du"]
     _, gamma, sig_half = _regime_axes(model)
     growth = 0.25 * (1.0 + gamma) ** 2
@@ -570,42 +570,32 @@ def assemble_series(terms: list[TermGrid], model: RegimeModel) -> SeriesSurfaces
                           term_norms=tuple(norms), model=model)
 
 
-def build_terms(model: RegimeModel, T: float, config: HamConfig,
-                kernels: dict | None = None) -> list[TermGrid]:
-    """Terms ``0..m_trunc`` for the configured grid and modes; ``kernels``, a memo of
-    :func:`_lag_generators` by :func:`_kernel_key`, shares one kernel across builds."""
+def build_terms(model: RegimeModel, T: float, config: HamConfig) -> list[TermGrid]:
+    """Terms ``0..m_trunc`` for the configured grid and modes."""
     require_two_states(model)
     if any(q != 0.0 for q in model.q):
         raise ValidationError(f"model.q={list(model.q)}: the series engine prices only q = 0")
-    grid = ham_grid(config, T)
-    kernels = {} if kernels is None else kernels
-    key = repr(_kernel_key(*grid, model))
-    if key not in kernels:
-        kernels[key] = _lag_generators(*grid, model)
-    kernel = kernels[key]
-    terms = [initial_guess(model, grid, config, T)]
+    terms = [initial_guess(model, T, config)]
     for _ in range(config.m_trunc):
-        terms.append(ham_step(terms[-1], model, kernel))
+        terms.append(ham_step(terms[-1], model))
     return terms
 
 
-def series_surfaces(model: RegimeModel, T: float, config: HamConfig,
-                    kernels: dict | None = None) -> SeriesSurfaces:
+def series_surfaces(model: RegimeModel, T: float, config: HamConfig) -> SeriesSurfaces:
     """The series surface for ``(model, T, config)``, built on first use.
 
     The key carries :func:`ham_window`, so a filled-in default window
     shares the entry, in the cache FD reads share (:func:`rsasian.model.cached_surface`).
-    A build passes ``kernels`` to :func:`build_terms`.
     """
     z_lo, z_hi = ham_window(config, T)
     key = (model, T, replace(config, z_min=z_lo, z_max=z_hi))
-    return cached_surface(key, lambda: assemble_series(build_terms(model, T, config, kernels),
-                                                       model))
+    return cached_surface(key, lambda: assemble_series(build_terms(model, T, config), model))
 
 
 def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
-                        T: float, m: int = -1) -> tuple[float, dict]:
-    """Dollar price ``s * V_regime(T - t, -ln(a/s))`` of partial sum ``m``.
+                        m: int = -1) -> tuple[float, dict]:
+    """Dollar price ``s * V_regime(T - t, -ln(a/s))`` of partial sum ``m``, with the
+    maturity ``T`` read off the surface's last time node.
 
     ``a = 0`` maps to ``z = +infinity``; the far column ``z_max`` stands
     in for it (the construction's boundary value), flagged in the
@@ -632,7 +622,7 @@ def series_dollar_price(surfaces: SeriesSurfaces, state: MarketState,
     clamped = z > float(surfaces.z_nodes[-1])
     if clamped:
         z = float(surfaces.z_nodes[-1])
-    reduced = surfaces.value(T - state.t, z, state.regime, m)
+    reduced = surfaces.value(float(surfaces.u_nodes[-1]) - state.t, z, state.regime, m)
     return state.s * reduced, {"z": z, "clamped": clamped}
 
 
@@ -648,7 +638,7 @@ def price_floating_put_ham(state: MarketState, model: RegimeModel,
     if state.regime not in (0, 1):
         raise ValidationError(f"regime index {state.regime!r} not 0 or 1")
     surfaces = series_surfaces(model, T, config)
-    price, info = series_dollar_price(surfaces, state, T)
+    price, info = series_dollar_price(surfaces, state)
     diagnostics = {
         "m_trunc": config.m_trunc,
         "terminal_mode": config.terminal_mode,
@@ -700,12 +690,11 @@ def ham_vs_fd_report(model: RegimeModel, T: float, config: HamConfig = HamConfig
         },
         "modes": [],
     }
-    kernels = {}
     for terminal_mode in _TERMINAL_MODES:
         for guess_mode in _GUESS_MODES:
             cfg = replace(config, terminal_mode=terminal_mode,
                           initial_guess_mode=guess_mode)
-            surf = series_surfaces(model, T, cfg, kernels)
+            surf = series_surfaces(model, T, cfg)
             z_top = float(surf.z_nodes[-1])
             prices = [[s * surf.value(T, z_top, i, m) for m in range(len(surf.partials))]
                       for i in (0, 1)]

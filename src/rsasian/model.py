@@ -267,14 +267,16 @@ def bilinear(surface: np.ndarray, rows: tuple, cols: tuple) -> float:
     )
 
 
-_SURFACES_CACHE: dict = {}  # series and FD surfaces by key, least recently read first
-_SURFACES_CACHE_SIZE = 8
+# series surfaces, their lag kernels and FD grids by key, least recently read first
+_SURFACES_CACHE: dict = {}
+_SURFACES_CACHE_SIZE = 8  # entries, whatever their size
 
 
 def cached_surface(key, build):
-    """The surface under ``key``, made by ``build()`` on a miss and kept for the life of
-    the process. A read moves its entry to the newest slot; past ``_SURFACES_CACHE_SIZE``
-    entries, the least recently read is dropped."""
+    """The entry under ``key``, made by ``build()`` on a miss and kept for the life of
+    the process: a series or FD surface, or a series lag kernel. A read moves its entry
+    to the newest slot; past ``_SURFACES_CACHE_SIZE`` entries, counted whatever their
+    bytes, the least recently read is dropped."""
     hit = _SURFACES_CACHE.pop(key, None)
     if hit is None:
         hit = build()

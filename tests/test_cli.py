@@ -139,6 +139,15 @@ class TestPriceCommand:
         assert code == 0
         assert 0.0 <= float(open(report).read().splitlines()[1].split(",")[1]) < 1e-20
 
+    def test_european_engine_prices_a_large_strike(self, tmp_path):
+        # 8 ulps of D_0 here exceed the 1e-9 absolute tolerance; the price is
+        # 1e5 times the one at K = 100, s = 1000
+        cfg = base_config(tmp_path, {"european_rs": {}}, style="european_put", K=1e7)
+        cfg["state"]["s"] = 1e8
+        code, report = run(tmp_path, "price", cfg)
+        assert code == 0
+        assert 0.0 < float(open(report).read().splitlines()[1].split(",")[1]) < 1e-8
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -273,8 +282,8 @@ class TestConvergenceCommand:
 
     def test_one_lag_kernel_per_command(self, tmp_path, monkeypatch, build_calls):
         # both guess modes share the grid and model, so one kernel serves the
-        # command; nothing keeps it, so a build after the surfaces are dropped
-        # makes it again
+        # command; the surface cache keeps it with the surfaces, and clearing
+        # the cache drops it, so a build after that makes it again
         kernels = []
         make = ham._lag_generators
         monkeypatch.setattr(ham, "_lag_generators",
@@ -283,9 +292,26 @@ class TestConvergenceCommand:
         cfg["state"] = dict(MID_LIFE)
         assert run(tmp_path, "convergence", cfg)[0] == 0
         assert (len(build_calls), len(kernels)) == (2, 1)
+        assert len(ham._SURFACES_CACHE) == 3, "two surfaces and their kernel"
         ham._SURFACES_CACHE.clear()
         assert run(tmp_path, "convergence", cfg)[0] == 0
         assert (len(build_calls), len(kernels)) == (4, 2)
+
+    def test_price_at_another_m_trunc_builds_no_kernel(self, tmp_path, monkeypatch,
+                                                        build_calls):
+        # the kernel depends on the grid and model only, so a price after the
+        # convergence table, in the same process, builds its surface on it
+        kernels = []
+        make = ham._lag_generators
+        monkeypatch.setattr(ham, "_lag_generators",
+                            lambda *args: kernels.append(args) or make(*args))
+        for command, m_trunc in (("convergence", 2), ("price", 3)):
+            cfg = base_config(tmp_path, {"ham": dict(TINY_HAM["ham"], m_trunc=m_trunc)},
+                              name=command)
+            cfg["state"] = dict(MID_LIFE)
+            assert run(tmp_path, command, cfg, name=command)[0] == 0
+        assert [args[2].m_trunc for args in build_calls] == [2, 2, 3]
+        assert len(kernels) == 1
 
     @pytest.mark.parametrize("a,z", [(0.0, "inf"), (1e-3, "11.5129")],
                              ids=["inception", "past_z_max"])

@@ -196,17 +196,25 @@ class TestQuadrature:
         assert 0.0 < prices[0] < prices[1]
         assert abs(prices[1] - 0.029576014472525003) <= european._ABS_TOL
 
-    def test_tolerance_below_roundoff_is_refused(self, desk_model, monkeypatch):
+    def test_tolerance_is_raised_to_roundoff(self, desk_model, monkeypatch):
         # at ttm = 1 the rules of 8 and 16 nodes differ by 6e-14, roundoff;
-        # the estimate is floored at 8 ulps of D_i (1.1e-13), so were the fixed
-        # tolerance below it, the call would refuse after seven doublings
+        # the estimate is floored at 8 ulps of D_i (1.1e-13), and so is the
+        # tolerance: one asked below it prices the same bits at the first doubling
         d = discounted_strike_vector(desk_model, K, T)[0]
         res = price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
         assert res.error_estimate >= 8.0 * np.spacing(d)
         monkeypatch.setattr(european, "_ABS_TOL", 1e-16)
         monkeypatch.setattr(european, "_REL_TOL", 1e-16)
-        with pytest.raises(QuadratureNotConverged, match="after 7 doublings"):
-            price_european_put_rs(desk_model, S0, K, 0.0, T, 0)
+        assert price_european_put_rs(desk_model, S0, K, 0.0, T, 0) == res
+
+    @pytest.mark.parametrize("k, s", [(2e6, 2e7), (1e7, 1e8), (1e7, 3e7), (1e8, 1e9)])
+    def test_large_strikes_price_like_strike_100(self, desk_model, k, s):
+        # past D_i of 2^20, 8 ulps of D_i exceed the 1e-9 absolute tolerance;
+        # the price scales with the strike all the same
+        big = price_european_put_rs(desk_model, s, k, 0.0, T, 0).price
+        small = price_european_put_rs(desk_model, 100.0 * s / k, 100.0, 0.0, T, 0).price
+        assert big > 0.0
+        assert abs(big - k / 100.0 * small) <= 1e-12 * big
 
     def test_wide_variances_refuse_at_the_node_cap(self, monkeypatch):
         # sigma = (0.0025, 0.5) starts at 1200 nodes, and the price refuses its

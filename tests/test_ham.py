@@ -34,6 +34,7 @@ from rsasian import (
     two_state_model,
 )
 from rsasian import ham
+from rsasian.fd import richardson_limit, richardson_order
 from rsasian.greens import robin_correction
 from rsasian.model import _SURFACES_CACHE_SIZE
 
@@ -119,23 +120,31 @@ class TestStructure:
     def test_step_is_linear(self, desk_model, desk_terms):
         base = desk_terms[0]
         doubled = dataclasses.replace(base, values=2.0 * base.values)
-        kernel = ham._lag_generators(base.z_nodes, base.u_nodes, desk_model)
-        one = ham_step(base, desk_model, kernel)
-        two = ham_step(doubled, desk_model, kernel)
+        one = ham_step(base, desk_model)
+        two = ham_step(doubled, desk_model)
         for i in range(2):
             assert np.array_equal(
                 2.0 * np.asarray(one.values[i]), np.asarray(two.values[i])
             ), f"regime {i}"
 
-    def test_prebuilt_generators_give_the_same_step(self, desk_model, desk_terms):
-        # build_terms steps with the kernel from its memo; a kernel made here
-        # for the same grid and model gives the same term 1, bit for bit
-        z, u = desk_terms[0].z_nodes, desk_terms[0].u_nodes
-        step = ham_step(desk_terms[0], desk_model, ham._lag_generators(z, u, desk_model))
+    def test_prebuilt_generators_give_the_same_step(self, desk_model, desk_terms,
+                                                    cold_surfaces):
+        # build_terms steps with the kernel the cache kept; a step on an emptied
+        # cache builds its own and gives the same term 1, bit for bit
+        step = ham_step(desk_terms[0], desk_model)
+        assert len(cold_surfaces) == 1, "the step kept its kernel"
         assert np.array_equal(desk_terms[1].values, step.values)
 
+    def test_a_cached_kernel_is_read_only(self, desk_model, desk_terms, cold_surfaces):
+        ham_step(desk_terms[0], desk_model)
+        (kernel,) = cold_surfaces.values()
+        for name in ("spectra", "clips"):
+            with pytest.raises(ValueError, match="read-only"):
+                kernel[name][0, 0, 0, 0] = 0.0
+
     @pytest.mark.parametrize("m_trunc", [1, 4])
-    def test_build_makes_each_lag_generator_once(self, desk_model, monkeypatch, m_trunc):
+    def test_build_makes_each_lag_generator_once(self, desk_model, monkeypatch, cold_surfaces,
+                                                 m_trunc):
         lags = []
         make = ham._kernel_generators
         monkeypatch.setattr(ham, "_kernel_generators",
@@ -203,7 +212,7 @@ class TestStructure:
         make = ham._kernel_generators
         monkeypatch.setattr(ham, "_kernel_generators",
                             lambda *args: calls.append((args, make(*args))) or calls[-1][1])
-        kernel = ham._lag_generators(z, u, model)
+        ham._lag_generators(z, u, model)
         monkeypatch.undo()
         n_z, n_u, du = len(z), len(u), u[1] - u[0]
         assert len(calls) == 2, "one call per regime makes every lag"
@@ -230,7 +239,7 @@ class TestStructure:
         for prev, fast in zip(terms, terms[1:]):
             with monkeypatch.context() as patch:
                 patch.setattr(ham, "_kernel_integral", dense)
-                slow = ham_step(prev, model, kernel)
+                slow = ham_step(prev, model)
             gap = np.max(np.abs(fast.values - slow.values))
             assert gap <= 1e-13 * np.max(np.abs(slow.values)), f"term {fast.m}: {gap}"
 
@@ -308,7 +317,6 @@ class TestStructure:
         cfg = dataclasses.replace(COARSE, z_min=window[0], z_max=window[1])
         z, u = ham_grid(cfg, 1.0)
         j0, n_z = int(np.argmin(np.abs(z))), len(z)
-        kernel = ham._lag_generators(z, u, desk_model)
         values = np.random.default_rng(7).standard_normal((2, len(u), n_z))
         prev = ham.TermGrid(m=1, z_nodes=z, u_nodes=u, values=values)
         lag_sum = np.random.default_rng(8).standard_normal((2, n_z, len(u)))
@@ -321,7 +329,7 @@ class TestStructure:
         monkeypatch.setattr(ham, "_kernel_integral", fixed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a random source has a heavy tail
-            ham_step(prev, desk_model, kernel)
+            ham_step(prev, desk_model)
         s_hat = seen["s_half"].copy()
         s_hat[..., 0] *= 2.0
         mirror = np.abs(np.arange(n_z) - j0)
@@ -357,17 +365,22 @@ class TestStructure:
         (dict(n_u=31), "n_u"),
         (dict(model=two_state_model(0.06, 0.03, 0.3, 0.2, 1.0, 1.0)), "gamma"),
     ])
-    def test_kernel_for_another_grid_or_model_is_refused(self, desk_model, other, name):
+    def test_kernel_for_another_grid_or_model_is_not_reused(self, desk_model, cold_surfaces,
+                                                            other, name):
         # the window is fixed, so a kernel for T = 2 differs from the step's
-        # grid only in du, the spacing of its lag times
-        cfg = dataclasses.replace(COARSE, z_min=-3.0, z_max=9.0)
-        guess = dataclasses.replace(cfg, initial_guess_mode="zero")
-        prev = ham.initial_guess(desk_model, ham_grid(cfg, 1.0), guess, 1.0)
+        # grid only in du, the spacing of its lag times. With that other kernel
+        # cached, the step builds its own and gives the cold step's bits
+        cfg = dataclasses.replace(COARSE, z_min=-3.0, z_max=9.0, initial_guess_mode="zero")
+        prev = ham.initial_guess(desk_model, 1.0, cfg)
+        cold = ham_step(prev, desk_model)
+        cold_surfaces.clear()
         built = dict(T=1.0, n_z=cfg.n_z, n_u=cfg.n_u, model=desk_model) | other
-        grid = ham_grid(dataclasses.replace(cfg, n_z=built["n_z"], n_u=built["n_u"]), built["T"])
-        kernel = ham._lag_generators(*grid, built["model"])
-        with pytest.raises(ValidationError, match=rf"lag kernel built for {name}="):
-            ham_step(prev, desk_model, kernel)
+        other_cfg = dataclasses.replace(cfg, n_z=built["n_z"], n_u=built["n_u"])
+        ham_step(ham.initial_guess(built["model"], built["T"], other_cfg), built["model"])
+        assert len(cold_surfaces) == 1
+        warm = ham_step(prev, desk_model)
+        assert len(cold_surfaces) == 2, f"a kernel for another {name} was read"
+        assert np.array_equal(warm.values, cold.values)
 
     @pytest.mark.parametrize("guess", ["zero", "european_rs"])
     @pytest.mark.parametrize("model", ["desk", "asymmetric"])
@@ -423,7 +436,7 @@ class TestPricing:
         a = 100.0 * np.exp(-z_node) * 1.0
         state = MarketState(t=1.0, s=100.0, a=a, regime=0)
         surfaces = assemble_series(desk_terms, desk_model)
-        price, diag = series_dollar_price(surfaces, state, 1.0)
+        price, diag = series_dollar_price(surfaces, state)
         want = max(a / 1.0 - 100.0, 0.0)
         assert price == pytest.approx(want, rel=1e-12), f"{price} vs {want}"
         assert diag["z"] == pytest.approx(z_node)
@@ -436,10 +449,10 @@ class TestPricing:
     def test_price_is_homogeneous(self, desk_model, desk_terms):
         surfaces = assemble_series(desk_terms, desk_model)
         base, _ = series_dollar_price(
-            surfaces, MarketState(t=0.5, s=100.0, a=50.0, regime=0), 1.0
+            surfaces, MarketState(t=0.5, s=100.0, a=50.0, regime=0)
         )
         double, _ = series_dollar_price(
-            surfaces, MarketState(t=0.5, s=200.0, a=100.0, regime=0), 1.0
+            surfaces, MarketState(t=0.5, s=200.0, a=100.0, regime=0)
         )
         assert double == 2.0 * base
 
@@ -463,7 +476,7 @@ class TestPricing:
         # clipped to 0 and the read kept, which series_dollar_price returns as is
         state = MarketState(t=0.5, s=100.0, a=50.0, regime=1)
         res = price_floating_put_ham(state, desk_model, COARSE, 1.0)
-        read, _ = series_dollar_price(ham.series_surfaces(desk_model, 1.0, COARSE), state, 1.0)
+        read, _ = series_dollar_price(ham.series_surfaces(desk_model, 1.0, COARSE), state)
         assert read == pytest.approx(-0.018187, abs=5e-7)
         assert res.price == 0.0 and res.diagnostics["unclipped_price"] == read
 
@@ -491,6 +504,23 @@ class TestPricing:
             assert len(ham._SURFACES_CACHE) == _SURFACES_CACHE_SIZE
         finally:
             ham._SURFACES_CACHE.clear()
+
+    def test_a_kernel_takes_a_cache_slot(self, desk_model, build_calls, monkeypatch):
+        # every m_trunc on one grid and model shares one kernel, which each build
+        # reads last; so the kernel stays and the first of eight surfaces goes
+        kernels = []
+        make = ham._lag_generators
+        monkeypatch.setattr(ham, "_lag_generators",
+                            lambda *args: kernels.append(args) or make(*args))
+        cfgs = [HamConfig(m_trunc=m, n_z=41, n_u=5) for m in range(1, _SURFACES_CACHE_SIZE + 1)]
+        for cfg in cfgs[:-1]:
+            ham.series_surfaces(desk_model, 1.0, cfg)
+        assert len(ham._SURFACES_CACHE) == _SURFACES_CACHE_SIZE
+        ham.series_surfaces(desk_model, 1.0, cfgs[-1])
+        assert len(ham._SURFACES_CACHE) == _SURFACES_CACHE_SIZE
+        ham.series_surfaces(desk_model, 1.0, cfgs[0])
+        assert (len(build_calls), len(kernels)) == (_SURFACES_CACHE_SIZE + 1, 1), \
+            "the first surface was dropped, not the kernel"
 
     def test_filled_in_window_shares_the_cached_surface(self, desk_model, build_calls):
         cfg = HamConfig(m_trunc=1, n_z=41, n_u=5)
@@ -577,5 +607,25 @@ class TestComparisonReport:
         assert len(build_calls) == 4, "one build per mode combination"
         assert len(kernels) == 1, "the four builds share one lag kernel"
         assert ham_vs_fd_report(desk_model, 1.0, **kwargs) == first
-        assert len(build_calls) == 4, "the second report reads the cached surfaces"
-        assert len(kernels) == 1
+        assert (len(build_calls), len(kernels)) == (4, 1), \
+            "the second report reads the cached surfaces"
+        ham._SURFACES_CACHE.clear()  # drops the kernel with the surfaces
+        assert ham_vs_fd_report(desk_model, 1.0, **kwargs) == first
+        assert (len(build_calls), len(kernels)) == (8, 2)
+
+
+class TestPaperFormLimit:
+    def test_the_sums_settle_far_below_the_grid_limit(self, desk_model, cold_surfaces):
+        # the paper form converges, to the wrong limit: on the default grid its
+        # m = 6 and m = 10 sums agree, and sit 43-77 % below the FD Richardson
+        # limit of grids 200, 400 and 800, which MC agrees with
+        surf = ham.series_surfaces(desk_model, 1.0, HamConfig(m_trunc=10))
+        for t, y in ((0.5, 0.75), (0.9, 0.9)):
+            for regime in (0, 1):
+                state = MarketState(t=t, s=100.0, a=100.0 * y, regime=regime)
+                sums = [series_dollar_price(surf, state, m)[0] for m in (6, 10)]
+                _, prices = richardson_order(desk_model, 1.0, FdConfig(n_y=200, n_t=200), state)
+                fd_limit = richardson_limit(prices)[0]
+                where = f"t={t}, y={y}, regime {regime}: {sums} against {fd_limit}"
+                assert abs(sums[1] - sums[0]) <= 1e-3 * abs(sums[1]), where
+                assert sums[1] < 0.6 * fd_limit, where
