@@ -382,6 +382,16 @@ class TestStructure:
         assert len(cold_surfaces) == 2, f"a kernel for another {name} was read"
         assert np.array_equal(warm.values, cold.values)
 
+    def test_a_term_off_the_lattice_is_refused(self, desk_model, desk_terms, cold_surfaces):
+        # a term made outside build_terms carries its own nodes; the lag weights
+        # need one exactly at z = 0
+        term = desk_terms[0]
+        h = term.z_nodes[1] - term.z_nodes[0]
+        shifted = dataclasses.replace(term, z_nodes=term.z_nodes + 0.5 * h)
+        with pytest.raises(ValidationError, match="z grid has no node at 0"):
+            ham_step(shifted, desk_model)
+        assert not cold_surfaces, "nothing was built or kept"
+
     @pytest.mark.parametrize("guess", ["zero", "european_rs"])
     @pytest.mark.parametrize("model", ["desk", "asymmetric"])
     def test_swapping_the_regimes_swaps_the_terms(self, desk_model, model, guess):
